@@ -18,7 +18,7 @@ from qpfiber.surface import BraidedSurface, euler_characteristic
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--max-alexander", type=int, default=4)
+    parser.add_argument("--max-alexander", type=int, default=7)
     args = parser.parse_args()
 
     header = f"{'n':>2} {'nu':>3} {'chi(q)':>7} {'chi(nab)':>8} {'comp(q)':>7} {'comp(nab)':>9} {'e(q)':>5} {'alexander':>10}"

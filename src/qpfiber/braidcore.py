@@ -15,9 +15,21 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidBand, InvalidParameter, InvalidWord
+
+
+def json_int(value) -> int:
+    """An integer field of a JSON document.
+
+    JSON booleans are refused: ``int(True) == 1`` would otherwise let
+    ``[1, 2, true]`` pass as a band.  Raises TypeError, which the
+    ``from_json`` readers turn into their malformed-document error.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {str(value).lower()}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,9 @@ class BraidWord:
     @staticmethod
     def from_json(doc: dict) -> "BraidWord":
         try:
-            return BraidWord(int(doc["strands"]), tuple((int(i), int(s)) for i, s in doc["letters"]))
+            return BraidWord(
+                json_int(doc["strands"]), tuple((json_int(i), json_int(s)) for i, s in doc["letters"])
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidWord(f"malformed braid word document: {exc}") from exc
 
@@ -116,8 +130,8 @@ class BandRepresentation:
     def from_json(doc: dict) -> "BandRepresentation":
         try:
             return BandRepresentation(
-                int(doc["strands"]),
-                tuple(EmbeddedBand(int(i), int(j), int(s)) for i, j, s in doc["bands"]),
+                json_int(doc["strands"]),
+                tuple(EmbeddedBand(json_int(i), json_int(j), json_int(s)) for i, j, s in doc["bands"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidBand(f"malformed band representation document: {exc}") from exc
@@ -197,6 +211,3 @@ def word_from_letters(strands: int, letters: Iterable[int]) -> BraidWord:
         out.append((abs(v), 1 if v > 0 else -1))
     return BraidWord(strands, tuple(out))
 
-
-def positive_word(strands: int, indices: Sequence[int]) -> BraidWord:
-    return BraidWord(strands, tuple((i, 1) for i in indices))

@@ -25,14 +25,17 @@ from .surface import BraidedSurface, euler_characteristic, summary
 
 
 def _read_document(path: str):
-    if path == "-":
-        data = sys.stdin.read()
-        digest = hashlib.sha256(data.encode()).hexdigest()
-    else:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        digest = hashlib.sha256(raw).hexdigest()
-        data = raw.decode()
+    try:
+        if path == "-":
+            data = sys.stdin.read()
+            digest = hashlib.sha256(data.encode()).hexdigest()
+        else:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            digest = hashlib.sha256(raw).hexdigest()
+            data = raw.decode()
+    except UnicodeError as exc:
+        raise InvalidInput(f"input is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(data), digest
     except json.JSONDecodeError as exc:
@@ -122,7 +125,10 @@ def _dispatch(args, inputs: dict) -> dict:
         if (args.input is None) == (args.subset is None):
             raise InvalidInput("quasipositize needs exactly one of --input or --subset")
         if args.subset is not None:
-            selected = [int(x) for x in args.subset.split(",") if x.strip()] if args.subset.strip() else []
+            try:
+                selected = [int(x) for x in args.subset.split(",") if x.strip()]
+            except ValueError as exc:
+                raise InvalidInput(f"--subset must be comma-separated integers: {exc}") from exc
             result = quasipositize_handle_subsurface(args.n, selected)
         else:
             doc, digest = _read_document(args.input)

@@ -23,7 +23,7 @@ components are disks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .braidcore import BandRepresentation
+from .braidcore import BandRepresentation, json_int
 from .errors import (
     CycleEnumerationBudgetExceeded,
     InternalError,
@@ -143,19 +143,18 @@ class CombedGraph:
                                 teeth.append(FreeEnd())
                             else:
                                 band, slot = tooth["arc_end"]
-                                teeth.append(ArcEnd(int(band), int(slot)))
+                                teeth.append(ArcEnd(json_int(band), json_int(slot)))
                         row.append(Comb(tuple(teeth)))
                 disks.append(tuple(row))
             graph = CombedGraph(host, tuple(disks))
+            stated = sorted(tuple(json_int(x) for x in arc) for arc in doc["arcs"]) if "arcs" in doc else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidGraph(f"malformed combed graph document: {exc}") from exc
         problems = validate(graph)
         if problems:
             raise InvalidGraph("; ".join(problems))
-        if "arcs" in doc:
-            stated = sorted(tuple(int(x) for x in arc) for arc in doc["arcs"])
-            if stated != graph.arcs():
-                raise InvalidGraph("stated arcs are not the order-reversing pairing of the teeth")
+        if stated is not None and stated != graph.arcs():
+            raise InvalidGraph("stated arcs are not the order-reversing pairing of the teeth")
         return graph
 
 

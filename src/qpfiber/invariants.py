@@ -21,7 +21,10 @@ Burau convention: letters act left to right, matching the permutation
 convention; the generator matrices are the standard reduced ones with
 sigma_i mapping to the identity apart from the block
 [[1, t, 0], [0, -t, 0], [0, 1, 1]] on rows i-1, i, i+1 (truncated at the
-edges), so det(rho(sigma_i)) = -t.
+edges), so det(rho(sigma_i)) = -t.  A generator differs from the identity
+in one column only, so the product over a word multiplies one column per
+letter: O(n) polynomial products per letter on n strands, not a dense
+O(n^3) matrix product (see ``mat_mul``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linking import linking_number
-from .braidcore import BandRepresentation, BraidWord, beta
+from .braidcore import BandRepresentation, BraidWord
 from .errors import InvalidParameter, NonExactDivision
 
 
@@ -183,24 +186,49 @@ def eq_up_to_units(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
 Matrix = tuple[tuple[LaurentPolynomial, ...], ...]
 
 
+_ZERO = LaurentPolynomial()
+_ONE = LaurentPolynomial.one()
+
+
 def identity_matrix(n: int) -> Matrix:
-    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    rows = [[_ZERO] * n for _ in range(n)]
+    for d in range(n):
+        rows[d][d] = _ONE
+    return tuple(tuple(row) for row in rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = LaurentPolynomial.zero()
-            for k in range(m):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """The product a b, computed column by column of b over that column's support.
+
+    A column of b whose only nonzero entry is the constant 1 reuses the
+    matching column of a; any other column costs len(a) * (its support)
+    polynomial products.  A Burau generator differs from the identity in
+    one column of at most three entries, so multiplying by it costs O(n)
+    polynomial products plus O(n^2) entry references, where a dense
+    product costs O(n^3) products.  Entries may be shared between a, b and
+    the result; no LaurentPolynomial is ever mutated, so sharing is safe.
+    """
+    rows, cols = len(a), len(b[0]) if b else 0
+    if not a or not cols:
+        return ((),) * rows
+    a_columns = tuple(zip(*a))
+    columns = []
+    for b_column in zip(*b):
+        # the identity test skips the attribute lookup on shared zeros
+        support = [(k, entry) for k, entry in enumerate(b_column) if entry is not _ZERO and entry.coeffs]
+        if len(support) == 1 and support[0][1] == _ONE:
+            columns.append(a_columns[support[0][0]])
+            continue
+        column = []
+        for i in range(rows):
+            acc = _ZERO
+            for k, entry in support:
+                factor = a_columns[k][i]
+                if factor.coeffs:
+                    acc = acc + factor * entry
+            column.append(acc)
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
@@ -232,30 +260,24 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
 # Reduced Burau and the braid route to Alexander
 
 
+_T = LaurentPolynomial.t_power(1)
+_MINUS_T = LaurentPolynomial.t_power(1, -1)
+_T_INV = LaurentPolynomial.t_power(-1)
+_MINUS_T_INV = LaurentPolynomial.t_power(-1, -1)
+
+
 def _burau_generator(n: int, i: int, sign: int) -> Matrix:
-    t = LaurentPolynomial.t_power(1)
-    mt = LaurentPolynomial.t_power(1, -1)  # -t
-    one = LaurentPolynomial.one()
-    tinv = LaurentPolynomial.t_power(-1)
-    mtinv = LaurentPolynomial.t_power(-1, -1)
-    size = n - 1
-    rows = [[LaurentPolynomial.one() if r == c else LaurentPolynomial.zero() for c in range(size)] for r in range(size)]
+    rows = list(identity_matrix(n - 1))
     # 1-based generator index i acts on rows/cols i-1, i, i+1 (1-based),
     # i.e. indices i-2, i-1, i (0-based), truncated at the matrix edge.
     r = i - 1  # 0-based diagonal position of the generator
-    if sign == 1:
-        if r - 1 >= 0:
-            rows[r - 1][r] = t
-        rows[r][r] = mt
-        if r + 1 < size:
-            rows[r + 1][r] = one
-    else:
-        if r - 1 >= 0:
-            rows[r - 1][r] = one
-        rows[r][r] = mtinv
-        if r + 1 < size:
-            rows[r + 1][r] = tinv
-    return tuple(tuple(row) for row in rows)
+    column = (_T, _MINUS_T, _ONE) if sign == 1 else (_ONE, _MINUS_T_INV, _T_INV)
+    for d, entry in zip((r - 1, r, r + 1), column):
+        if 0 <= d < len(rows):
+            row = list(rows[d])
+            row[r] = entry
+            rows[d] = tuple(row)
+    return tuple(rows)
 
 
 def reduced_burau(word: BraidWord) -> Matrix:
@@ -461,8 +483,3 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:
         for i in range(size)
     )
     return mat_det(grid).canonical()
-
-
-def alexander_of_rep(rep: BandRepresentation) -> LaurentPolynomial:
-    """Alexander polynomial of the boundary link, via the Burau route."""
-    return alexander_from_braid(beta(rep))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .braidcore import BandRepresentation, BraidWord, EmbeddedBand
+from .braidcore import BandRepresentation, EmbeddedBand
 from .errors import InternalError
 from .graphcalc import ArcEnd, Comb, CombedGraph, _arc_end_locations, validate
 from .surface import BraidedSurface, handle_spine, summary
@@ -45,12 +45,6 @@ def random_connected_quasipositive(
         )
         if len(summary(BraidedSurface(rep)).components) == 1:
             return rep
-
-
-def random_positive_word(rng: random.Random, max_strands: int, max_length: int) -> BraidWord:
-    n = rng.randint(2, max_strands)
-    length = rng.randint(0, max_length)
-    return BraidWord(n, tuple((rng.randint(1, n - 1), 1) for _ in range(length)))
 
 
 def inverse_whitehead(graph: CombedGraph, band: int, slot: int, near_disk: int) -> CombedGraph:

@@ -56,13 +56,13 @@ def check_chi_identity() -> CheckResult:
 
 
 def check_fiber_agreement() -> CheckResult:
-    """Criterion 2: verify_fiber passes for n = 2, 3, 4."""
+    """Criterion 2: verify_fiber passes for n = 2..6."""
     try:
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             verify_fiber(n)
     except FiberVerificationFailed as exc:
         return CheckResult("fiber-agreement", False, str(exc))
-    return CheckResult("fiber-agreement", True, "components and Alexander agree for n=2,3,4")
+    return CheckResult("fiber-agreement", True, "components and Alexander agree for n=2..6")
 
 
 def check_cross_oracle(seed: int = 20603) -> CheckResult:

@@ -134,3 +134,47 @@ def test_verify_fiber_verb(capsys):
     code, report = invoke(capsys, "verify-fiber", "--n", "3")
     assert code == 0
     assert report["result"]["ok"] is True
+
+
+def test_quasipositize_subset_not_integers_exits_1(capsys):
+    code, report = invoke(capsys, "quasipositize", "--n", "2", "--subset", "1,a")
+    assert code == 1
+    assert report["kind"] == "malformed-input"
+
+
+def test_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"strands": 2, "bands": [], "note": "\xe9"}')
+    code, report = invoke(capsys, "invariants", "--input", str(path))
+    assert code == 1
+    assert report["kind"] == "malformed-input"
+
+
+def test_non_utf8_stdin_exits_1(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+    code, report = invoke(capsys, "pad", "--input", "-")
+    assert code == 1
+    assert report["kind"] == "malformed-input"
+
+
+def test_json_booleans_are_not_integers(tmp_path, capsys):
+    bad_rep = write_json(tmp_path, "rep.json", {"strands": 3, "bands": [[1, 2, True]]})
+    bad_word = write_json(tmp_path, "word.json", {"strands": True, "letters": []})
+    graph = json.loads(json.dumps(bigon_doc()))
+    graph["disks"][0][0]["comb"][0]["arc_end"] = [True, 0]
+    bad_graph = write_json(tmp_path, "graph.json", graph)
+    for verb, path in (("invariants", bad_rep), ("pad", bad_word), ("reduce", bad_graph)):
+        code, report = invoke(capsys, verb, "--input", path)
+        assert code == 1, verb
+        assert report["kind"] == "malformed-input", verb
+
+
+def test_malformed_stated_arcs_exit_1(tmp_path, capsys):
+    graph = bigon_doc()
+    graph["arcs"] = [["a", 0, 1]]
+    path = write_json(tmp_path, "graph.json", graph)
+    code, report = invoke(capsys, "reduce", "--input", path)
+    assert code == 1
+    assert report["kind"] == "malformed-input"

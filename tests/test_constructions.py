@@ -19,6 +19,7 @@ from qpfiber.constructions import (
 )
 from qpfiber.errors import InvalidParameter, NotPositive, NotQuasipositive
 from qpfiber.graphcalc import ArcEnd, Comb, is_full, neighborhood_summary
+from qpfiber.invariants import alexander_from_braid
 from qpfiber.surface import BraidedSurface, euler_characteristic, summary
 
 
@@ -159,12 +160,29 @@ def word_to_rep(word):
     return BandRepresentation(word.strands, tuple(EmbeddedBand(i, i + 1, s) for i, s in word.letters))
 
 
+def torus_link_alexander(n):
+    """Coefficients of (1 - t)(1 - t^n)^(n-2), the Alexander polynomial of T(n, n)."""
+    coeffs = [1, -1]
+    for _ in range(n - 2):
+        factor = [1] + [0] * (n - 1) + [-1]
+        product = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        coeffs = product
+    return coeffs
+
+
 class TestVerifyFiber:
     def test_small_fibers(self):
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             report = verify_fiber(n)
             assert report.ok()
             assert report.components_q == n
+
+    def test_fiber_model_alexander_is_closed_form(self):
+        for n in range(2, 8):
+            assert alexander_from_braid(beta(q_rep(n))).coefficient_list() == torus_link_alexander(n)
 
     def test_exponent_sums(self):
         for n in range(2, 7):

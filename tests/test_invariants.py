@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, word_from_letters
 from qpfiber.errors import NonExactDivision
@@ -26,6 +26,66 @@ from conftest import braid_words
 
 def L(coeffs):
     return LaurentPolynomial(coeffs)
+
+
+def naive_product(a, b):
+    """Triple-loop product of matrices whose entries are {exponent: coefficient} dicts."""
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = {}
+            for k in range(inner):
+                for e1, c1 in a[i][k].items():
+                    for e2, c2 in b[k][j].items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return out
+
+
+def as_dicts(matrix):
+    return [[dict(p.coeffs) for p in row] for row in matrix]
+
+
+def as_polys(matrix):
+    return tuple(tuple(L(p) for p in row) for row in matrix)
+
+
+def dict_identity(size):
+    return [[{0: 1} if r == c else {} for c in range(size)] for r in range(size)]
+
+
+def dict_generator(strands, i, sign):
+    """sigma_i^sign: the identity apart from column i-1 (0-based), written out by hand."""
+    size = strands - 1
+    m = dict_identity(size)
+    r = i - 1
+    above, diagonal, below = ({1: 1}, {1: -1}, {0: 1}) if sign == 1 else ({0: 1}, {-1: -1}, {-1: 1})
+    if r - 1 >= 0:
+        m[r - 1][r] = above
+    m[r][r] = diagonal
+    if r + 1 < size:
+        m[r + 1][r] = below
+    return m
+
+
+polys = st.one_of(
+    st.just({}),
+    st.just({0: 1}),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3),
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) of shapes rows x inner and inner x cols, dense or mostly zero/one."""
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = draw(st.sampled_from([polys, st.sampled_from([{}, {}, {}, {0: 1}, {1: -1}])]))
+    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+    return a, b
 
 
 HOPF = BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1)))
@@ -54,7 +114,42 @@ class TestLaurent:
         assert L({-1: 2, 1: 3}).evaluate(Fraction(2)) == Fraction(7)
 
 
+class TestMatMul:
+    @given(matrix_pairs())
+    @settings(max_examples=100)
+    def test_matches_naive_product(self, pair):
+        a, b = pair
+        pa, pb = as_polys(a), as_polys(b)
+        before = as_dicts(pa), as_dicts(pb)
+        assert as_dicts(mat_mul(pa, pb)) == naive_product(a, b)
+        # inputs are never mutated, so entries may be shared with the result
+        assert (as_dicts(pa), as_dicts(pb)) == before
+
+    def test_edge_shapes(self):
+        assert mat_mul((), ()) == ()
+        assert mat_mul(((), ()), ()) == ((), ())
+        assert mat_mul(((L({1: 2}),),), ((L({-1: 3}),),)) == ((L({0: 6}),),)
+        row = ((L({0: 1}), L({1: 1})),)
+        column = ((L({0: 2}),), (L({0: 3}),))
+        assert mat_mul(row, column) == ((L({0: 2, 1: 3}),),)
+        assert mat_mul(column, row) == ((L({0: 2}), L({1: 2})), (L({0: 3}), L({1: 3})))
+
+    def test_hand_written_generators_are_inverse(self):
+        for strands in (2, 3, 5):
+            for i in range(1, strands):
+                product = naive_product(dict_generator(strands, i, 1), dict_generator(strands, i, -1))
+                assert product == dict_identity(strands - 1)
+
+
 class TestBurau:
+    @given(braid_words(max_strands=8, max_length=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_fold(self, word):
+        expected = dict_identity(word.strands - 1)
+        for i, sign in word.letters:
+            expected = naive_product(expected, dict_generator(word.strands, i, sign))
+        assert as_dicts(reduced_burau(word)) == expected
+
     def test_empty_word_is_identity(self):
         assert reduced_burau(BraidWord(2, ())) == identity_matrix(1)
 
