@@ -23,13 +23,14 @@ from .errors import InvalidBand, InvalidParameter, InvalidWord
 def json_int(value) -> int:
     """An integer field of a JSON document.
 
-    JSON booleans are refused: ``int(True) == 1`` would otherwise let
-    ``[1, 2, true]`` pass as a band.  Raises TypeError, which the
-    ``from_json`` readers turn into their malformed-document error.
+    Only a JSON integer is accepted.  ``int()`` would take ``true`` as 1,
+    ``2.7`` as 2 and ``"5"`` as 5, so ``[1, 2.7, 1]`` would pass as the band
+    (1, 2, 1).  Raises TypeError, which the ``from_json`` readers turn into
+    their malformed-document error.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {str(value).lower()}")
-    return int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

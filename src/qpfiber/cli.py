@@ -2,8 +2,9 @@
 
 One verb per run; the report is a single JSON document on stdout, with the
 wall-clock duration on stderr so that stdout stays byte-identical across
-runs.  Exit codes: 0 success, 1 malformed input, 2 precondition violation
-(e.g. NotFull, NotQuasipositive), 3 internal consistency failure.
+runs.  Exit codes: 0 success, 1 malformed or unreadable input, 2
+precondition violation (e.g. NotFull, NotQuasipositive, or SizeLimitExceeded
+for ``--n`` above ``constructions.MAX_N``), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 import time
 
 from .braidcore import BandRepresentation, BraidWord, beta, exponent_sum, permutation_cycles
-from .constructions import expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
-from .errors import InternalError, InvalidInput, PreconditionError, QpfiberError
+from .constructions import MAX_N, expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
+from .errors import InternalError, InvalidInput, PreconditionError, QpfiberError, SizeLimitExceeded
 from .graphcalc import CombedGraph, reduce_with_trace
 from .invariants import alexander_from_braid
 from .qpize import quasipositize, quasipositize_handle_subsurface
@@ -86,6 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args, inputs: dict) -> dict:
+    n = getattr(args, "n", None)
+    if n is not None and n > MAX_N:
+        raise SizeLimitExceeded(f"--n {n} is above the limit {MAX_N}")
     if args.verb == "nabla":
         return {"representation": nabla(args.n).to_json()}
     if args.verb == "qrep":
@@ -163,8 +167,9 @@ def run(argv: list[str]) -> int:
     except InternalError as exc:
         _emit({"command": argv, "error": str(exc), "kind": type(exc).__name__, "ok": False})
         return 3
-    except FileNotFoundError as exc:
-        _emit({"command": argv, "error": str(exc), "kind": "missing-input", "ok": False})
+    except OSError as exc:
+        kind = "missing-input" if isinstance(exc, FileNotFoundError) else "unreadable-input"
+        _emit({"command": argv, "error": str(exc), "kind": kind, "ok": False})
         return 1
     except QpfiberError as exc:
         _emit({"command": argv, "error": str(exc), "kind": type(exc).__name__, "ok": False})

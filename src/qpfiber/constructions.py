@@ -39,6 +39,14 @@ from .graphcalc import CombedGraph
 from .invariants import alexander_from_braid, eq_up_to_units
 from .surface import BraidedSurface, euler_characteristic, handle_spine
 
+MAX_N = 11
+"""Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
+
+``verify-fiber`` runs in time growing about twofold per step of n: on a
+2-core x86-64 machine (Python 3.11) n = 9, 10, 11 and 12 took 6.0, 12.7,
+25.0 and 45.3 s, so the limit keeps every ``--n`` verb to about 30 s.
+"""
+
 
 def nabla(n: int) -> BandRepresentation:
     """The positive word (s_1 s_2 ... s_{n-1})^n, as bands (d, d+1, +1).

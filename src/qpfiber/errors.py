@@ -58,6 +58,10 @@ class SiteNotEligible(PreconditionError):
     """A Whitehead move was requested at a site that does not admit one."""
 
 
+class SizeLimitExceeded(PreconditionError):
+    """A size parameter is above its documented limit."""
+
+
 class CycleEnumerationBudgetExceeded(PreconditionError):
     """Simple-cycle enumeration exceeded the configured budget."""
 

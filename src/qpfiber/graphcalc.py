@@ -18,11 +18,27 @@ cyclically (skipping teeth that end on the surface boundary); through a
 band it jumps to the paired arc end.  Orbits of this successor map are the
 boundary circles of components containing at least one arc; arc-free
 components are disks.
+
+A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
+every edit builds a new graph.  So what a graph determines is worked out
+once per instance, when first asked for, and kept on the instance: the
+arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs` and
+every edit), the `validate` problems and the `neighborhood_summary`.  No
+check is skipped by this: a graph built by an edit is a new instance, so
+it is validated and summarised afresh, and the input of the next edit is
+the graph the previous one already checked.
+
+Every edit goes through `edit_band`: it replaces components on the two
+disks one band joins, reusing every other disk's row, and renumbers that
+band's arc ends by one rule, bottom to top on each disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+
 from .braidcore import BandRepresentation, json_int
 from .errors import (
     CycleEnumerationBudgetExceeded,
@@ -76,18 +92,39 @@ class CombedGraph:
 
     # -- bookkeeping ------------------------------------------------------
 
+    @cached_property
+    def arc_ends(self) -> MappingProxyType:
+        """Per (band, side) the arc-end locations in global (bottom-to-top) order.
+
+        Teeth naming a 1-handle the host lacks are left out; `validate`
+        reports them.
+        """
+        index: dict[tuple[int, str], list[Location]] = {}
+        bands = self.host.bands
+        for disk, comps in enumerate(self.disks, start=1):
+            for ci, comp in enumerate(comps):
+                if not isinstance(comp, Comb):
+                    continue
+                for ti, tooth in enumerate(comp.teeth):
+                    if isinstance(tooth, ArcEnd) and 1 <= tooth.band <= len(bands):
+                        side = "i" if disk == bands[tooth.band - 1].i else "j"
+                        index.setdefault((tooth.band, side), []).append((disk, ci, ti))
+        return MappingProxyType({key: tuple(locs) for key, locs in index.items()})
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
+    @cached_property
+    def _summary(self) -> SurfaceSummary:
+        _require_valid(self)
+        return _trace_summary(self)
+
     def arc_count(self, band: int) -> int:
-        count = 0
-        i_disk = self.host.bands[band - 1].i
-        for comp in self.disks[i_disk - 1]:
-            if isinstance(comp, Comb):
-                count += sum(
-                    1 for tooth in comp.teeth if isinstance(tooth, ArcEnd) and tooth.band == band
-                )
-        return count
+        return len(self.arc_ends.get((band, "i"), ()))
 
     def total_arcs(self) -> int:
-        return sum(self.arc_count(t) for t in range(1, self.host.band_count() + 1))
+        return sum(len(locs) for (_band, side), locs in self.arc_ends.items() if side == "i")
 
     def has_free_ends(self) -> bool:
         for comps in self.disks:
@@ -167,23 +204,12 @@ def _tooth_at(graph: CombedGraph, loc: Location):
     return graph.disks[disk - 1][ci].teeth[ti]
 
 
-def _arc_end_locations(graph: CombedGraph) -> dict[tuple[int, str], list[Location]]:
-    """Per (band, side) the arc-end locations in global (bottom-to-top) order."""
-    index: dict[tuple[int, str], list[Location]] = {}
-    for disk, comps in enumerate(graph.disks, start=1):
-        for ci, comp in enumerate(comps):
-            if not isinstance(comp, Comb):
-                continue
-            for ti, tooth in enumerate(comp.teeth):
-                if isinstance(tooth, ArcEnd):
-                    band = graph.host.bands[tooth.band - 1]
-                    side = "i" if disk == band.i else "j"
-                    index.setdefault((tooth.band, side), []).append((disk, ci, ti))
-    return index
-
-
 def validate(graph: CombedGraph) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
+    return list(graph._problems)
+
+
+def _find_problems(graph: CombedGraph) -> list[str]:
     problems = []
     host = graph.host
     if len(graph.disks) != host.strands:
@@ -228,7 +254,7 @@ def validate(graph: CombedGraph) -> list[str]:
                         f"disk {disk} component {ci}: teeth into 1-handle {tooth.band} are not consecutive"
                     )
                 last_seen[tooth.band] = ti
-    index = _arc_end_locations(graph)
+    index = graph.arc_ends
     for band in range(1, k + 1):
         i_side = index.get((band, "i"), [])
         j_side = index.get((band, "j"), [])
@@ -286,8 +312,11 @@ def _component_roots(graph: CombedGraph, index):
 
 def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
     """Homeomorphism type of a regular neighborhood of the graph."""
-    _require_valid(graph)
-    index = _arc_end_locations(graph)
+    return graph._summary
+
+
+def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
+    index = graph.arc_ends
     nodes, find = _component_roots(graph, index)
 
     # mate of an arc-end location through its band
@@ -396,7 +425,7 @@ def _simple_cycles(graph: CombedGraph, budget: int):
     is reported once, as a list of (arc_id, direction) with direction +1 for
     an i-to-j traversal.
     """
-    index = _arc_end_locations(graph)
+    index = graph.arc_ends
     edges = []
     for band in range(1, graph.host.band_count() + 1):
         i_side = index.get((band, "i"), [])
@@ -472,6 +501,47 @@ def is_full(graph: CombedGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The edit primitive
+
+
+def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
+    """Replace components on the disks `band` joins; renumber its arc ends.
+
+    `replace` maps (disk, component index) of the parent graph to the
+    components that take its place: none removes it, two split it.  The one
+    renumbering rule: the arc ends of `band` on each of its two disks take
+    slots 0, 1, ... bottom to top, so teeth of `band` inside a replacement
+    may carry any slot.  Rows of other disks, and components that are not
+    replaced and hold no tooth of `band` (found from the parent's index),
+    are reused as they are.  The caller validates the result.
+    """
+    hostband = graph.host.bands[band - 1]
+    disks = list(graph.disks)
+    for disk, side in ((hostband.i, "i"), (hostband.j, "j")):
+        touched = {ci for _disk, ci, _ti in graph.arc_ends.get((band, side), ())}
+        slot = 0
+        row = []
+        for ci, comp in enumerate(graph.disks[disk - 1]):
+            new = replace.get((disk, ci))
+            if new is None:
+                if ci not in touched:
+                    row.append(comp)
+                    continue
+                new = (comp,)
+            for item in new:
+                if isinstance(item, Comb):
+                    teeth = list(item.teeth)
+                    for ti, tooth in enumerate(teeth):
+                        if isinstance(tooth, ArcEnd) and tooth.band == band:
+                            teeth[ti] = ArcEnd(band, slot)
+                            slot += 1
+                    item = Comb(tuple(teeth))
+                row.append(item)
+        disks[disk - 1] = tuple(row)
+    return CombedGraph(graph.host, tuple(disks))
+
+
+# ---------------------------------------------------------------------------
 # Whitehead moves
 
 
@@ -527,23 +597,19 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     if check_full and not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
 
-    host = graph.host
     r = graph.arc_count(band)
     p = lower.slot
-    hostband = host.bands[band - 1]
+    hostband = graph.host.bands[band - 1]
     near_disk = site.disk
     far_disk = hostband.j if near_disk == hostband.i else hostband.i
-    index = _arc_end_locations(graph)
-    near_side = "i" if near_disk == hostband.i else "j"
-    far_side = "j" if near_side == "i" else "i"
-    far_locs = index[(band, far_side)]
+    far_locs = graph.arc_ends[(band, "j" if near_disk == hostband.i else "i")]
     keep_far = far_locs[r - 1 - p]      # far end of the kept (lower-near) arc
     drop_far = far_locs[r - 2 - p]      # far end of the removed (upper-near) arc
     if (keep_far[0], keep_far[1]) == (drop_far[0], drop_far[1]):
         raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
 
     comb_b_idx, comb_a_idx = drop_far[1], keep_far[1]
-    disk_comps = list(graph.disks[far_disk - 1])
+    disk_comps = graph.disks[far_disk - 1]
     comb_b, comb_a = disk_comps[comb_b_idx], disk_comps[comb_a_idx]
     if comb_b_idx > comb_a_idx:
         raise InvalidGraph("far arc ends out of vertical order")
@@ -555,39 +621,19 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
         if not isinstance(between, IsolatedPoint):
             raise InvalidGraph("a comb separates the two far combs")
 
-    merged = Comb(tuple(comb_b.teeth[:-1]) + tuple(comb_a.teeth))
-
-    def renumber(tooth, disk):
-        if not isinstance(tooth, ArcEnd) or tooth.band != band:
-            return tooth
-        side = "i" if disk == hostband.i else "j"
-        gone = p + 1 if side == near_side else r - 2 - p
-        return ArcEnd(band, tooth.slot - 1 if tooth.slot > gone else tooth.slot)
-
-    new_disks = []
-    for disk, comps in enumerate(graph.disks, start=1):
-        row = []
-        for ci, item in enumerate(comps):
-            if disk == near_disk and ci == site.component:
-                teeth = tuple(x for ti, x in enumerate(item.teeth) if ti != site.tooth + 1)
-                row.append(Comb(tuple(renumber(x, disk) for x in teeth)))
-            elif disk == far_disk and ci == comb_b_idx:
-                row.append(Comb(tuple(renumber(x, disk) for x in merged.teeth)))
-            elif disk == far_disk and ci == comb_a_idx:
-                continue  # absorbed into the merge
-            elif isinstance(item, Comb):
-                row.append(Comb(tuple(renumber(x, disk) for x in item.teeth)))
-            else:
-                row.append(item)
-        new_disks.append(tuple(row))
-    result = CombedGraph(host, tuple(new_disks))
+    teeth = comp.teeth
+    result = edit_band(graph, band, {
+        (near_disk, site.component): (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
+        (far_disk, comb_b_idx): (Comb(comb_b.teeth[:-1] + comb_a.teeth),),
+        (far_disk, comb_a_idx): (),  # absorbed into the merge
+    })
 
     problems = validate(result)
     if problems:
         raise InternalError(f"Whitehead move produced an invalid graph: {problems}")
     if result.total_arcs() != graph.total_arcs() - 1:
         raise InternalError("Whitehead move did not drop the arc count by one")
-    if neighborhood_summary(result) != neighborhood_summary(graph):
+    if neighborhood_summary(result) != graph._summary:
         raise InternalError("Whitehead move changed the neighborhood summary")
     return result
 

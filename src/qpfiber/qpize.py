@@ -40,7 +40,7 @@ from .graphcalc import (
     CombedGraph,
     IsolatedPoint,
     Site,
-    _arc_end_locations,
+    edit_band,
     neighborhood_summary,
     reduce_with_trace,
     validate,
@@ -85,38 +85,15 @@ def _prune_dead_ends(graph: CombedGraph) -> CombedGraph:
             return current
         disk_r, ci_r, tooth = target
         band = tooth.band
-        r = current.arc_count(band)
-        index = _arc_end_locations(current)
         hostband = current.host.bands[band - 1]
-        far_side = "i" if disk_r == hostband.i else "j"
-        near_side = "j" if far_side == "i" else "i"
-        near_loc = index[(band, near_side)][r - 1 - tooth.slot]
-        near_gone = r - 1 - tooth.slot
-        far_gone = tooth.slot
-
-        def renumber(item, disk):
-            if not isinstance(item, ArcEnd) or item.band != band:
-                return item
-            side = "i" if disk == hostband.i else "j"
-            gone = near_gone if side == near_side else far_gone
-            return ArcEnd(band, item.slot - 1 if item.slot > gone else item.slot)
-
-        new_disks = []
-        for disk, comps in enumerate(current.disks, start=1):
-            row = []
-            for ci, comp in enumerate(comps):
-                if (disk, ci) == (disk_r, ci_r):
-                    continue
-                if not isinstance(comp, Comb):
-                    row.append(comp)
-                    continue
-                teeth = list(comp.teeth)
-                if (disk, ci) == (near_loc[0], near_loc[1]):
-                    del teeth[near_loc[2]]
-                teeth = [renumber(x, disk) for x in teeth]
-                row.append(Comb(tuple(teeth)) if teeth else IsolatedPoint())
-            new_disks.append(tuple(row))
-        current = CombedGraph(current.host, tuple(new_disks))
+        near_locs = current.arc_ends[(band, "j" if disk_r == hostband.i else "i")]
+        near_disk, near_ci, near_ti = near_locs[len(near_locs) - 1 - tooth.slot]
+        near = current.disks[near_disk - 1][near_ci].teeth
+        rest = near[:near_ti] + near[near_ti + 1 :]
+        current = edit_band(current, band, {
+            (disk_r, ci_r): (),
+            (near_disk, near_ci): (Comb(rest) if rest else IsolatedPoint(),),
+        })
         problems = validate(current)
         if problems:
             raise InternalError(f"dead-end pruning broke the graph: {problems}")
@@ -185,7 +162,7 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
                 necks.append(EmbeddedBand(min(a, b), max(a, b), 1))
 
     # crossings: per coarse 1-handle, per slot of its first fine band
-    index = _arc_end_locations(pruned)
+    index = pruned.arc_ends
     strips = []
     for s in range(1, nu):
         first_band, middle_disk, second_band = coarse.coarse_one_handle(s)

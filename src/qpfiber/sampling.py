@@ -13,7 +13,7 @@ import random
 
 from .braidcore import BandRepresentation, EmbeddedBand
 from .errors import InternalError
-from .graphcalc import ArcEnd, Comb, CombedGraph, _arc_end_locations, validate
+from .graphcalc import Comb, CombedGraph, edit_band, validate
 from .surface import BraidedSurface, handle_spine, summary
 
 
@@ -47,6 +47,37 @@ def random_connected_quasipositive(
             return rep
 
 
+def _double_arc(graph: CombedGraph, band: int, slot: int, near_disk: int, split: bool) -> CombedGraph:
+    """Double the arc at (band, near-side slot).
+
+    The copy sits just above the old arc end on the near side and just below
+    it on the far side; with `split` the far comb is cut between the two.
+    """
+    hostband = graph.host.bands[band - 1]
+    if near_disk not in (hostband.i, hostband.j):
+        raise InternalError("near disk is not an end of the band")
+    near_side, far_side = ("i", "j") if near_disk == hostband.i else ("j", "i")
+    r = graph.arc_count(band)
+    _, near_ci, near_ti = graph.arc_ends[(band, near_side)][slot]
+    far_disk, far_ci, far_ti = graph.arc_ends[(band, far_side)][r - 1 - slot]
+    near = graph.disks[near_disk - 1][near_ci].teeth
+    far = graph.disks[far_disk - 1][far_ci].teeth
+    if split:
+        far_combs = (Comb(far[: far_ti + 1]), Comb(far[far_ti:]))
+    else:
+        far_combs = (Comb(far[: far_ti + 1] + far[far_ti:]),)
+    # the doubled teeth repeat the old ones; edit_band gives them their slots
+    result = edit_band(graph, band, {
+        (near_disk, near_ci): (Comb(near[: near_ti + 1] + near[near_ti:]),),
+        (far_disk, far_ci): far_combs,
+    })
+    problems = validate(result)
+    if problems:
+        move = "inverse Whitehead move" if split else "bigon doubling"
+        raise InternalError(f"{move} broke the graph: {problems}")
+    return result
+
+
 def inverse_whitehead(graph: CombedGraph, band: int, slot: int, near_disk: int) -> CombedGraph:
     """Double the arc at (band, near-side slot) into two parallel arcs.
 
@@ -54,51 +85,7 @@ def inverse_whitehead(graph: CombedGraph, band: int, slot: int, near_disk: int) 
     side the comb splits between the two ends.  Inverse to a Whitehead move,
     hence summary- and fullness-preserving.
     """
-    hostband = graph.host.bands[band - 1]
-    if near_disk not in (hostband.i, hostband.j):
-        raise InternalError("near disk is not an end of the band")
-    near_side = "i" if near_disk == hostband.i else "j"
-    far_side = "j" if near_side == "i" else "i"
-    far_disk = hostband.j if near_side == "i" else hostband.i
-    index = _arc_end_locations(graph)
-    r = graph.arc_count(band)
-    near_loc = index[(band, near_side)][slot]
-    far_loc = index[(band, far_side)][r - 1 - slot]
-
-    def renumber(item, disk):
-        """Old slots above the insertion points move up by one."""
-        if not isinstance(item, ArcEnd) or item.band != band:
-            return item
-        side = "i" if disk == hostband.i else "j"
-        threshold = slot if side == near_side else r - 2 - slot
-        return ArcEnd(band, item.slot + 1 if item.slot > threshold else item.slot)
-
-    new_near = ArcEnd(band, slot + 1)
-    new_far = ArcEnd(band, r - 1 - slot)  # the doubled arc's far end
-    new_disks = []
-    for disk, comps in enumerate(graph.disks, start=1):
-        row = []
-        for ci, comp in enumerate(comps):
-            if not isinstance(comp, Comb):
-                row.append(comp)
-                continue
-            teeth = [renumber(x, disk) for x in comp.teeth]
-            if (disk, ci) == (near_loc[0], near_loc[1]):
-                teeth.insert(near_loc[2] + 1, new_near)
-                row.append(Comb(tuple(teeth)))
-            elif (disk, ci) == (far_loc[0], far_loc[1]):
-                below = teeth[: far_loc[2]] + [new_far]
-                above = teeth[far_loc[2] :]
-                row.append(Comb(tuple(below)))
-                row.append(Comb(tuple(above)))
-            else:
-                row.append(Comb(tuple(teeth)))
-        new_disks.append(tuple(row))
-    result = CombedGraph(graph.host, tuple(new_disks))
-    problems = validate(result)
-    if problems:
-        raise InternalError(f"inverse Whitehead move broke the graph: {problems}")
-    return result
+    return _double_arc(graph, band, slot, near_disk, split=True)
 
 
 def random_full_graph(
@@ -140,42 +127,7 @@ def double_arc_bigon(graph: CombedGraph, band: int, slot: int, near_disk: int) -
     The two parallel arcs then cobound a disk on the host, so the result is
     never full.  Used to exercise the fullness detector.
     """
-    hostband = graph.host.bands[band - 1]
-    near_side = "i" if near_disk == hostband.i else "j"
-    far_side = "j" if near_side == "i" else "i"
-    index = _arc_end_locations(graph)
-    r = graph.arc_count(band)
-    near_loc = index[(band, near_side)][slot]
-    far_loc = index[(band, far_side)][r - 1 - slot]
-
-    def renumber(item, disk):
-        if not isinstance(item, ArcEnd) or item.band != band:
-            return item
-        side = "i" if disk == hostband.i else "j"
-        threshold = slot if side == near_side else r - 2 - slot
-        return ArcEnd(band, item.slot + 1 if item.slot > threshold else item.slot)
-
-    new_near = ArcEnd(band, slot + 1)
-    new_far = ArcEnd(band, r - 1 - slot)
-    new_disks = []
-    for disk, comps in enumerate(graph.disks, start=1):
-        row = []
-        for ci, comp in enumerate(comps):
-            if not isinstance(comp, Comb):
-                row.append(comp)
-                continue
-            teeth = [renumber(x, disk) for x in comp.teeth]
-            if (disk, ci) == (near_loc[0], near_loc[1]):
-                teeth.insert(near_loc[2] + 1, new_near)
-            if (disk, ci) == (far_loc[0], far_loc[1]):
-                teeth.insert(far_loc[2], new_far)
-            row.append(Comb(tuple(teeth)))
-        new_disks.append(tuple(row))
-    result = CombedGraph(graph.host, tuple(new_disks))
-    problems = validate(result)
-    if problems:
-        raise InternalError(f"bigon doubling broke the graph: {problems}")
-    return result
+    return _double_arc(graph, band, slot, near_disk, split=False)
 
 
 def random_graph_mixed_fullness(rng: random.Random) -> CombedGraph:

@@ -204,7 +204,7 @@ def check_quasipositize(seed: int = 20607) -> CheckResult:
 
 def _bruteforce_is_full(graph) -> bool:
     """Independent fullness check: arc subsets forming cycles, words by stack."""
-    index = graphcalc._arc_end_locations(graph)
+    index = graph.arc_ends
     tree = graphcalc._host_spanning_tree(graph.host)
     edges = []
     for band in range(1, graph.host.band_count() + 1):

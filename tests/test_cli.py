@@ -1,7 +1,11 @@
 import json
+import os
 
+import pytest
+
+from qpfiber import cli
 from qpfiber.cli import run
-from qpfiber.constructions import q_rep
+from qpfiber.constructions import MAX_N, q_rep
 from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph
 from qpfiber.surface import BraidedSurface
 
@@ -178,3 +182,68 @@ def test_malformed_stated_arcs_exit_1(tmp_path, capsys):
     code, report = invoke(capsys, "reduce", "--input", path)
     assert code == 1
     assert report["kind"] == "malformed-input"
+
+
+def float_graph_doc():
+    graph = bigon_doc()
+    graph["disks"][0][0]["comb"][1]["arc_end"] = [1, 0.5]
+    return graph
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["invariants"], {"strands": 3, "bands": [[1, 2.7, 1]]}),
+        (["reduce"], float_graph_doc()),
+        (["quasipositize", "--n", "2"], float_graph_doc()),
+    ],
+    ids=["invariants", "reduce", "quasipositize"],
+)
+def test_json_floats_are_not_integers(tmp_path, capsys, argv, doc):
+    path = write_json(tmp_path, "doc.json", doc)
+    code, report = invoke(capsys, *argv, "--input", path)
+    assert code == 1
+    assert report["kind"] == "malformed-input"
+
+
+def test_directory_input_exits_1(tmp_path, capsys):
+    code, report = invoke(capsys, "invariants", "--input", str(tmp_path))
+    assert code == 1
+    assert report["kind"] == "unreadable-input"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads files whatever their mode")
+def test_unreadable_file_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path, "rep.json", {"strands": 2, "bands": [[1, 2, 1]]})
+    os.chmod(path, 0)
+    code, report = invoke(capsys, "invariants", "--input", path)
+    assert code == 1
+    assert report["kind"] == "unreadable-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nabla"],
+        ["qrep"],
+        ["verify-fiber"],
+        ["quasipositize", "--subset", "1"],
+        ["quasipositize", "--input", "/nonexistent.json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_n_above_the_limit_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started above the size limit")
+
+    for name in ("nabla", "q_rep", "verify_fiber", "quasipositize", "quasipositize_handle_subsurface", "_read_document"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, report = invoke(capsys, argv[0], "--n", str(MAX_N + 1), *argv[1:])
+    assert code == 2
+    assert report["kind"] == "SizeLimitExceeded"
+
+
+def test_n_at_the_limit_is_accepted(capsys):
+    code, report = invoke(capsys, "qrep", "--n", str(MAX_N))
+    assert code == 0
+    assert report["result"]["representation"]["strands"] == (MAX_N - 1) ** 2 + 1
