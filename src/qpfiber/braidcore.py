@@ -33,6 +33,32 @@ def json_int(value) -> int:
     return value
 
 
+class UnionFind:
+    """Disjoint sets of hashable items, with path halving.
+
+    The one union-find of the package: components of handle graphs and
+    combed graphs, spanning forests, and Stallings folding all use it.
+    """
+
+    def __init__(self, items: Iterable = ()):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Put a's set under b's root; a's old root, or None if already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        self.parent[ra] = rb
+        return ra
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group B_n, as a sequence of signed generators."""

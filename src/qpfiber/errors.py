@@ -43,7 +43,7 @@ class NotQuasipositive(PreconditionError):
 
 
 class NotFull(PreconditionError):
-    """A combed graph carries a cycle whose word reduces to the identity."""
+    """A combed graph is not pi_1-injective: some cycle of it bounds a disk on the host."""
 
 
 class HasFreeEnds(PreconditionError):
@@ -60,10 +60,6 @@ class SiteNotEligible(PreconditionError):
 
 class SizeLimitExceeded(PreconditionError):
     """A size parameter is above its documented limit."""
-
-
-class CycleEnumerationBudgetExceeded(PreconditionError):
-    """Simple-cycle enumeration exceeded the configured budget."""
 
 
 class InternalError(QpfiberError):

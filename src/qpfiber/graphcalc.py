@@ -11,6 +11,25 @@ structural (never stored), and the face-tracing conventions below are
 validated against the independent permutation-cycle boundary count by the
 self-calibration suite, not assumed.
 
+`validate` accepts only graphs that can be drawn in the disks.  On a
+disk's boundary the arc ends lie in (band height, slot) order; each comb
+meets its arc ends in that order, and the arc ends of different combs form
+a non-crossing partition of the boundary points (combs may nest).
+
+A graph is *full* when its inclusion is pi_1-injective on each component.
+The host retracts onto its handle graph H (a vertex per disk, an edge i to
+j per band), and the graph Gamma maps onto H: a node (disk, comp) to its
+disk, an arc to its band.  Stallings folding decides injectivity (Stallings
+1983, "Topology of finite graphs"; Kapovich and Myasnikov 2002, "Stallings
+foldings and subgroups of free groups"): repeatedly identify two arcs
+through one band that leave one node class on the same side.  A fold whose
+far ends are distinct classes merges them and keeps E - V; a fold whose far
+ends are already one class kills a cycle.  Folding never joins two
+components, so Gamma is full exactly when folding keeps E - V unchanged.
+For a graph that can be drawn, this agrees with "no vertex-simple cycle
+bounds a disk on the host", the definition the brute-force oracle in
+`selfcheck` checks arc subset by arc subset.
+
 Face tracing walks the boundary of a regular neighborhood with two tokens
 per arc end: the strand entering the band just above a tooth, and the
 strand leaving it just below.  Inside a comb the walk drops one tooth
@@ -39,17 +58,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .braidcore import BandRepresentation, json_int
-from .errors import (
-    CycleEnumerationBudgetExceeded,
-    InternalError,
-    InvalidGraph,
-    NotFull,
-    SiteNotEligible,
-)
+from .braidcore import BandRepresentation, UnionFind, json_int
+from .errors import InternalError, InvalidGraph, NotFull, SiteNotEligible
 from .surface import BraidedSurface, SurfaceSummary
-
-DEFAULT_CYCLE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -199,11 +210,6 @@ class CombedGraph:
 Location = tuple[int, int, int]
 
 
-def _tooth_at(graph: CombedGraph, loc: Location):
-    disk, ci, ti = loc
-    return graph.disks[disk - 1][ci].teeth[ti]
-
-
 def validate(graph: CombedGraph) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
     return list(graph._problems)
@@ -240,20 +246,6 @@ def _find_problems(graph: CombedGraph) -> list[str]:
                     )
     if problems:
         return problems
-    # teeth of one comb entering one attaching arc must be consecutive
-    for disk, comps in enumerate(graph.disks, start=1):
-        for ci, comp in enumerate(comps):
-            if not isinstance(comp, Comb):
-                continue
-            last_seen: dict[int, int] = {}
-            for ti, tooth in enumerate(comp.teeth):
-                if not isinstance(tooth, ArcEnd):
-                    continue
-                if tooth.band in last_seen and last_seen[tooth.band] != ti - 1:
-                    problems.append(
-                        f"disk {disk} component {ci}: teeth into 1-handle {tooth.band} are not consecutive"
-                    )
-                last_seen[tooth.band] = ti
     index = graph.arc_ends
     for band in range(1, k + 1):
         i_side = index.get((band, "i"), [])
@@ -262,14 +254,62 @@ def _find_problems(graph: CombedGraph) -> list[str]:
             problems.append(
                 f"1-handle {band} has {len(i_side)} arc ends on the i side, {len(j_side)} on the j side"
             )
-            continue
-        for side, locs in (("i", i_side), ("j", j_side)):
-            slots = [_tooth_at(graph, loc).slot for loc in locs]
-            if slots != list(range(len(locs))):
-                problems.append(
-                    f"1-handle {band} {side}-side slots are {slots}, expected 0..{len(locs) - 1} in vertical order"
-                )
+    problem = _drawing_problem(graph)
+    if problem:
+        problems.append(problem)
     return problems
+
+
+def _drawing_problem(graph: CombedGraph) -> str | None:
+    """Why the combs cannot be drawn in their disks, or None if they can.
+
+    The arc ends entering one attaching arc must hold slots 0, 1, ... in
+    listing order.  On a disk's boundary the arc ends lie in (band height,
+    slot) order.  A comb must meet its arc ends in that order, bottom to top, and no two
+    combs may cross: their arc ends form a non-crossing partition of the
+    boundary points, so one comb may nest between two teeth of another.
+    Free ends take no position.  One pass over the bands keeps, per disk, a
+    stack of the combs met but not finished.
+    """
+    index = graph.arc_ends
+    # disk -> (stack of combs met but not finished, {comb: [tooth after the last arc end met, its last arc end]})
+    state: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
+    for band, hostband in enumerate(graph.host.bands, start=1):
+        for disk, side in ((hostband.i, "i"), (hostband.j, "j")):
+            locs = index.get((band, side))
+            if not locs:
+                continue
+            if disk not in state:
+                state[disk] = ([], {})
+            stack, combs = state[disk]
+            comps = graph.disks[disk - 1]
+            for slot, (_disk, ci, ti) in enumerate(locs):
+                teeth = comps[ci].teeth
+                if teeth[ti].slot != slot:
+                    slots = [graph.disks[d - 1][c].teeth[t].slot for d, c, t in locs]
+                    return f"1-handle {band} {side}-side slots are {slots}, expected 0..{len(locs) - 1} in vertical order"
+                met = combs.get(ci)
+                first = met[0] if met else 0
+                if ti != first:
+                    if first and teeth[first - 1].band == band:
+                        return f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive"
+                    expected = first
+                    while not isinstance(teeth[expected], ArcEnd):
+                        expected += 1
+                    if ti != expected:
+                        return f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order"
+                if met is None:
+                    end = len(teeth) - 1
+                    while not isinstance(teeth[end], ArcEnd):
+                        end -= 1
+                    met = combs[ci] = [0, end]
+                    stack.append(ci)
+                elif stack[-1] != ci:
+                    return f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary"
+                met[0] = ti + 1
+                if ti == met[1]:
+                    stack.pop()
+    return None
 
 
 def _require_valid(graph: CombedGraph):
@@ -282,32 +322,31 @@ def _require_valid(graph: CombedGraph):
 # Regular-neighborhood summaries (ribbon-graph face tracing)
 
 
-def _component_roots(graph: CombedGraph, index):
+def _graph_arcs(graph: CombedGraph) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """Every arc as (band, i-side node, j-side node); nodes are (disk, comp)."""
+    index = graph.arc_ends
+    arcs = []
+    for band in range(1, graph.host.band_count() + 1):
+        i_side = index.get((band, "i"), ())
+        j_side = index.get((band, "j"), ())
+        r = len(i_side)
+        for p in range(r):
+            (di, ci, _), (dj, cj, _) = i_side[p], j_side[r - 1 - p]
+            arcs.append((band, (di, ci), (dj, cj)))
+    return arcs
+
+
+def _component_roots(graph: CombedGraph):
     """Union-find over (disk, comp) nodes along the arcs."""
     nodes = [
         (disk, ci)
         for disk, comps in enumerate(graph.disks, start=1)
         for ci in range(len(comps))
     ]
-    parent = {node: node for node in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for band in range(1, graph.host.band_count() + 1):
-        i_side = index.get((band, "i"), [])
-        j_side = index.get((band, "j"), [])
-        r = len(i_side)
-        for p in range(r):
-            a = i_side[p]
-            b = j_side[r - 1 - p]
-            ra, rb = find((a[0], a[1])), find((b[0], b[1]))
-            if ra != rb:
-                parent[ra] = rb
-    return nodes, find
+    sets = UnionFind(nodes)
+    for _band, tail, head in _graph_arcs(graph):
+        sets.union(tail, head)
+    return nodes, sets.find
 
 
 def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
@@ -317,7 +356,7 @@ def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
 
 def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     index = graph.arc_ends
-    nodes, find = _component_roots(graph, index)
+    nodes, find = _component_roots(graph)
 
     # mate of an arc-end location through its band
     mate: dict[Location, Location] = {}
@@ -379,26 +418,13 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
 
 
 # ---------------------------------------------------------------------------
-# Fullness via cycle words in the free group on co-tree 1-handles
+# Fullness by Stallings folding
 
 
 def _host_spanning_tree(host: BraidedSurface) -> set[int]:
     """Band heights forming the spanning forest of the handle graph."""
-    parent = list(range(host.strands + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for pos, band in enumerate(host.bands, start=1):
-        ri, rj = find(band.i), find(band.j)
-        if ri != rj:
-            parent[ri] = rj
-            tree.add(pos)
-    return tree
+    sets = UnionFind(range(1, host.strands + 1))
+    return {pos for pos, band in enumerate(host.bands, start=1) if sets.union(band.i, band.j) is not None}
 
 
 def _free_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -418,86 +444,94 @@ def _cyclic_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return word
 
 
-def _simple_cycles(graph: CombedGraph, budget: int):
-    """Vertex-simple cycles of the comb/arc multigraph, as edge lists.
+def cycle_words(graph: CombedGraph) -> list[list[tuple[int, int]]]:
+    """Cyclically reduced word, over co-tree 1-handles, of each fundamental cycle.
 
-    Edges are (arc_id, node_i, node_j) with arc_id = (band, i-slot); a cycle
-    is reported once, as a list of (arc_id, direction) with direction +1 for
-    an i-to-j traversal.
-    """
-    index = graph.arc_ends
-    edges = []
-    for band in range(1, graph.host.band_count() + 1):
-        i_side = index.get((band, "i"), [])
-        j_side = index.get((band, "j"), [])
-        r = len(i_side)
-        for p in range(r):
-            ni = (i_side[p][0], i_side[p][1])
-            nj = (j_side[r - 1 - p][0], j_side[r - 1 - p][1])
-            edges.append(((band, p), ni, nj))
-    incidence: dict = {}
-    for eid, (arc_id, ni, nj) in enumerate(edges):
-        incidence.setdefault(ni, []).append((eid, nj, 1))
-        incidence.setdefault(nj, []).append((eid, ni, -1))
-
-    nodes = sorted(incidence)
-    cycles = []
-    steps = 0
-
-    def explore(root, node, used_edges, path, first_eid):
-        nonlocal steps
-        steps += 1
-        if steps > 100 * budget:
-            raise CycleEnumerationBudgetExceeded(
-                f"cycle enumeration exceeded {budget} cycles (step cap)"
-            )
-        for eid, other, direction in incidence.get(node, []):
-            if eid in used_edges:
-                continue
-            if other == root:
-                if eid > first_eid:
-                    cycles.append(path + [(edges[eid][0], direction)])
-                    if len(cycles) > budget:
-                        raise CycleEnumerationBudgetExceeded(
-                            f"more than {budget} simple cycles"
-                        )
-                continue
-            if other < root or other in on_path:
-                continue
-            on_path.add(other)
-            used_edges.add(eid)
-            explore(root, other, used_edges, path + [(edges[eid][0], direction)], first_eid)
-            used_edges.discard(eid)
-            on_path.discard(other)
-
-    for root in nodes:
-        for eid, other, direction in incidence[root]:
-            if other < root or other == root:
-                continue
-            on_path = {other}
-            explore(root, other, {eid}, [(edges[eid][0], direction)], eid)
-    return cycles
-
-
-def cycle_words(graph: CombedGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> list[list[tuple[int, int]]]:
-    """Cyclically reduced word, over co-tree 1-handles, of every simple cycle.
-
-    Letters are (band height, sign); the host's fundamental group is free on
-    the co-tree bands of its handle graph, so a cycle bounds a disk exactly
-    when its word is empty.
+    One cycle per arc outside a spanning forest of the graph: that arc, i to
+    j, then the forest path back.  Letters are (band height, sign); the
+    words are the images of a free basis of the graph's fundamental group in
+    the host's, which is free on the co-tree bands of its handle graph.
     """
     _require_valid(graph)
-    tree = _host_spanning_tree(graph.host)
+    host_tree = _host_spanning_tree(graph.host)
+    arcs = _graph_arcs(graph)
+    adjacency: dict = {node: [] for _band, tail, head in arcs for node in (tail, head)}
+    sets = UnionFind(adjacency)
+    chords = []
+    for band, tail, head in arcs:
+        if sets.union(tail, head) is None:
+            chords.append((band, tail, head))
+        else:
+            adjacency[tail].append((head, (band, 1)))
+            adjacency[head].append((tail, (band, -1)))
+    # root each tree; parent[node] = (parent node, letter from parent to node)
+    parent: dict = {}
+    depth: dict = {}
+    for root in adjacency:
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for node in queue:
+            for other, letter in adjacency[node]:
+                if other not in depth:
+                    depth[other] = depth[node] + 1
+                    parent[other] = (node, letter)
+                    queue.append(other)
     words = []
-    for cycle in _simple_cycles(graph, budget):
-        word = [(band, direction) for (band, _slot), direction in cycle if band not in tree]
-        words.append(_cyclic_reduce(word))
+    for band, tail, head in chords:
+        rising, falling = [], []  # head up to the meeting node; tail up to it
+        a, b = head, tail
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, (t, sign) = parent[a]
+                rising.append((t, -sign))
+            else:
+                b, letter = parent[b]
+                falling.append(letter)
+        word = [(band, 1)] + rising + falling[::-1]
+        words.append(_cyclic_reduce([letter for letter in word if letter[0] not in host_tree]))
     return words
 
 
-def is_full(graph: CombedGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> bool:
-    """True iff no simple cycle of the graph bounds a disk on the host."""
-    return all(word for word in cycle_words(graph, budget))
+def is_full(graph: CombedGraph) -> bool:
+    """True iff the graph is pi_1-injective on each component, by folding.
+
+    Folding identifies, at each node class, arcs through one band that
+    leave it on the same side, and so merges their other ends.  It keeps
+    E - V exactly when no fold identifies two arcs whose other ends were
+    already one node, that is, when no cycle dies (see the module docstring).
+    """
+    _require_valid(graph)
+    stars: dict = {}  # node root -> {(band, +1 at the i end, -1 at the j end): a neighbor}
+    pending = []      # pairs of nodes that folding must merge
+    arcs = _graph_arcs(graph)
+    for band, tail, head in arcs:
+        for node, key, other in ((tail, (band, 1), head), (head, (band, -1), tail)):
+            star = stars.setdefault(node, {})
+            if key in star:
+                pending.append((star[key], other))
+            else:
+                star[key] = other
+    sets = UnionFind(stars)
+    merges = 0
+    while pending:
+        x, y = pending.pop()
+        rx, ry = sets.find(x), sets.find(y)
+        if rx == ry:
+            continue
+        if len(stars[rx]) > len(stars[ry]):
+            rx, ry = ry, rx
+        sets.union(rx, ry)
+        merges += 1
+        into = stars[ry]
+        for key, other in stars.pop(rx).items():
+            if key in into:
+                pending.append((into[key], other))
+            else:
+                into[key] = other
+    folded_arcs = sum(len(star) for star in stars.values()) // 2
+    return len(arcs) - folded_arcs == merges
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +672,14 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     return result
 
 
-def reduce(graph: CombedGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CombedGraph:
+def reduce(graph: CombedGraph) -> CombedGraph:
     """Apply Whitehead moves at the least eligible site until none remains."""
-    return reduce_with_trace(graph, budget)[0]
+    return reduce_with_trace(graph)[0]
 
 
-def reduce_with_trace(
-    graph: CombedGraph, budget: int = DEFAULT_CYCLE_BUDGET
-) -> tuple[CombedGraph, list[Site]]:
+def reduce_with_trace(graph: CombedGraph) -> tuple[CombedGraph, list[Site]]:
     _require_valid(graph)
-    if not is_full(graph, budget):
+    if not is_full(graph):
         raise NotFull("reduce requires a full graph")
     trace: list[Site] = []
     limit = graph.total_arcs()
@@ -657,7 +689,7 @@ def reduce_with_trace(
         if not sites:
             return current, trace
         if len(trace) >= limit:
-            raise InternalError("reduction failed to terminate within the arc budget")
+            raise InternalError("reduction took more steps than the graph has arcs")
         site = sites[0]
         current = whitehead_step(current, site, check_full=False)
         trace.append(site)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linking import linking_number
-from .braidcore import BandRepresentation, BraidWord
+from .braidcore import BandRepresentation, BraidWord, UnionFind
 from .errors import InvalidParameter, NonExactDivision
 
 
@@ -326,20 +326,11 @@ class SeifertMatrix:
 
 def _spanning_tree(rep: BandRepresentation):
     """Tree band positions (0-based) plus tree adjacency, by band height."""
-    parent = list(range(rep.strands + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(range(1, rep.strands + 1))
     tree: set[int] = set()
     adjacency: dict[int, list[tuple[int, int]]] = {s: [] for s in range(1, rep.strands + 1)}
     for pos, band in enumerate(rep.bands):
-        ri, rj = find(band.i), find(band.j)
-        if ri != rj:
-            parent[ri] = rj
+        if sets.union(band.i, band.j) is not None:
             tree.add(pos)
             adjacency[band.i].append((pos, band.j))
             adjacency[band.j].append((pos, band.i))

@@ -5,6 +5,9 @@ inverse Whitehead moves: an arc is doubled into two parallel arcs and the
 far comb is split between them.  Whitehead equivalence preserves both the
 regular-neighborhood summary and fullness, so the output is a full combed
 graph with multi-arc bands, suitable for exercising the reduction.
+
+`random_direct_graph` samples combed graphs without any move, so it also
+yields graphs that are not full, and graphs that `validate` rejects.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 
 from .braidcore import BandRepresentation, EmbeddedBand
 from .errors import InternalError
-from .graphcalc import Comb, CombedGraph, edit_band, validate
+from .graphcalc import ArcEnd, Comb, CombedGraph, IsolatedPoint, edit_band, validate
 from .surface import BraidedSurface, handle_spine, summary
 
 
@@ -144,3 +147,38 @@ def random_graph_mixed_fullness(rng: random.Random) -> CombedGraph:
             near = rng.choice((hostband.i, hostband.j))
             graph = double_arc_bigon(graph, band, slot, near)
     return graph
+
+
+def random_direct_graph(rng: random.Random, max_arcs: int = 10) -> CombedGraph:
+    """A combed graph sampled directly; `validate` may reject it.
+
+    Arcs are spread over random bands.  Each disk lists the teeth its bands
+    need, in boundary order or shuffled, cuts the list into combs at random,
+    and may add an isolated point; slots follow the listing order.  Shuffled
+    listings may give combs that meet the boundary out of order or cross,
+    which `validate` rejects.
+    """
+    rep = random_band_representation(rng, 4, 4, min_strands=2, min_bands=1)
+    arcs = [0] * len(rep.bands)
+    for _ in range(rng.randint(1, max_arcs)):
+        arcs[rng.randrange(len(arcs))] += 1
+    disks = []
+    for s in range(1, rep.strands + 1):
+        labels = [t for t, band in enumerate(rep.bands, start=1) if s in (band.i, band.j) for _ in range(arcs[t - 1])]
+        if rng.random() < 0.5:
+            rng.shuffle(labels)
+        slots: dict[int, int] = {}
+        comps: list = []
+        while labels:
+            cut = rng.randint(1, len(labels))
+            teeth = []
+            for t in labels[:cut]:
+                slot = slots.get(t, 0)
+                teeth.append(ArcEnd(t, slot))
+                slots[t] = slot + 1
+            comps.append(Comb(tuple(teeth)))
+            labels = labels[cut:]
+        if not comps or rng.random() < 0.2:
+            comps.insert(rng.randint(0, len(comps)), IsolatedPoint())
+        disks.append(tuple(comps))
+    return CombedGraph(BraidedSurface(rep), tuple(disks))

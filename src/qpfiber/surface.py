@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .braidcore import BandRepresentation, beta, permutation_cycles
+from .braidcore import BandRepresentation, UnionFind, beta, permutation_cycles
 from .errors import InvalidParameter
 
 
@@ -78,18 +78,10 @@ def euler_characteristic(surface: BraidedSurface) -> int:
 def summary(surface: BraidedSurface) -> SurfaceSummary:
     """Component-wise (chi, boundary circles) of S(b)."""
     n = surface.strands
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(range(1, n + 1))
+    find = sets.find
     for band in surface.bands:
-        ri, rj = find(band.i), find(band.j)
-        if ri != rj:
-            parent[ri] = rj
+        sets.union(band.i, band.j)
 
     disks: dict[int, int] = {}
     bands: dict[int, int] = {}

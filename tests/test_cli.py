@@ -247,3 +247,23 @@ def test_n_at_the_limit_is_accepted(capsys):
     code, report = invoke(capsys, "qrep", "--n", str(MAX_N))
     assert code == 0
     assert report["result"]["representation"]["strands"] == (MAX_N - 1) ** 2 + 1
+
+
+def undrawable_doc():
+    """Combs that cross on disk 1; on this annulus host they would report a punctured torus."""
+    return {
+        "host": {"strands": 2, "bands": [[1, 2, -1], [1, 2, 1]]},
+        "disks": [
+            [{"comb": [{"arc_end": [1, 0]}, {"arc_end": [2, 0]}]},
+             {"comb": [{"arc_end": [2, 1]}, {"arc_end": [1, 1]}]}],
+            [{"comb": [{"arc_end": [1, 0]}, {"arc_end": [1, 1]}, {"arc_end": [2, 0]}, {"arc_end": [2, 1]}]}],
+        ],
+    }
+
+
+@pytest.mark.parametrize("verb", [["reduce"], ["quasipositize", "--n", "2"]])
+def test_graph_that_cannot_be_drawn_exits_1(tmp_path, capsys, verb):
+    path = write_json(tmp_path, "undrawable.json", undrawable_doc())
+    code, report = invoke(capsys, *verb, "--input", path)
+    assert code == 1
+    assert report["kind"] == "malformed-input"

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand
 from qpfiber.errors import InvalidGraph, NotFull, SiteNotEligible
@@ -18,7 +22,14 @@ from qpfiber.graphcalc import (
     validate,
     whitehead_step,
 )
-from qpfiber.sampling import inverse_whitehead, random_full_graph
+from qpfiber.sampling import (
+    double_arc_bigon,
+    inverse_whitehead,
+    random_direct_graph,
+    random_full_graph,
+    random_graph_mixed_fullness,
+)
+from qpfiber.selfcheck import _bruteforce_is_full
 from qpfiber.surface import BraidedSurface, handle_spine, summary
 
 
@@ -98,6 +109,51 @@ class TestValidate:
         )
         assert any("not consecutive" in p for p in validate(g))
 
+    def test_free_end_between_teeth_into_one_band(self):
+        host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1),)))
+        g = CombedGraph(
+            host,
+            (
+                (Comb((ArcEnd(1, 0), FreeEnd(), ArcEnd(1, 1))),),
+                (Comb((ArcEnd(1, 0), ArcEnd(1, 1))),),
+            ),
+        )
+        assert any("not consecutive" in p for p in validate(g))
+
+    def test_comb_out_of_boundary_order(self):
+        g = CombedGraph(
+            HOPF_HOST,
+            (
+                (Comb((ArcEnd(2, 0), ArcEnd(1, 0))),),
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),),
+            ),
+        )
+        assert any("out of (1-handle, slot) order" in p for p in validate(g))
+
+    def test_crossing_combs(self):
+        g = CombedGraph(
+            HOPF_HOST,
+            (
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 0))), Comb((ArcEnd(1, 1), ArcEnd(2, 1)))),
+                (Comb((ArcEnd(1, 0), ArcEnd(1, 1), ArcEnd(2, 0), ArcEnd(2, 1))),),
+            ),
+        )
+        assert any("cross" in p for p in validate(g))
+
+    def test_nested_combs_allowed(self):
+        host = BraidedSurface(
+            BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1)))
+        )
+        g = CombedGraph(
+            host,
+            (
+                (Comb((ArcEnd(1, 0), ArcEnd(3, 0))), Comb((ArcEnd(2, 0),))),
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 0), ArcEnd(3, 0))),),
+            ),
+        )
+        assert validate(g) == []
+        assert is_full(g)
+
     def test_free_ends_allowed(self):
         host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1),)))
         g = CombedGraph(
@@ -153,6 +209,27 @@ class TestIsFull:
         host = BraidedSurface(BandRepresentation(3, ()))
         g = CombedGraph(host, ((IsolatedPoint(),), (IsolatedPoint(),), (IsolatedPoint(),)))
         assert is_full(g)
+
+    def test_doubled_bigons_are_not_full(self):
+        g = spine(HOPF_HOST.rep)
+        for _ in range(4):
+            g = double_arc_bigon(g, 1, 0, 1)
+            g = double_arc_bigon(g, 2, 0, 2)
+        assert not is_full(g)  # parallel doubled arcs cobound disks
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_agrees_with_brute_force_on_mixed_graphs(self, seed):
+        g = random_graph_mixed_fullness(random.Random(seed))
+        assert is_full(g) == _bruteforce_is_full(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_agrees_with_brute_force_on_direct_graphs(self, seed):
+        g = random_direct_graph(random.Random(seed), max_arcs=12)
+        assume(validate(g) == [])
+        assert g.total_arcs() <= 12
+        assert is_full(g) == _bruteforce_is_full(g)
 
 
 class TestWhiteheadStep:
@@ -219,20 +296,6 @@ class TestReduce:
             assert not eligible_sites(reduced)
 
 
-class TestBudget:
-    def test_tiny_budget_raises(self):
-        from qpfiber.errors import CycleEnumerationBudgetExceeded
-        from qpfiber.sampling import double_arc_bigon
-
-        g = spine(HOPF_HOST.rep)
-        for _ in range(4):
-            g = double_arc_bigon(g, 1, 0, 1)
-            g = double_arc_bigon(g, 2, 0, 2)
-        with pytest.raises(CycleEnumerationBudgetExceeded):
-            cycle_words(g, budget=2)
-        assert not is_full(g)  # parallel doubled arcs cobound disks
-
-
 class TestJson:
     def test_round_trip(self):
         g = three_arc_example()
@@ -242,6 +305,19 @@ class TestJson:
     def test_stated_arcs_must_match(self):
         doc = three_arc_example().to_json()
         doc["arcs"][0] = [1, 0, 0]  # not order-reversing
+        with pytest.raises(InvalidGraph):
+            CombedGraph.from_json(doc)
+
+    def test_graph_that_cannot_be_drawn_is_rejected(self):
+        # on this annulus host it would report a punctured torus, judged full
+        doc = {
+            "host": {"strands": 2, "bands": [[1, 2, -1], [1, 2, 1]]},
+            "disks": [
+                [{"comb": [{"arc_end": [1, 0]}, {"arc_end": [2, 0]}]},
+                 {"comb": [{"arc_end": [2, 1]}, {"arc_end": [1, 1]}]}],
+                [{"comb": [{"arc_end": [1, 0]}, {"arc_end": [1, 1]}, {"arc_end": [2, 0]}, {"arc_end": [2, 1]}]}],
+            ],
+        }
         with pytest.raises(InvalidGraph):
             CombedGraph.from_json(doc)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qpfiber.braidcore import beta, permutation_cycles
@@ -136,3 +138,21 @@ class TestReductionInsideQuasipositize:
                 alexander_from_braid(beta(result.output)),
                 alexander_from_braid(beta(nabla(n))),
             )
+
+    def test_all_handles_of_q5_grown_to_150_arcs(self):
+        # The graph of `perfbench/known_fault.py --seed 1`: full, with so many
+        # simple cycles that enumerating them gave up.  The draws follow that
+        # script: a shuffle of the 16 outer disks (all marked), then per arc a
+        # band, a near disk and a slot.
+        rng = random.Random(1)
+        rng.shuffle(list(range(16)))
+        host = q_host(5)
+        graph = handle_spine(host, range(1, 33))
+        while graph.total_arcs() < 150:
+            band = rng.randint(1, 32)
+            near = rng.choice((1, host.bands[band - 1].j))
+            graph = inverse_whitehead(graph, band, rng.randrange(graph.arc_count(band)), near)
+        want = neighborhood_summary(graph)
+        result = quasipositize(5, graph)
+        assert len(result.steps) == 150 - 32
+        assert result.input_summary == want == result.output_summary
