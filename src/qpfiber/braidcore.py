@@ -37,7 +37,8 @@ class UnionFind:
     """Disjoint sets of hashable items, with path halving.
 
     The one union-find of the package: components of handle graphs and
-    combed graphs, spanning forests, and Stallings folding all use it.
+    combed graphs, Stallings folding, and the spanning forest of
+    `fundamental_cycles` all use it.
     """
 
     def __init__(self, items: Iterable = ()):
@@ -57,6 +58,55 @@ class UnionFind:
             return None
         self.parent[ra] = rb
         return ra
+
+
+def fundamental_cycles(edges) -> tuple[set[int], list[list[tuple[int, int]]]]:
+    """A spanning forest of a multigraph and the fundamental cycle of each other edge.
+
+    `edges` lists (tail, head) pairs; forest edges are chosen greedily in
+    list order.  Each remaining edge e gives the cycle [(e, +1)] followed by
+    the forest path from head back to tail, as (edge index, +1 if run tail
+    to head, else -1).  Returns the forest's edge indices and the cycles in
+    edge order.  The one spanning forest of the package: Seifert matrices
+    and cycle words of combed graphs are taken on it.
+    """
+    sets = UnionFind(node for edge in edges for node in edge)
+    forest = set()
+    adjacency: dict = {node: [] for node in sets.parent}
+    for e, (tail, head) in enumerate(edges):
+        if sets.union(tail, head) is not None:
+            forest.add(e)
+            adjacency[tail].append((head, (e, 1)))
+            adjacency[head].append((tail, (e, -1)))
+    # root each tree; parent[node] = (parent node, step from parent to node)
+    parent: dict = {}
+    depth: dict = {}
+    for root in adjacency:
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for node in queue:
+            for other, step in adjacency[node]:
+                if other not in depth:
+                    depth[other] = depth[node] + 1
+                    parent[other] = (node, step)
+                    queue.append(other)
+    cycles = []
+    for e, (tail, head) in enumerate(edges):
+        if e in forest:
+            continue
+        rising, falling = [], []  # head up to the meeting node; tail up to it
+        a, b = head, tail
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, (f, sign) = parent[a]
+                rising.append((f, -sign))
+            else:
+                b, step = parent[b]
+                falling.append(step)
+        cycles.append([(e, 1)] + rising + falling[::-1])
+    return forest, cycles
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from .selfcheck import run_all
 from .surface import BraidedSurface, euler_characteristic, summary
 
 
-def _read_document(path: str):
+def _read_document(path: str, inputs: dict):
+    """The JSON document at `path` ('-' for stdin); records its sha256 in `inputs`."""
     try:
         if path == "-":
             data = sys.stdin.read()
@@ -38,9 +39,11 @@ def _read_document(path: str):
     except UnicodeError as exc:
         raise InvalidInput(f"input is not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(data), digest
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"input is not JSON: {exc}") from exc
+    inputs[path] = digest
+    return doc
 
 
 def _emit(report: dict) -> None:
@@ -95,34 +98,31 @@ def _dispatch(args, inputs: dict) -> dict:
     if args.verb == "qrep":
         return {"representation": q_rep(args.n).to_json()}
     if args.verb == "pad":
-        doc, digest = _read_document(args.input)
-        inputs[args.input] = digest
+        doc = _read_document(args.input, inputs)
         n, graph = pad_into_nabla(BraidWord.from_json(doc))
         return {"n": n, "graph": graph.to_json()}
     if args.verb == "expand":
-        doc, digest = _read_document(args.input)
-        inputs[args.input] = digest
+        doc = _read_document(args.input, inputs)
         word, graph = expand_bands(BandRepresentation.from_json(doc))
         return {"word": word.to_json(), "graph": graph.to_json()}
     if args.verb == "invariants":
-        doc, digest = _read_document(args.input)
-        inputs[args.input] = digest
+        doc = _read_document(args.input, inputs)
         rep = BandRepresentation.from_json(doc)
         surface = BraidedSurface(rep)
+        surface_summary = summary(surface)
         word = beta(rep)
         return {
             "chi": euler_characteristic(surface),
-            "components": len(summary(surface).components),
+            "components": len(surface_summary.components),
             "boundary": len(permutation_cycles(word)),
             "exponent_sum": exponent_sum(word),
-            "alexander": alexander_from_braid(word).coefficient_list() if rep.strands >= 1 else [],
-            "summary": summary(surface).to_json(),
+            "alexander": alexander_from_braid(word).coefficient_list(),
+            "summary": surface_summary.to_json(),
         }
     if args.verb == "verify-fiber":
         return verify_fiber(args.n).to_json()
     if args.verb == "reduce":
-        doc, digest = _read_document(args.input)
-        inputs[args.input] = digest
+        doc = _read_document(args.input, inputs)
         graph, trace = reduce_with_trace(CombedGraph.from_json(doc))
         return {"graph": graph.to_json(), "trace": [site.to_json() for site in trace]}
     if args.verb == "quasipositize":
@@ -135,8 +135,7 @@ def _dispatch(args, inputs: dict) -> dict:
                 raise InvalidInput(f"--subset must be comma-separated integers: {exc}") from exc
             result = quasipositize_handle_subsurface(args.n, selected)
         else:
-            doc, digest = _read_document(args.input)
-            inputs[args.input] = digest
+            doc = _read_document(args.input, inputs)
             result = quasipositize(args.n, CombedGraph.from_json(doc))
         return result.to_json()
     if args.verb == "selftest":

@@ -6,10 +6,12 @@ horizontal teeth, listed bottom to top) and isolated points, and every
 a disk, so enumerating a disk's teeth component by component runs bottom to
 top; the teeth entering one attaching arc occupy its slots 0..r-1 in that
 order.  Arcs through a band pair slot p on the i side with slot r-1-p on
-the j side: the half-twist reverses the transverse order.  The pairing is
-structural (never stored), and the face-tracing conventions below are
-validated against the independent permutation-cycle boundary count by the
-self-calibration suite, not assumed.
+the j side: the half-twist reverses the transverse order.
+`CombedGraph.mate` is the one statement of this pairing that the package
+reads (`arcs` only lists it by slot for the JSON document).  The
+face-tracing conventions below are validated against the independent
+permutation-cycle boundary count by the self-calibration suite, not
+assumed.
 
 `validate` accepts only graphs that can be drawn in the disks.  On a
 disk's boundary the arc ends lie in (band height, slot) order; each comb
@@ -42,10 +44,10 @@ A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
 arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs` and
-every edit), the `validate` problems and the `neighborhood_summary`.  No
-check is skipped by this: a graph built by an edit is a new instance, so
-it is validated and summarised afresh, and the input of the next edit is
-the graph the previous one already checked.
+every edit), the arc pairing (`mate`), the `validate` problems and the
+`neighborhood_summary`.  No check is skipped by this: a graph built by an
+edit is a new instance, so it is validated and summarised afresh, and the
+input of the next edit is the graph the previous one already checked.
 
 Every edit goes through `edit_band`: it replaces components on the two
 disks one band joins, reusing every other disk's row, and renumbers that
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .braidcore import BandRepresentation, UnionFind, json_int
+from .braidcore import BandRepresentation, UnionFind, fundamental_cycles, json_int
 from .errors import InternalError, InvalidGraph, NotFull, SiteNotEligible
 from .surface import BraidedSurface, SurfaceSummary
 
@@ -121,6 +123,25 @@ class CombedGraph:
                         side = "i" if disk == bands[tooth.band - 1].i else "j"
                         index.setdefault((tooth.band, side), []).append((disk, ci, ti))
         return MappingProxyType({key: tuple(locs) for key, locs in index.items()})
+
+    @cached_property
+    def mate(self) -> MappingProxyType:
+        """Each arc-end location to the location at the other end of its arc.
+
+        The pairing rule: of the r arc ends through a band, the one at slot p
+        on the i side meets the one at slot r-1-p on the j side (the
+        half-twist reverses the transverse order).  Built from `arc_ends`;
+        meaningful only on a graph that `validate` accepts.
+        """
+        index = self.arc_ends
+        pairs: dict[Location, Location] = {}
+        for band in range(1, self.host.band_count() + 1):
+            i_side = index.get((band, "i"), ())
+            j_side = index.get((band, "j"), ())
+            for near, far in zip(i_side, reversed(j_side)):
+                pairs[near] = far
+                pairs[far] = near
+        return MappingProxyType(pairs)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -324,16 +345,12 @@ def _require_valid(graph: CombedGraph):
 
 def _graph_arcs(graph: CombedGraph) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
     """Every arc as (band, i-side node, j-side node); nodes are (disk, comp)."""
-    index = graph.arc_ends
-    arcs = []
-    for band in range(1, graph.host.band_count() + 1):
-        i_side = index.get((band, "i"), ())
-        j_side = index.get((band, "j"), ())
-        r = len(i_side)
-        for p in range(r):
-            (di, ci, _), (dj, cj, _) = i_side[p], j_side[r - 1 - p]
-            arcs.append((band, (di, ci), (dj, cj)))
-    return arcs
+    index, mate = graph.arc_ends, graph.mate
+    return [
+        (band, loc[:2], mate[loc][:2])
+        for band in range(1, graph.host.band_count() + 1)
+        for loc in index.get((band, "i"), ())
+    ]
 
 
 def _component_roots(graph: CombedGraph):
@@ -355,18 +372,8 @@ def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
 
 
 def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
-    index = graph.arc_ends
+    index, mate = graph.arc_ends, graph.mate
     nodes, find = _component_roots(graph)
-
-    # mate of an arc-end location through its band
-    mate: dict[Location, Location] = {}
-    for band in range(1, graph.host.band_count() + 1):
-        i_side = index.get((band, "i"), [])
-        j_side = index.get((band, "j"), [])
-        r = len(i_side)
-        for p in range(r):
-            mate[i_side[p]] = j_side[r - 1 - p]
-            mate[j_side[r - 1 - p]] = i_side[p]
 
     def comb_predecessor(loc: Location) -> Location:
         """Next arc end reached inside the comb: drop one tooth cyclically."""
@@ -423,8 +430,8 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
 
 def _host_spanning_tree(host: BraidedSurface) -> set[int]:
     """Band heights forming the spanning forest of the handle graph."""
-    sets = UnionFind(range(1, host.strands + 1))
-    return {pos for pos, band in enumerate(host.bands, start=1) if sets.union(band.i, band.j) is not None}
+    forest, _cycles = fundamental_cycles([(band.i, band.j) for band in host.bands])
+    return {pos + 1 for pos in forest}
 
 
 def _free_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -455,43 +462,11 @@ def cycle_words(graph: CombedGraph) -> list[list[tuple[int, int]]]:
     _require_valid(graph)
     host_tree = _host_spanning_tree(graph.host)
     arcs = _graph_arcs(graph)
-    adjacency: dict = {node: [] for _band, tail, head in arcs for node in (tail, head)}
-    sets = UnionFind(adjacency)
-    chords = []
-    for band, tail, head in arcs:
-        if sets.union(tail, head) is None:
-            chords.append((band, tail, head))
-        else:
-            adjacency[tail].append((head, (band, 1)))
-            adjacency[head].append((tail, (band, -1)))
-    # root each tree; parent[node] = (parent node, letter from parent to node)
-    parent: dict = {}
-    depth: dict = {}
-    for root in adjacency:
-        if root in depth:
-            continue
-        depth[root] = 0
-        queue = [root]
-        for node in queue:
-            for other, letter in adjacency[node]:
-                if other not in depth:
-                    depth[other] = depth[node] + 1
-                    parent[other] = (node, letter)
-                    queue.append(other)
-    words = []
-    for band, tail, head in chords:
-        rising, falling = [], []  # head up to the meeting node; tail up to it
-        a, b = head, tail
-        while a != b:
-            if depth[a] >= depth[b]:
-                a, (t, sign) = parent[a]
-                rising.append((t, -sign))
-            else:
-                b, letter = parent[b]
-                falling.append(letter)
-        word = [(band, 1)] + rising + falling[::-1]
-        words.append(_cyclic_reduce([letter for letter in word if letter[0] not in host_tree]))
-    return words
+    _forest, cycles = fundamental_cycles([(tail, head) for _band, tail, head in arcs])
+    return [
+        _cyclic_reduce([(arcs[e][0], sign) for e, sign in cycle if arcs[e][0] not in host_tree])
+        for cycle in cycles
+    ]
 
 
 def is_full(graph: CombedGraph) -> bool:
@@ -631,15 +606,11 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     if check_full and not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
 
-    r = graph.arc_count(band)
-    p = lower.slot
-    hostband = graph.host.bands[band - 1]
     near_disk = site.disk
-    far_disk = hostband.j if near_disk == hostband.i else hostband.i
-    far_locs = graph.arc_ends[(band, "j" if near_disk == hostband.i else "i")]
-    keep_far = far_locs[r - 1 - p]      # far end of the kept (lower-near) arc
-    drop_far = far_locs[r - 2 - p]      # far end of the removed (upper-near) arc
-    if (keep_far[0], keep_far[1]) == (drop_far[0], drop_far[1]):
+    keep_far = graph.mate[(near_disk, site.component, site.tooth)]      # of the kept (lower-near) arc
+    drop_far = graph.mate[(near_disk, site.component, site.tooth + 1)]  # of the removed (upper-near) arc
+    far_disk = keep_far[0]
+    if keep_far[:2] == drop_far[:2]:
         raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
 
     comb_b_idx, comb_a_idx = drop_far[1], keep_far[1]

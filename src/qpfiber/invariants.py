@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linking import linking_number
-from .braidcore import BandRepresentation, BraidWord, UnionFind
+from .braidcore import BandRepresentation, BraidWord, fundamental_cycles
 from .errors import InvalidParameter, NonExactDivision
 
 
@@ -324,58 +324,14 @@ class SeifertMatrix:
         return len(self.entries)
 
 
-def _spanning_tree(rep: BandRepresentation):
-    """Tree band positions (0-based) plus tree adjacency, by band height."""
-    sets = UnionFind(range(1, rep.strands + 1))
-    tree: set[int] = set()
-    adjacency: dict[int, list[tuple[int, int]]] = {s: [] for s in range(1, rep.strands + 1)}
-    for pos, band in enumerate(rep.bands):
-        if sets.union(band.i, band.j) is not None:
-            tree.add(pos)
-            adjacency[band.i].append((pos, band.j))
-            adjacency[band.j].append((pos, band.i))
-    return tree, adjacency
-
-
-def _tree_path(adjacency, start: int, goal: int):
-    """List of (band_pos, from_disk, to_disk) along the tree from start to goal."""
-    prev: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = [start]
-    while queue:
-        disk = queue.pop(0)
-        if disk == goal:
-            break
-        for pos, other in adjacency[disk]:
-            if other not in prev:
-                prev[other] = (pos, disk)
-                queue.append(other)
-    path = []
-    disk = goal
-    while disk != start:
-        pos, before = prev[disk]
-        path.append((pos, before, disk))
-        disk = before
-    path.reverse()
-    return path
-
-
 def _basis_cycles(rep: BandRepresentation):
     """One cycle per co-tree band: ordered (band_pos, direction) traversals.
 
     direction +1 means the traversal runs from disk i to disk j of the band.
+    The forest is the handle graph's `fundamental_cycles` forest, bands
+    taken by height: the one `graphcalc.cycle_words` reduces its words on.
     """
-    tree, adjacency = _spanning_tree(rep)
-    cycles = []
-    for pos, band in enumerate(rep.bands):
-        if pos in tree:
-            continue
-        traversals = [(pos, 1)]
-        for tpos, from_disk, to_disk in _tree_path(adjacency, band.j, band.i):
-            tband = rep.bands[tpos]
-            direction = 1 if (from_disk, to_disk) == (tband.i, tband.j) else -1
-            traversals.append((tpos, direction))
-        cycles.append(traversals)
-    return cycles
+    return fundamental_cycles([(band.i, band.j) for band in rep.bands])[1]
 
 
 # Geometry scales for the PL model; kept tiny relative to the unit spacing

@@ -84,13 +84,10 @@ def _prune_dead_ends(graph: CombedGraph) -> CombedGraph:
         if target is None:
             return current
         disk_r, ci_r, tooth = target
-        band = tooth.band
-        hostband = current.host.bands[band - 1]
-        near_locs = current.arc_ends[(band, "j" if disk_r == hostband.i else "i")]
-        near_disk, near_ci, near_ti = near_locs[len(near_locs) - 1 - tooth.slot]
+        near_disk, near_ci, near_ti = current.mate[(disk_r, ci_r, 0)]
         near = current.disks[near_disk - 1][near_ci].teeth
         rest = near[:near_ti] + near[near_ti + 1 :]
-        current = edit_band(current, band, {
+        current = edit_band(current, tooth.band, {
             (disk_r, ci_r): (),
             (near_disk, near_ci): (Comb(rest) if rest else IsolatedPoint(),),
         })
@@ -162,22 +159,18 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
                 necks.append(EmbeddedBand(min(a, b), max(a, b), 1))
 
     # crossings: per coarse 1-handle, per slot of its first fine band
-    index = pruned.arc_ends
+    mate = pruned.mate
     strips = []
     for s in range(1, nu):
         first_band, middle_disk, second_band = coarse.coarse_one_handle(s)
-        r1 = pruned.arc_count(first_band)
-        for slot in range(r1):
-            # disk-1 end of the arc through the first band
-            near1 = index[(first_band, "i")][slot]
-            far1 = index[(first_band, "j")][r1 - 1 - slot]
-            # partner tooth on the middle-disk comb
-            comb = pruned.disks[middle_disk - 1][far1[1]]
+        for near1 in pruned.arc_ends.get((first_band, "i"), ()):  # disk-1 ends, by slot
+            _disk, far_ci, _ti = mate[near1]
+            # partner tooth on the middle-disk comb, and the disk-1 end of its arc
+            teeth = pruned.disks[middle_disk - 1][far_ci].teeth
             partner = next(
-                tooth for tooth in comb.teeth if isinstance(tooth, ArcEnd) and tooth.band == second_band
+                ti for ti, tooth in enumerate(teeth) if isinstance(tooth, ArcEnd) and tooth.band == second_band
             )
-            r2 = pruned.arc_count(second_band)
-            near2 = index[(second_band, "i")][r2 - 1 - partner.slot]
+            near2 = mate[(middle_disk, far_ci, partner)]
             a = strand_of(("tooth", near1[1], near1[2]))
             b = strand_of(("tooth", near2[1], near2[2]))
             if a == b:

@@ -59,10 +59,9 @@ def _double_arc(graph: CombedGraph, band: int, slot: int, near_disk: int, split:
     hostband = graph.host.bands[band - 1]
     if near_disk not in (hostband.i, hostband.j):
         raise InternalError("near disk is not an end of the band")
-    near_side, far_side = ("i", "j") if near_disk == hostband.i else ("j", "i")
-    r = graph.arc_count(band)
-    _, near_ci, near_ti = graph.arc_ends[(band, near_side)][slot]
-    far_disk, far_ci, far_ti = graph.arc_ends[(band, far_side)][r - 1 - slot]
+    near_loc = graph.arc_ends[(band, "i" if near_disk == hostband.i else "j")][slot]
+    _, near_ci, near_ti = near_loc
+    far_disk, far_ci, far_ti = graph.mate[near_loc]
     near = graph.disks[near_disk - 1][near_ci].teeth
     far = graph.disks[far_disk - 1][far_ci].teeth
     if split:

@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from qpfiber.braidcore import (
     BandRepresentation,
@@ -9,6 +9,7 @@ from qpfiber.braidcore import (
     beta,
     expand_band,
     exponent_sum,
+    fundamental_cycles,
     is_quasipositive,
     permutation,
     permutation_cycles,
@@ -140,3 +141,57 @@ def test_expand_band_length(rep):
 @given(braid_words())
 def test_inverse_word(word):
     assert permutation(word * word.inverse()) == tuple(range(1, word.strands + 1))
+
+
+@st.composite
+def loop_free_multigraphs(draw):
+    vertices = draw(st.integers(min_value=2, max_value=8))
+    ends = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1)).filter(lambda e: e[0] != e[1])
+    return draw(st.lists(ends, max_size=16))
+
+
+def components(vertices, edges):
+    """Connected components by depth-first search, without union-find."""
+    adjacency = {v: [] for v in vertices}
+    for tail, head in edges:
+        adjacency[tail].append(head)
+        adjacency[head].append(tail)
+    seen, count = set(), 0
+    for start in adjacency:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adjacency[v])
+    return count
+
+
+@settings(max_examples=200)
+@given(loop_free_multigraphs())
+def test_fundamental_cycles_of_a_multigraph(edges):
+    forest, cycles = fundamental_cycles(edges)
+    vertices = {v for edge in edges for v in edge}
+    count = components(vertices, edges)
+    assert len(forest) == len(vertices) - count
+    assert components(vertices, [edges[e] for e in forest]) == count
+    assert len(cycles) == len(edges) - len(forest)
+    # greedy in list order: an edge joins the forest iff earlier edges leave its ends apart
+    for e in range(len(edges)):
+        together = components(vertices, edges[:e]) == components(vertices, edges[: e + 1])
+        assert (e in forest) == (not together)
+    assert [cycle[0] for cycle in cycles] == [(e, 1) for e in range(len(edges)) if e not in forest]
+    for cycle in cycles:
+        assert all(e in forest for e, _sign in cycle[1:])
+        start = at = edges[cycle[0][0]][0]
+        visited = []
+        for e, sign in cycle:
+            tail, head = edges[e] if sign == 1 else edges[e][::-1]
+            assert tail == at
+            visited.append(at)
+            at = head
+        assert at == start
+        assert len(set(visited)) == len(visited)  # a simple cycle

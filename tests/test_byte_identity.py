@@ -1,14 +1,24 @@
-"""`qpfiber reduce` and `qpfiber quasipositize` print the same bytes as before.
+"""CLI reports, Seifert matrices and cycle words keep their exact bytes.
 
-The pinned sha256 digests are of the stdout of each verb, reading the graph
-from stdin, on twenty seeded graphs: ten from `sampling.random_full_graph`
-(reduce only; their hosts are not S(q_n)) and ten handle spines of S(q_4)
-and S(q_5) grown by inverse Whitehead moves (both verbs).  They were
-recorded before the indexed graph and its edit primitive replaced the
-rescanning code, so any change in a trace, a graph or an output band shows
-here.  The report echoes the digest of the input, so a change in the
-samplers shows too.  `PYTHONPATH=src python tests/test_byte_identity.py`
-prints the digests of the checkout it runs in.
+`PINNED` holds the sha256 digests of the stdout of `qpfiber reduce` and
+`qpfiber quasipositize`, reading the graph from stdin, on twenty seeded
+graphs: ten from `sampling.random_full_graph` (reduce only; their hosts are
+not S(q_n)) and ten handle spines of S(q_4) and S(q_5) grown by inverse
+Whitehead moves (both verbs).  They were recorded before the indexed graph
+and its edit primitive replaced the rescanning code, so any change in a
+trace, a graph or an output band shows here.  The report echoes the digest
+of the input, so a change in the samplers shows too.
+
+`PINNED_DOCUMENTS`, `PINNED_SEIFERT` and `PINNED_CYCLE_WORDS` were recorded
+before the arc pairing (`CombedGraph.mate`) and the spanning forest
+(`braidcore.fundamental_cycles`) each got one implementation: the stdout of
+`invariants`, `pad` and `expand` on seeded documents, the entries of
+`seifert_matrix` on 100 seeded representations and on q_rep(n) and
+nabla(n) for n = 2..5, and `cycle_words` on 50 seeded graphs.  A different
+forest, cycle order or traversal direction changes them.
+
+`PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
+the checkout it runs in.
 """
 
 import contextlib
@@ -18,9 +28,19 @@ import json
 import random
 import sys
 
+from qpfiber.braidcore import BraidWord
 from qpfiber.cli import run
-from qpfiber.constructions import q_rep
-from qpfiber.sampling import inverse_whitehead, random_fine_handle_subset, random_full_graph
+from qpfiber.constructions import nabla, q_rep
+from qpfiber.graphcalc import cycle_words, validate
+from qpfiber.invariants import seifert_matrix
+from qpfiber.sampling import (
+    inverse_whitehead,
+    random_band_representation,
+    random_direct_graph,
+    random_fine_handle_subset,
+    random_full_graph,
+    random_graph_mixed_fullness,
+)
 from qpfiber.surface import BraidedSurface, handle_spine
 
 
@@ -44,10 +64,52 @@ def _cases():
         yield ["quasipositize", "--n", str(n), "--input", "-"], graph
 
 
-def _stdout_digest(argv, graph) -> str:
+def _document_cases():
+    rng = random.Random(20641)
+    reps = [random_band_representation(rng, 5, 6, min_strands=2, min_bands=1) for _ in range(4)]
+    for rep in reps + [q_rep(3)]:
+        yield ["invariants", "--input", "-"], rep
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        word = BraidWord(n, tuple((rng.randint(1, n - 1), 1) for _ in range(rng.randint(1, 6))))
+        yield ["pad", "--input", "-"], word
+    for _ in range(4):
+        rep = random_band_representation(rng, 5, 5, positive_only=True, min_strands=2, min_bands=1)
+        yield ["expand", "--input", "-"], rep
+
+
+def _seifert_cases():
+    rng = random.Random(20642)
+    yield "seeded", [random_band_representation(rng, 5, 7, min_strands=2) for _ in range(100)]
+    for n in range(2, 6):
+        yield f"q_rep({n})", [q_rep(n)]
+        yield f"nabla({n})", [nabla(n)]
+
+
+def _cycle_graphs():
+    """The twenty graphs of `_cases`, the full spine of S(q_5), 29 of mixed fullness."""
+    graphs = [graph for argv, graph in _cases() if argv[0] == "reduce"]
+    graphs.append(handle_spine(BraidedSurface(q_rep(5)), range(1, 33)))
+    rng = random.Random(20643)
+    for trial in range(29):
+        if trial % 2:
+            graph = random_direct_graph(rng)
+            while validate(graph):
+                graph = random_direct_graph(rng)
+        else:
+            graph = random_graph_mixed_fullness(rng)
+        graphs.append(graph)
+    return graphs
+
+
+def _json_digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _stdout_digest(argv, document) -> str:
     out = io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(graph.to_json()))
+    sys.stdin = io.StringIO(json.dumps(document.to_json()))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             run(argv)
@@ -95,6 +157,55 @@ def test_reduce_and_quasipositize_output_is_pinned():
     assert digests == PINNED
 
 
+PINNED_DOCUMENTS = [
+    "ac915efc5a5f993ab1d9c117bf689bc593d423a02c16e36727e523402bd6e21b",  # invariants
+    "28677991102ef430e9df8ca774155a66f118432323cda5940224a7f82c1d610c",  # invariants
+    "dadc0d0195034f2b6373faef3278e5d5b2433bc8b42fe6c72479c4da7f5cd353",  # invariants
+    "8a81fcd44f5c7c4a267131472c763e1c194e02ab3bd694643f57a117a5254907",  # invariants
+    "f59f6a479c5f400c48f8dda099ad1de2029de02eddef776e4d093ef5cdda15fb",  # invariants
+    "e50e73e2ed58de2c3b96a95c70902d3084150e9ff56c718953781fb27a65db39",  # pad
+    "0edccb0a79287b2ee40909d5dd4d3d41a4635d7018901b0736b9a54fe39bd128",  # pad
+    "3c4d9d3b78d5dd1fa89a5a72f19933bfcbfe09acdff19bdfb7a6d1eb5c176bd4",  # pad
+    "13c7cc074f981f90aa29f9189efdd4ce5e03c0c229d9c0f5e30bc7d501520916",  # pad
+    "4c967fe78f6a2c3a05d8f03548a47de26daca8a549420298837a5c475dd7a265",  # expand
+    "0d256dd640e0bfa42f5d18400537c6d0d7893681b6d026a62b9ba2c2d136f864",  # expand
+    "cbe9bce139f087c1c4d5b1efe9299a991b6909f507a22243c1172d3fcacf0544",  # expand
+    "31093c2151baf9d03de67ead2924c352c3d13a4bdaa930f1018277d7dd0fdcf9",  # expand
+]
+
+PINNED_SEIFERT = {
+    "seeded": "cbc42bacda7ff19beab7b939f8d3b5113ea1f4405fceb854784d54c43b169ad9",
+    "q_rep(2)": "2eea40791e128b95c4c860fcd2d1b6f21622da45a70ce152727db60e351b0590",
+    "nabla(2)": "2eea40791e128b95c4c860fcd2d1b6f21622da45a70ce152727db60e351b0590",
+    "q_rep(3)": "e0ed841c085aa6fea452b4ed8ad6033a3d652ae6dfec6fdb0d5d8f04e58f0c7a",
+    "nabla(3)": "3307122a8b73dddeba2a2ecfa5161bbea9ea724161daac5b5c88daeaf7c05496",
+    "q_rep(4)": "b79965279c48da58855db6a448a69815982b8681acbaae3ba495b118ab04d17b",
+    "nabla(4)": "c69468f3edec9a9dfa64e6420d791db632d73cf3e7027be15652de0399b9e431",
+    "q_rep(5)": "7fe2e6a8802ca53d6144998d88bb3a6898518e4fc14c72f4ce348a1c47c7fc00",
+    "nabla(5)": "4232d8cb8a9ebf019960646a9fa8ad27f15ff9e3754ea1cbcf7d164cd9a62c8d",
+}
+
+PINNED_CYCLE_WORDS = "0b2c6974e0c4d21280b9381d9c23fbe15035b9324c09358826c0adc26c4ffe48"
+
+
+def test_invariants_pad_and_expand_output_is_pinned():
+    assert [_stdout_digest(argv, doc) for argv, doc in _document_cases()] == PINNED_DOCUMENTS
+
+
+def test_seifert_entries_are_pinned():
+    got = {name: _json_digest([seifert_matrix(rep).entries for rep in reps]) for name, reps in _seifert_cases()}
+    assert got == PINNED_SEIFERT
+
+
+def test_cycle_words_are_pinned():
+    assert _json_digest([cycle_words(graph) for graph in _cycle_graphs()]) == PINNED_CYCLE_WORDS
+
+
 if __name__ == "__main__":
     for argv, graph in _cases():
         print(argv[0], _stdout_digest(argv, graph))
+    for argv, doc in _document_cases():
+        print(argv[0], _stdout_digest(argv, doc))
+    for name, reps in _seifert_cases():
+        print("seifert", name, _json_digest([seifert_matrix(rep).entries for rep in reps]))
+    print("cycle_words", _json_digest([cycle_words(graph) for graph in _cycle_graphs()]))

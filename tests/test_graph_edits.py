@@ -258,6 +258,7 @@ def test_arc_doubling_matches_the_naive_rebuild(seed):
 def cached_views(graph):
     return (
         dict(graph.arc_ends),
+        dict(graph.mate),
         validate(graph),
         [graph.arc_count(t) for t in range(1, graph.host.band_count() + 1)],
         graph.total_arcs(),
@@ -278,10 +279,20 @@ def test_caches_equal_a_fresh_rescan(seed):
         assert twice[0] == twice[1] == cached_views(fresh)
         assert {key: list(locs) for key, locs in current.arc_ends.items()} == index
         counts = [naive_arc_count(current, t) for t in bands]
-        assert twice[0][2] == counts
+        assert twice[0][3] == counts
         assert current.total_arcs() == sum(counts)
         assert current.arcs() == [(t, p, counts[t - 1] - 1 - p) for t in bands for p in range(counts[t - 1])]
         assert validate(current) is not validate(current)  # a fresh list each call
+        # the pairing: a fixed-point-free involution, i side to j side, as `arcs()` lists it
+        mate = current.mate
+        assert sorted(mate) == sorted(loc for locs in index.values() for loc in locs)
+        for loc, far in mate.items():
+            assert far != loc and mate[far] == loc
+        for (band, side), locs in index.items():
+            other = index[(band, "j" if side == "i" else "i")]
+            assert all(mate[loc] in other for loc in locs)
+        for band, p, q in current.arcs():
+            assert mate[index[(band, "i")][p]] == index[(band, "j")][q]
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,7 +302,7 @@ def test_caching_keeps_equality_hash_and_json(seed):
     graph, twin = CombedGraph(sampled.host, sampled.disks), CombedGraph(sampled.host, sampled.disks)
     before = hash(graph), repr(graph)
     cached_views(graph)
-    assert {"arc_ends", "_problems", "_summary"} <= vars(graph).keys()
+    assert {"arc_ends", "mate", "_problems", "_summary"} <= vars(graph).keys()
     assert graph == twin and twin == graph
     assert (hash(graph), repr(graph)) == before == (hash(twin), repr(twin))
     assert graph.to_json() == twin.to_json()
