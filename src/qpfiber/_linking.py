@@ -1,24 +1,24 @@
 """Exact linking numbers of disjoint closed polygonal loops.
 
-Loops are given as lists of 3D points with Fraction (or int) coordinates.
-The linking number is computed from a generic projection: signed crossings
-where the first loop passes over the second are summed.  All arithmetic is
-exact; if a candidate projection direction is degenerate for the given pair
-(a segment parallel to the direction, overlapping collinear images, or a
-crossing at a segment endpoint), the next candidate direction is tried.  A
+Loops are lists of 3D points with integer coordinates.  The linking number
+is computed from a generic projection: signed crossings where the first loop
+passes over the second are summed.  If a candidate projection direction is
+degenerate for the pair (a segment parallel to it, overlapping collinear
+images, or a crossing at a segment endpoint), the next one is tried.  A
 projected crossing at equal depth means the curves genuinely intersect in
-3-space and is reported as an error.
+3-space and is reported as an error.  Every test is homogeneous in the
+coordinates (zero checks, signs, parameter bounds, depth comparisons), so
+scaling both loops by one positive integer picks the same direction and gives
+the same answer: a caller with rational geometry clears denominators once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import InternalError
 
-Point = tuple[Fraction, Fraction, Fraction]
+Point = tuple[int, int, int]
 
 # Deterministic supply of scruffy projection directions.  The first one that
 # is generic for the given pair of loops wins.
@@ -37,18 +37,6 @@ _DIRECTIONS = [
 
 class _DegenerateProjection(Exception):
     pass
-
-
-def _to_int_loops(loops):
-    denom = 1
-    for loop in loops:
-        for p in loop:
-            for c in p:
-                d = Fraction(c).denominator
-                denom = denom * d // gcd(denom, d)
-    return [
-        [tuple(int(Fraction(c) * denom) for c in p) for p in loop] for loop in loops
-    ]
 
 
 def _segments(loop):
@@ -130,9 +118,8 @@ def _crossings_over(segs_a, segs_b, v) -> int:
 
 
 def linking_number(loop_a: Sequence[Point], loop_b: Sequence[Point]) -> int:
-    """lk(A, B) for disjoint closed PL loops, exact."""
-    int_a, int_b = _to_int_loops([loop_a, loop_b])
-    segs_a, segs_b = _segments(int_a), _segments(int_b)
+    """lk(A, B) for disjoint closed PL loops with integer points, exact."""
+    segs_a, segs_b = _segments(loop_a), _segments(loop_b)
     for direction in _DIRECTIONS:
         try:
             return _crossings_over(segs_a, segs_b, direction)

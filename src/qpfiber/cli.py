@@ -4,7 +4,8 @@ One verb per run; the report is a single JSON document on stdout, with the
 wall-clock duration on stderr so that stdout stays byte-identical across
 runs.  Exit codes: 0 success, 1 malformed or unreadable input, 2
 precondition violation (e.g. NotFull, NotQuasipositive, or SizeLimitExceeded
-for ``--n`` above ``constructions.MAX_N``), 3 internal consistency failure.
+for ``--n`` above ``constructions.MAX_N`` or an ``--input`` document above
+``MAX_STRANDS``/``MAX_LETTERS``), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -40,10 +41,38 @@ def _read_document(path: str, inputs: dict):
         raise InvalidInput(f"input is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not JSON, or an integer too long to convert;
+        # RecursionError: arrays or objects nested too deep to decode
         raise InvalidInput(f"input is not JSON: {exc}") from exc
     inputs[path] = digest
     return doc
+
+
+def _word_length(rep: BandRepresentation) -> int:
+    """Letters of beta(rep), counted from the bands without expanding them."""
+    return sum(2 * (band.j - band.i) - 1 for band in rep.bands)
+
+
+# Limits on the documents of the --input verbs, taken from the largest
+# --n input: the fiber model q_rep(MAX_N) on 101 strands, whose expanded
+# word has 20,000 letters.
+_LARGEST_FIBER = q_rep(MAX_N)
+MAX_STRANDS = _LARGEST_FIBER.strands
+MAX_LETTERS = _word_length(_LARGEST_FIBER)
+
+
+def _limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise SizeLimitExceeded(f"{what} {value} is above the limit {limit}")
+
+
+def _band_representation(doc) -> BandRepresentation:
+    """The representation in `doc`, refused before any work if above the limits."""
+    rep = BandRepresentation.from_json(doc)
+    _limit("strand count", rep.strands, MAX_STRANDS)
+    _limit("expanded word length", _word_length(rep), MAX_LETTERS)
+    return rep
 
 
 def _emit(report: dict) -> None:
@@ -90,24 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args, inputs: dict) -> dict:
-    n = getattr(args, "n", None)
-    if n is not None and n > MAX_N:
-        raise SizeLimitExceeded(f"--n {n} is above the limit {MAX_N}")
+    if getattr(args, "n", None) is not None:
+        _limit("--n", args.n, MAX_N)
     if args.verb == "nabla":
         return {"representation": nabla(args.n).to_json()}
     if args.verb == "qrep":
         return {"representation": q_rep(args.n).to_json()}
     if args.verb == "pad":
-        doc = _read_document(args.input, inputs)
-        n, graph = pad_into_nabla(BraidWord.from_json(doc))
+        word = BraidWord.from_json(_read_document(args.input, inputs))
+        # pad builds nabla(n), n = max(strands, letters), with n(n - 1) bands
+        _limit("fiber size max(strands, letters)", max(word.strands, len(word.letters)), MAX_STRANDS)
+        n, graph = pad_into_nabla(word)
         return {"n": n, "graph": graph.to_json()}
     if args.verb == "expand":
-        doc = _read_document(args.input, inputs)
-        word, graph = expand_bands(BandRepresentation.from_json(doc))
+        word, graph = expand_bands(_band_representation(_read_document(args.input, inputs)))
         return {"word": word.to_json(), "graph": graph.to_json()}
     if args.verb == "invariants":
-        doc = _read_document(args.input, inputs)
-        rep = BandRepresentation.from_json(doc)
+        rep = _band_representation(_read_document(args.input, inputs))
         surface = BraidedSurface(rep)
         surface_summary = summary(surface)
         word = beta(rep)

@@ -219,9 +219,7 @@ class CombedGraph:
             stated = sorted(tuple(json_int(x) for x in arc) for arc in doc["arcs"]) if "arcs" in doc else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidGraph(f"malformed combed graph document: {exc}") from exc
-        problems = validate(graph)
-        if problems:
-            raise InvalidGraph("; ".join(problems))
+        _require_valid(graph)
         if stated is not None and stated != graph.arcs():
             raise InvalidGraph("stated arcs are not the order-reversing pairing of the teeth")
         return graph

@@ -13,9 +13,11 @@ surface's handle graph are laid out as explicit piecewise-linear loops in
 transverse order through a band reversed by its half-twist), the positive
 pushoff displaces a loop along the surface normal field (+x on the disks,
 rotating through the band twists), and entries are exact linking numbers of
-the pushed-off loop with the other basis loops.  The handedness of a
-positive half-twist is the one calibration point; it is pinned by the
-positive Hopf band having Seifert matrix [-1].
+the pushed-off loop with the other basis loops.  The model is built on one
+integer lattice per surface (see ``seifert_matrix``), so every point is a
+triple of ints; one uniform positive scale leaves every linking number as
+it is.  The handedness of a positive half-twist is the one calibration
+point; it is pinned by the positive Hopf band having Seifert matrix [-1].
 
 Burau convention: letters act left to right, matching the permutation
 convention; the generator matrices are the standard reduced ones with
@@ -29,8 +31,8 @@ O(n^3) matrix product (see ``mat_mul``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linking import linking_number
 from .braidcore import BandRepresentation, BraidWord, fundamental_cycles
@@ -61,10 +63,6 @@ class LaurentPolynomial:
     @staticmethod
     def one() -> "LaurentPolynomial":
         return LaurentPolynomial({0: 1})
-
-    @staticmethod
-    def constant(c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({0: c})
 
     @staticmethod
     def t_power(e: int, c: int = 1) -> "LaurentPolynomial":
@@ -114,9 +112,6 @@ class LaurentPolynomial:
 
     def shift(self, e: int) -> "LaurentPolynomial":
         return LaurentPolynomial({k + e: c for k, c in self.coeffs.items()})
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        return sum((Fraction(c) * Fraction(value) ** e for e, c in self.coeffs.items()), Fraction(0))
 
     def canonical(self) -> "LaurentPolynomial":
         """Unit-normalized form: lowest exponent 0, lowest coefficient > 0."""
@@ -334,69 +329,63 @@ def _basis_cycles(rep: BandRepresentation):
     return fundamental_cycles([(band.i, band.j) for band in rep.bands])[1]
 
 
-# Geometry scales for the PL model; kept tiny relative to the unit spacing
-# of disks and band heights.
-_DELTA = Fraction(1, 256)
-_ETA = Fraction(1, 4096)
+# The PL model lies on an integer lattice of spacing `scale` (see
+# `seifert_matrix`): disk s in the plane x = s * scale, band pos between the
+# heights pos * scale and (pos + 1) * scale, the foot of every band at
+# y = -scale.  The pushoff distance scale / 256 and the spacing scale / 4096
+# of parallel strips through a band stay tiny against that spacing.
 # Handedness of a positive half-twist (which parallel strip passes in front,
 # and which way the surface normal rotates along the band).  Pinned by the
 # positive Hopf band: Seifert matrix [-1].
 _TWIST = -1
 
 
-def _band_geometry(rep, slot_map, pos, cycle_index):
-    band = rep.bands[pos]
-    slots = slot_map[pos]
-    count = len(slots)
-    p = slots.index(cycle_index)
-    height = pos + 1
-    z_i = Fraction(height - 1) + Fraction(p + 1, count + 1)
-    z_j = Fraction(height - 1) + Fraction(count - p, count + 1)
-    w = 2 * p - (count - 1)
-    mid_x = Fraction(band.i + band.j, 2)
-    mid_y = Fraction(-1) - _TWIST * band.sign * w * _ETA
-    mid_z = (z_i + z_j) / 2
-    return band, z_i, z_j, (mid_x, mid_y, mid_z)
-
-
-def _cycle_loops(rep, slot_map, traversals, cycle_index, corridor_y):
+def _cycle_loops(rep, slot_map, traversals, cycle_index, scale):
     """Core loop and its positive pushoff, as explicit PL point lists."""
+    delta, eta = scale // 256, scale // 4096
+    corridor_y, foot_y = (cycle_index + 2) * scale, -scale
     core = []
     push = []
     for pos, direction in traversals:
-        band, z_i, z_j, mid = _band_geometry(rep, slot_map, pos, cycle_index)
-        mid_push = (mid[0], mid[1], mid[2] + _TWIST * band.sign * _DELTA)
-        if direction == 1:
-            x_from, x_to = band.i, band.j
-            z_from, z_to = z_i, z_j
-            dy_from, dy_to = _DELTA, -_DELTA
-        else:
-            x_from, x_to = band.j, band.i
-            z_from, z_to = z_j, z_i
-            dy_from, dy_to = -_DELTA, _DELTA
-        core.extend(
-            [
-                (Fraction(x_from), corridor_y, z_from),
-                (Fraction(x_from), Fraction(-1), z_from),
-                mid,
-                (Fraction(x_to), Fraction(-1), z_to),
-                (Fraction(x_to), corridor_y, z_to),
-            ]
-        )
-        push.extend(
-            [
-                (Fraction(x_from) + _DELTA, corridor_y, z_from),
-                (Fraction(x_from) + _DELTA, Fraction(-1) + dy_from, z_from),
-                mid_push,
-                (Fraction(x_to) + _DELTA, Fraction(-1) + dy_to, z_to),
-                (Fraction(x_to) + _DELTA, corridor_y, z_to),
-            ]
-        )
+        band = rep.bands[pos]
+        slots = slot_map[pos]
+        count = len(slots)
+        p = slots.index(cycle_index)
+        step = scale // (count + 1)
+        z_i = pos * scale + (p + 1) * step
+        z_j = pos * scale + (count - p) * step
+        twist = _TWIST * band.sign
+        # z_i + z_j = (2 pos + 1) scale, so the midpoint height is exact
+        mid_x, mid_z = (band.i + band.j) * scale // 2, pos * scale + scale // 2
+        mid = (mid_x, foot_y - twist * (2 * p - (count - 1)) * eta, mid_z)
+        mid_push = (mid_x, mid[1], mid_z + twist * delta)
+        # direction +1 runs from disk i to disk j, -1 the other way
+        ends = [(band.i * scale, z_i, delta), (band.j * scale, z_j, -delta)]
+        (x_from, z_from, dy_from), (x_to, z_to, dy_to) = ends[::direction]
+        core += [
+            (x_from, corridor_y, z_from),
+            (x_from, foot_y, z_from),
+            mid,
+            (x_to, foot_y, z_to),
+            (x_to, corridor_y, z_to),
+        ]
+        push += [
+            (x_from + delta, corridor_y, z_from),
+            (x_from + delta, foot_y + dy_from, z_from),
+            mid_push,
+            (x_to + delta, foot_y + dy_to, z_to),
+            (x_to + delta, corridor_y, z_to),
+        ]
     return core, push
 
 
 def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
-    """Seifert matrix of S(rep) on the fundamental cycles of its handle graph."""
+    """Seifert matrix of S(rep) on the fundamental cycles of its handle graph.
+
+    `scale` is one lattice spacing for the whole surface: 4096 times the lcm
+    of count + 1 over the crossed bands, where count is the number of basis
+    cycles crossing a band, so every point of every loop is an integer.
+    """
     cycles = _basis_cycles(rep)
     if not cycles:
         return SeifertMatrix(())
@@ -404,10 +393,8 @@ def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
     for index, traversals in enumerate(cycles):
         for pos, _ in traversals:
             slot_map.setdefault(pos, []).append(index)
-    loops = []
-    for index, traversals in enumerate(cycles):
-        corridor_y = Fraction(index + 2)
-        loops.append(_cycle_loops(rep, slot_map, traversals, index, corridor_y))
+    scale = 4096 * math.lcm(*(len(slots) + 1 for slots in slot_map.values()))
+    loops = [_cycle_loops(rep, slot_map, traversals, index, scale) for index, traversals in enumerate(cycles)]
     size = len(cycles)
     entries = tuple(
         tuple(linking_number(loops[a][1], loops[b][0]) for b in range(size))
@@ -421,12 +408,8 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:
     size = matrix.size
     if size == 0:
         return LaurentPolynomial.one()
-    t = LaurentPolynomial.t_power(1)
+    v = matrix.entries
     grid = tuple(
-        tuple(
-            LaurentPolynomial.constant(matrix.entries[i][j]) - t * LaurentPolynomial.constant(matrix.entries[j][i])
-            for j in range(size)
-        )
-        for i in range(size)
+        tuple(LaurentPolynomial({0: v[i][j], 1: -v[j][i]}) for j in range(size)) for i in range(size)
     )
     return mat_det(grid).canonical()

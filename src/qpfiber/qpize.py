@@ -40,6 +40,7 @@ from .graphcalc import (
     CombedGraph,
     IsolatedPoint,
     Site,
+    _require_valid,
     edit_band,
     neighborhood_summary,
     reduce_with_trace,
@@ -101,9 +102,7 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     expected = q_rep(n)
     if graph.host.rep != expected:
         raise NotOnQ(f"host surface is not S(q_{n})")
-    problems = validate(graph)
-    if problems:
-        raise InvalidGraph("; ".join(problems))
+    _require_valid(graph)
     if graph.has_free_ends():
         raise HasFreeEnds("quasipositize assumes the graph avoids the host boundary")
     if not any(comps for comps in graph.disks):
@@ -141,9 +140,7 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     if total == 0:
         raise InvalidGraph("graph has no material to present")
 
-    def strand_of(key) -> int:
-        rank = slots_bottom_up.index(key) + 1
-        return len(slots_bottom_up) + 1 - rank
+    strand_of = {key: len(slots_bottom_up) - rank for rank, key in enumerate(slots_bottom_up)}
 
     # necks: consecutive teeth of each disk-1 comb.  Around a fattened tooth
     # the attachments run (crossing, neck below, neck above) in the disk
@@ -154,8 +151,8 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     for ci, comp in enumerate(pruned.disks[0]):
         if isinstance(comp, Comb):
             for ti in range(len(comp.teeth) - 2, -1, -1):
-                a = strand_of(("tooth", ci, ti))
-                b = strand_of(("tooth", ci, ti + 1))
+                a = strand_of[("tooth", ci, ti)]
+                b = strand_of[("tooth", ci, ti + 1)]
                 necks.append(EmbeddedBand(min(a, b), max(a, b), 1))
 
     # crossings: per coarse 1-handle, per slot of its first fine band
@@ -171,8 +168,8 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
                 ti for ti, tooth in enumerate(teeth) if isinstance(tooth, ArcEnd) and tooth.band == second_band
             )
             near2 = mate[(middle_disk, far_ci, partner)]
-            a = strand_of(("tooth", near1[1], near1[2]))
-            b = strand_of(("tooth", near2[1], near2[2]))
+            a = strand_of[("tooth", near1[1], near1[2])]
+            b = strand_of[("tooth", near2[1], near2[2])]
             if a == b:
                 raise InternalError("crossing returned to a single 0-handle")
             strips.append(EmbeddedBand(min(a, b), max(a, b), 1))

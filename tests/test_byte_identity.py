@@ -15,7 +15,10 @@ before the arc pairing (`CombedGraph.mate`) and the spanning forest
 `invariants`, `pad` and `expand` on seeded documents, the entries of
 `seifert_matrix` on 100 seeded representations and on q_rep(n) and
 nabla(n) for n = 2..5, and `cycle_words` on 50 seeded graphs.  A different
-forest, cycle order or traversal direction changes them.
+forest, cycle order or traversal direction changes them.  The Seifert pins
+of q_rep(6), nabla(6) and of 50 seeded representations on 6-7 strands with
+6-10 bands (`sweep-range`) were recorded while the PL model still used
+rational coordinates, before it moved to one integer lattice per surface.
 
 `PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
 the checkout it runs in.
@@ -81,9 +84,13 @@ def _document_cases():
 def _seifert_cases():
     rng = random.Random(20642)
     yield "seeded", [random_band_representation(rng, 5, 7, min_strands=2) for _ in range(100)]
-    for n in range(2, 6):
+    for n in range(2, 7):
         yield f"q_rep({n})", [q_rep(n)]
         yield f"nabla({n})", [nabla(n)]
+    rng = random.Random(20671)
+    yield "sweep-range", [
+        random_band_representation(rng, 7, 10, min_strands=6, min_bands=6) for _ in range(50)
+    ]
 
 
 def _cycle_graphs():
@@ -183,6 +190,9 @@ PINNED_SEIFERT = {
     "nabla(4)": "c69468f3edec9a9dfa64e6420d791db632d73cf3e7027be15652de0399b9e431",
     "q_rep(5)": "7fe2e6a8802ca53d6144998d88bb3a6898518e4fc14c72f4ce348a1c47c7fc00",
     "nabla(5)": "4232d8cb8a9ebf019960646a9fa8ad27f15ff9e3754ea1cbcf7d164cd9a62c8d",
+    "q_rep(6)": "b63f59743091952b5983ee54939292378d7c60a4f20916187be6aa3e05c23de3",
+    "nabla(6)": "aa2356957300b7da6fd117cdb0fb624e2361758d5ee249276912a4f6382b7bf7",
+    "sweep-range": "a35bf8dd2caa85968e99254b3eb9bcc1d4e36554382e98ff8920c8e10798aa81",
 }
 
 PINNED_CYCLE_WORDS = "0b2c6974e0c4d21280b9381d9c23fbe15035b9324c09358826c0adc26c4ffe48"

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import sys
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from qpfiber import cli
-from qpfiber.cli import run
+from qpfiber.cli import MAX_LETTERS, MAX_STRANDS, run
 from qpfiber.constructions import MAX_N, q_rep
 from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph
 from qpfiber.surface import BraidedSurface
@@ -267,3 +272,110 @@ def test_graph_that_cannot_be_drawn_exits_1(tmp_path, capsys, verb):
     code, report = invoke(capsys, *verb, "--input", path)
     assert code == 1
     assert report["kind"] == "malformed-input"
+
+
+DEEP_ARRAY = "[" * 1000 + "]" * 1000
+# hypothesis raises the recursion limit while it runs a test, so its deep
+# array must be deeper than any limit it sets
+DEEPER_ARRAY = "[" * 100_000 + "]" * 100_000
+
+INPUT_VERBS = [["invariants"], ["reduce"], ["pad"], ["expand"], ["quasipositize", "--n", "2"]]
+
+
+def run_on_stdin(argv, text):
+    """Exit code and stdout of `run(argv + ["--input", "-"])` with `text` on stdin."""
+    out = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv + ["--input", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DEEP_ARRAY, '{"strands": ' + "1" * 5000 + ', "bands": []}'],
+    ids=["deep-array", "integer-too-long-to-convert"],
+)
+@pytest.mark.parametrize("verb", INPUT_VERBS, ids=lambda argv: argv[0])
+def test_json_the_decoder_refuses_exits_1(verb, text):
+    code, out = run_on_stdin(verb, text)
+    assert code == 1
+    assert json.loads(out)["kind"] == "malformed-input"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_small_ints = st.integers(min_value=-2, max_value=6) | st.just(MAX_STRANDS + 1)
+_fields = st.fixed_dictionaries(
+    {},
+    optional={
+        "strands": _small_ints | _json_values,
+        "bands": st.lists(st.lists(_small_ints, max_size=4), max_size=4) | _json_values,
+        "letters": st.lists(st.lists(_small_ints, max_size=3), max_size=4) | _json_values,
+        "host": st.fixed_dictionaries(
+            {"strands": _small_ints, "bands": st.lists(st.lists(_small_ints, max_size=3), max_size=3)}
+        ),
+        "disks": _json_values,
+        "arcs": _json_values,
+    },
+)
+_documents = (
+    (_json_values | _fields).map(json.dumps) | st.text(max_size=8) | st.sampled_from([DEEP_ARRAY, DEEPER_ARRAY])
+)
+
+
+@given(st.sampled_from(INPUT_VERBS), _documents)
+@settings(max_examples=100, deadline=None)
+def test_any_input_gives_one_json_document_and_a_documented_exit_code(verb, text):
+    code, out = run_on_stdin(verb, text)
+    assert code in (0, 1, 2)
+    report = json.loads(out)  # raises unless stdout is exactly one JSON document
+    assert report["ok"] is (code == 0)
+
+
+def test_input_limits_come_from_the_largest_fiber():
+    assert (MAX_STRANDS, MAX_LETTERS) == (101, 20_000)
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("invariants", {"strands": MAX_STRANDS + 1, "bands": [[1, 2, 1]]}),
+        ("invariants", {"strands": 2, "bands": [[1, 2, 1]] * (MAX_LETTERS + 1)}),
+        ("expand", {"strands": MAX_STRANDS + 1, "bands": [[1, 2, 1]]}),
+        ("expand", {"strands": 3, "bands": [[1, 3, 1]] * (MAX_LETTERS // 3 + 1)}),
+        ("pad", {"strands": MAX_STRANDS + 1, "letters": [[1, 1]]}),
+        ("pad", {"strands": 2, "letters": [[1, 1]] * (MAX_STRANDS + 1)}),
+    ],
+    ids=["invariants-strands", "invariants-letters", "expand-strands", "expand-letters", "pad-strands", "pad-letters"],
+)
+def test_input_above_the_limits_exits_2_before_any_work(monkeypatch, verb, doc):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started above the size limit")
+
+    for name in ("BraidedSurface", "beta", "summary", "expand_bands", "pad_into_nabla"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out = run_on_stdin([verb], json.dumps(doc))
+    assert code == 2
+    assert json.loads(out)["kind"] == "SizeLimitExceeded"
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("pad", {"strands": MAX_STRANDS, "letters": [[1, 1]]}),
+        ("expand", {"strands": MAX_STRANDS, "bands": [[1, 2, 1]]}),
+        ("invariants", {"strands": MAX_STRANDS, "bands": [[1, 2, 1]]}),
+    ],
+    ids=["pad", "expand", "invariants"],
+)
+def test_input_at_the_limits_is_accepted(verb, doc):
+    code, out = run_on_stdin([verb], json.dumps(doc))
+    assert code == 0, out
