@@ -2,7 +2,9 @@
 
 One verb per run; the report is a single JSON document on stdout, with the
 wall-clock duration on stderr so that stdout stays byte-identical across
-runs.  Exit codes: 0 success, 1 malformed or unreadable input, 2
+runs.  An argument the parser refuses is malformed input like any other;
+only ``-h`` prints argparse help instead of JSON.  Exit codes: 0 success, 1
+malformed or unreadable input (arguments included), 2
 precondition violation (e.g. NotFull, NotQuasipositive, or SizeLimitExceeded
 for ``--n`` above ``constructions.MAX_N`` or an ``--input`` document above
 ``MAX_STRANDS``/``MAX_LETTERS``), 3 internal consistency failure.
@@ -79,8 +81,15 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise InvalidInput; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpfiber",
         description="braided Seifert surfaces, fiber models, and quasipositive band representations",
     )
@@ -176,14 +185,13 @@ def _dispatch(args, inputs: dict) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
     started = time.monotonic()
     inputs: dict[str, str] = {}
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # -h: the parser printed its help and asked to exit
+            return 0
         result = _dispatch(args, inputs)
     except InvalidInput as exc:
         _emit({"command": argv, "error": str(exc), "kind": "malformed-input", "ok": False})

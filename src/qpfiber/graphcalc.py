@@ -50,8 +50,8 @@ edit is a new instance, so it is validated and summarised afresh, and the
 input of the next edit is the graph the previous one already checked.
 
 Every edit goes through `edit_band`: it replaces components on the two
-disks one band joins, reusing every other disk's row, and renumbers that
-band's arc ends by one rule, bottom to top on each disk.
+disks one band joins, reusing every other disk's row, renumbers that band's
+arc ends by one rule, bottom to top on each disk, and validates the result.
 """
 
 from __future__ import annotations
@@ -520,7 +520,8 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
     slots 0, 1, ... bottom to top, so teeth of `band` inside a replacement
     may carry any slot.  Rows of other disks, and components that are not
     replaced and hold no tooth of `band` (found from the parent's index),
-    are reused as they are.  The caller validates the result.
+    are reused as they are.  An edit whose result fails `validate` is a bug
+    in the caller, so it raises InternalError.
     """
     hostband = graph.host.bands[band - 1]
     disks = list(graph.disks)
@@ -545,7 +546,11 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
                     item = Comb(tuple(teeth))
                 row.append(item)
         disks[disk - 1] = tuple(row)
-    return CombedGraph(graph.host, tuple(disks))
+    result = CombedGraph(graph.host, tuple(disks))
+    problems = validate(result)
+    if problems:
+        raise InternalError(f"edit of band {band} produced an invalid graph: {problems}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +635,6 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
         (far_disk, comb_b_idx): (Comb(comb_b.teeth[:-1] + comb_a.teeth),),
         (far_disk, comb_a_idx): (),  # absorbed into the merge
     })
-
-    problems = validate(result)
-    if problems:
-        raise InternalError(f"Whitehead move produced an invalid graph: {problems}")
     if result.total_arcs() != graph.total_arcs() - 1:
         raise InternalError("Whitehead move did not drop the arc count by one")
     if neighborhood_summary(result) != graph._summary:

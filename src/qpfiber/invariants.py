@@ -7,6 +7,11 @@ they can cross-check each other:
   ``det(rho(w) - I) / (1 + t + ... + t^(n-1))``;
 * an integer Seifert matrix of the braided surface, with ``det(V - tV^T)``.
 
+Both reduce to arithmetic in Z[t, t^-1].  A `LaurentPolynomial` is stored
+as its lowest exponent and the tuple of coefficients from there up, with no
+zero at either end, so equal polynomials store equal pairs; sums align two
+lists and products convolve them.
+
 The Seifert matrix is computed from honest geometry: basis cycles of the
 surface's handle graph are laid out as explicit piecewise-linear loops in
 3-space (disks in the planes x = s, bands dipping to y < 0 with the
@@ -44,129 +49,102 @@ from .errors import InvalidParameter, NonExactDivision
 
 
 class LaurentPolynomial:
-    """An element of Z[t, t^-1], stored as a sparse exponent -> coefficient map."""
+    """An element of Z[t, t^-1], stored as `(low, coeffs)`.
 
-    __slots__ = ("coeffs",)
+    `coeffs[k]` is the coefficient of t^(low + k), and the tuple has no zero
+    at either end; zero is `()` with `low = 0`.  So equal polynomials store
+    equal pairs.  The constructor trims both ends of the ints it is given.
+    """
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if c:
-                    clean[int(e)] = int(c)
-        self.coeffs = clean
+    __slots__ = ("low", "coeffs")
 
-    @staticmethod
-    def zero() -> "LaurentPolynomial":
-        return LaurentPolynomial()
-
-    @staticmethod
-    def one() -> "LaurentPolynomial":
-        return LaurentPolynomial({0: 1})
-
-    @staticmethod
-    def t_power(e: int, c: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __init__(self, coeffs=(), low=0):
+        start, end = 0, len(coeffs)
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
+        self.low = low + start if start < end else 0
+        self.coeffs = tuple(coeffs[start:end])
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, LaurentPolynomial) and self.low == other.low and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.low, self.coeffs))
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
+    def __add__(self, other, sign=1):
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other if sign == 1 else -other
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low)
+        for k, c in enumerate(self.coeffs, self.low - low):
+            out[k] = c
+        for k, c in enumerate(other.coeffs, other.low - low):
+            out[k] += sign * c
+        return LaurentPolynomial(out, low)
 
     def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
+        return LaurentPolynomial([-c for c in self.coeffs], self.low)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def min_exp(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def shift(self, e: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({k + e: c for k, c in self.coeffs.items()})
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+        return LaurentPolynomial(out, self.low + other.low)
 
     def canonical(self) -> "LaurentPolynomial":
         """Unit-normalized form: lowest exponent 0, lowest coefficient > 0."""
-        if not self.coeffs:
-            return LaurentPolynomial()
-        shifted = self.shift(-self.min_exp())
-        if shifted.coeffs[0] < 0:
-            shifted = -shifted
-        return shifted
+        if self.coeffs and self.coeffs[0] < 0:
+            return LaurentPolynomial([-c for c in self.coeffs])
+        return LaurentPolynomial(self.coeffs)
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division in Z[t, t^-1]; raises NonExactDivision otherwise."""
-        if divisor.is_zero():
+        """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise."""
+        den = divisor.coeffs
+        if not den:
             raise NonExactDivision("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial()
-        num = dict(self.shift(-self.min_exp()).coeffs)
-        den = divisor.shift(-divisor.min_exp()).coeffs
-        den_deg = max(den)
-        den_lead = den[den_deg]
-        quot: dict[int, int] = {}
-        while num:
-            deg = max(num)
-            if deg < den_deg:
-                raise NonExactDivision("remainder left by polynomial division")
-            lead = num[deg]
-            if lead % den_lead:
-                raise NonExactDivision("leading coefficient does not divide")
-            q = lead // den_lead
-            qe = deg - den_deg
-            quot[qe] = q
-            for e, c in den.items():
-                ne = e + qe
-                num[ne] = num.get(ne, 0) - q * c
-                if num[ne] == 0:
-                    del num[ne]
-        shift_back = self.min_exp() - divisor.min_exp()
-        return LaurentPolynomial(quot).shift(shift_back)
+        if not self.coeffs:
+            return _ZERO
+        num = list(self.coeffs)
+        top, lead = len(den) - 1, den[-1]
+        quot = [0] * max(len(num) - top, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            c = num[k + top]
+            if c:
+                if c % lead:
+                    raise NonExactDivision("leading coefficient does not divide")
+                q = quot[k] = c // lead
+                for j, d in enumerate(den, k):
+                    num[j] -= q * d
+        if any(num[:top]):
+            raise NonExactDivision("remainder left by polynomial division")
+        return LaurentPolynomial(quot, self.low - divisor.low)
 
     def coefficient_list(self) -> list[int]:
         """Dense coefficients of the canonical form, constant term first."""
-        canon = self.canonical()
-        if canon.is_zero():
-            return [0]
-        top = canon.max_exp()
-        return [canon.coeffs.get(e, 0) for e in range(top + 1)]
+        return list(self.canonical().coeffs) or [0]
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            term = f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
-            parts.append(term)
+        for e, c in enumerate(self.coeffs, self.low):
+            if c:
+                term = f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
+                parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -182,7 +160,7 @@ Matrix = tuple[tuple[LaurentPolynomial, ...], ...]
 
 
 _ZERO = LaurentPolynomial()
-_ONE = LaurentPolynomial.one()
+_ONE = LaurentPolynomial([1])
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -230,22 +208,22 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
     """Fraction-free Bareiss determinant over Z[t, t^-1]."""
     n = len(matrix)
     if n == 0:
-        return LaurentPolynomial.one()
+        return _ONE
     m = [list(row) for row in matrix]
     sign = 1
-    prev = LaurentPolynomial.one()
+    prev = _ONE
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot_row is None:
-                return LaurentPolynomial.zero()
+                return _ZERO
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = num.exact_div(prev)
-            m[i][k] = LaurentPolynomial.zero()
+            m[i][k] = _ZERO
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign == 1 else -result
@@ -255,10 +233,10 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
 # Reduced Burau and the braid route to Alexander
 
 
-_T = LaurentPolynomial.t_power(1)
-_MINUS_T = LaurentPolynomial.t_power(1, -1)
-_T_INV = LaurentPolynomial.t_power(-1)
-_MINUS_T_INV = LaurentPolynomial.t_power(-1, -1)
+_T = LaurentPolynomial([1], 1)
+_MINUS_T = LaurentPolynomial([-1], 1)
+_T_INV = LaurentPolynomial([1], -1)
+_MINUS_T_INV = LaurentPolynomial([-1], -1)
 
 
 def _burau_generator(n: int, i: int, sign: int) -> Matrix:
@@ -292,16 +270,12 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     """Alexander polynomial of the closure, canonical up to units."""
     n = word.strands
     if n == 1:
-        return LaurentPolynomial.one()
-    rho = reduced_burau(word)
-    size = n - 1
+        return _ONE
     diff = tuple(
-        tuple(rho[i][j] - (LaurentPolynomial.one() if i == j else LaurentPolynomial.zero()) for j in range(size))
-        for i in range(size)
+        tuple(entry - _ONE if i == j else entry for j, entry in enumerate(row))
+        for i, row in enumerate(reduced_burau(word))
     )
-    det = mat_det(diff)
-    cyclotomic_like = LaurentPolynomial({e: 1 for e in range(n)})
-    return det.exact_div(cyclotomic_like).canonical()
+    return mat_det(diff).exact_div(LaurentPolynomial([1] * n)).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +381,9 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:
     """det(V - t V^T), canonical up to units; the 0x0 matrix gives 1."""
     size = matrix.size
     if size == 0:
-        return LaurentPolynomial.one()
+        return _ONE
     v = matrix.entries
     grid = tuple(
-        tuple(LaurentPolynomial({0: v[i][j], 1: -v[j][i]}) for j in range(size)) for i in range(size)
+        tuple(LaurentPolynomial([v[i][j], -v[j][i]]) for j in range(size)) for i in range(size)
     )
     return mat_det(grid).canonical()

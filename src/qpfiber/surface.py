@@ -37,10 +37,6 @@ class BraidedSurface:
     def to_json(self) -> dict:
         return self.rep.to_json()
 
-    @staticmethod
-    def from_json(doc: dict) -> "BraidedSurface":
-        return BraidedSurface(BandRepresentation.from_json(doc))
-
 
 @dataclass(frozen=True)
 class SurfaceSummary:

@@ -20,6 +20,14 @@ of q_rep(6), nabla(6) and of 50 seeded representations on 6-7 strands with
 6-10 bands (`sweep-range`) were recorded while the PL model still used
 rational coordinates, before it moved to one integer lattice per surface.
 
+`PINNED_ALEXANDER` and `PINNED_ARITHMETIC` were recorded while
+`LaurentPolynomial` still stored a sparse exponent -> coefficient dict,
+before it moved to a trimmed coefficient tuple and its lowest exponent:
+`coefficient_list()` of both Alexander routes on 100 seeded signed
+representations (up to 7 strands and 10 bands) and on q_rep(n) and nabla(n)
+for n = 2..6, and the `repr` of 20 seeded products and the quotients taken
+from them (a quotient that is not exact reads "NonExactDivision").
+
 `PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
 the checkout it runs in.
 """
@@ -31,11 +39,12 @@ import json
 import random
 import sys
 
-from qpfiber.braidcore import BraidWord
+from qpfiber.braidcore import BraidWord, beta
 from qpfiber.cli import run
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.graphcalc import cycle_words, validate
-from qpfiber.invariants import seifert_matrix
+from qpfiber.errors import NonExactDivision
+from qpfiber.invariants import LaurentPolynomial, alexander_from_braid, alexander_from_seifert, seifert_matrix
 from qpfiber.sampling import (
     inverse_whitehead,
     random_band_representation,
@@ -107,6 +116,50 @@ def _cycle_graphs():
             graph = random_graph_mixed_fullness(rng)
         graphs.append(graph)
     return graphs
+
+
+def _alexander_cases():
+    rng = random.Random(20681)
+    yield "seeded", [random_band_representation(rng, 7, 10, min_strands=2) for _ in range(100)]
+    for n in range(2, 7):
+        yield f"q_rep({n})", [q_rep(n)]
+        yield f"nabla({n})", [nabla(n)]
+
+
+def _alexander_lists(reps):
+    return [
+        [
+            alexander_from_braid(beta(rep)).coefficient_list(),
+            alexander_from_seifert(seifert_matrix(rep)).coefficient_list(),
+        ]
+        for rep in reps
+    ]
+
+
+def _poly(terms: dict) -> LaurentPolynomial:
+    low = min(terms, default=0)
+    return LaurentPolynomial([terms.get(e, 0) for e in range(low, max(terms, default=-1) + 1)], low)
+
+
+def _random_terms(rng) -> dict:
+    low = rng.randint(-4, 3)
+    return {e: rng.randint(-3, 3) for e in range(low, low + rng.randint(0, 5)) if rng.random() < 0.7}
+
+
+def _arithmetic_reprs():
+    rng = random.Random(20682)
+    out = []
+    for _ in range(20):
+        p, q = _poly(_random_terms(rng)), _poly(_random_terms(rng))
+        product = p * q
+        row = [repr(p), repr(q), repr(product)]
+        for num, den in ((product, q), (product, p), (p, q)):
+            try:
+                row.append(repr(num.exact_div(den)))
+            except NonExactDivision:
+                row.append("NonExactDivision")
+        out.append(row)
+    return out
 
 
 def _json_digest(value) -> str:
@@ -195,6 +248,22 @@ PINNED_SEIFERT = {
     "sweep-range": "a35bf8dd2caa85968e99254b3eb9bcc1d4e36554382e98ff8920c8e10798aa81",
 }
 
+PINNED_ALEXANDER = {
+    "seeded": "7999a947ba5a5728abfc58751c2a64ed09eb487d757b9af8ad9fa9970cac20a7",
+    "q_rep(2)": "dd53b93ad96174cdb01ace725a391c82c68ff282929b99c65b89daacfacded90",
+    "nabla(2)": "dd53b93ad96174cdb01ace725a391c82c68ff282929b99c65b89daacfacded90",
+    "q_rep(3)": "ffe2c876195a95e29762905a45b90a05797bb7354b50d1d1d2e41b87c4b42dac",
+    "nabla(3)": "ffe2c876195a95e29762905a45b90a05797bb7354b50d1d1d2e41b87c4b42dac",
+    "q_rep(4)": "3688edb2aa811314f1ddc8ee42fcce644937e88b06d552de826aa847e74a64b8",
+    "nabla(4)": "3688edb2aa811314f1ddc8ee42fcce644937e88b06d552de826aa847e74a64b8",
+    "q_rep(5)": "45305c3d5f415bee147d76d10b98b543199d1ff9c9f412b07ccc4abedf6cc45f",
+    "nabla(5)": "45305c3d5f415bee147d76d10b98b543199d1ff9c9f412b07ccc4abedf6cc45f",
+    "q_rep(6)": "2f234b7d4ba4b7be36fabc426fce1d8e4ac0e51880fc762a12998c33e86809b7",
+    "nabla(6)": "2f234b7d4ba4b7be36fabc426fce1d8e4ac0e51880fc762a12998c33e86809b7",
+}
+
+PINNED_ARITHMETIC = "7e6c1992112eccac7feecfd8c6be4807ae2dd189de1ee4ee14fcf7fa1bb2a244"
+
 PINNED_CYCLE_WORDS = "0b2c6974e0c4d21280b9381d9c23fbe15035b9324c09358826c0adc26c4ffe48"
 
 
@@ -211,6 +280,15 @@ def test_cycle_words_are_pinned():
     assert _json_digest([cycle_words(graph) for graph in _cycle_graphs()]) == PINNED_CYCLE_WORDS
 
 
+def test_alexander_coefficient_lists_are_pinned():
+    got = {name: _json_digest(_alexander_lists(reps)) for name, reps in _alexander_cases()}
+    assert got == PINNED_ALEXANDER
+
+
+def test_laurent_arithmetic_repr_is_pinned():
+    assert _json_digest(_arithmetic_reprs()) == PINNED_ARITHMETIC
+
+
 if __name__ == "__main__":
     for argv, graph in _cases():
         print(argv[0], _stdout_digest(argv, graph))
@@ -219,3 +297,6 @@ if __name__ == "__main__":
     for name, reps in _seifert_cases():
         print("seifert", name, _json_digest([seifert_matrix(rep).entries for rep in reps]))
     print("cycle_words", _json_digest([cycle_words(graph) for graph in _cycle_graphs()]))
+    for name, reps in _alexander_cases():
+        print("alexander", name, _json_digest(_alexander_lists(reps)))
+    print("arithmetic", _json_digest(_arithmetic_reprs()))

@@ -65,6 +65,25 @@ def test_unknown_verb_exits_1(capsys):
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-fiber", "--n", "abc"], ["nabla"], ["bogus"], ["nabla", "--n", "3", "--extra"], []],
+    ids=["non-integer-n", "missing-n", "unknown-verb", "extra-argument", "no-arguments"],
+)
+def test_argument_errors_give_one_malformed_input_report(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)  # raises unless stdout is exactly one JSON document
+    assert code == 1
+    assert (report["command"], report["kind"], report["ok"]) == (argv, "malformed-input", False)
+    assert captured.err == ""
+
+
+def test_help_is_argparse_help(capsys):
+    assert run(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qpfiber")
+
+
 def test_invariants_verb(tmp_path, capsys):
     path = write_json(tmp_path, "trefoil.json", {"strands": 2, "bands": [[1, 2, 1]] * 3})
     code, report = invoke(capsys, "invariants", "--input", path)
@@ -379,3 +398,35 @@ def test_input_above_the_limits_exits_2_before_any_work(monkeypatch, verb, doc):
 def test_input_at_the_limits_is_accepted(verb, doc):
     code, out = run_on_stdin([verb], json.dumps(doc))
     assert code == 0, out
+
+
+_VERBS = ["nabla", "qrep", "pad", "expand", "invariants", "verify-fiber", "reduce", "quasipositize", "bogus"]
+_FLAGS = ["--n", "--input", "--subset", "--seed", "--extra", "-n"]
+# no --n between 5 and MAX_N, where a fiber verb would do seconds of work
+_N_VALUES = st.integers(-3, 4) | st.integers(MAX_N + 1, 10**30)
+_VALUES = (
+    _N_VALUES.map(str)
+    | st.sampled_from(["abc", "1.5", "", " ", "0x10", "-", "--", "/nonexistent.json", ".", "1,,2"])
+    | st.lists(st.integers(-(10**30), 10**30) | st.integers(-3, 40), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+)
+_ARGVS = st.lists(st.sampled_from(_VERBS) | st.sampled_from(_FLAGS) | _VALUES, max_size=6) | st.tuples(
+    st.sampled_from(_VERBS), st.lists(st.sampled_from(_FLAGS) | _VALUES, max_size=5)
+).map(lambda t: [t[0], *t[1]])
+
+
+@given(_ARGVS)
+@settings(max_examples=150, deadline=None)
+def test_any_argv_gives_one_json_document_and_a_documented_exit_code(argv):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(q_rep(2).to_json()))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    report = json.loads(out.getvalue())  # raises unless stdout is exactly one JSON document
+    assert report["ok"] is (code == 0)

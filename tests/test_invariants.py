@@ -23,8 +23,10 @@ from qpfiber.surface import BraidedSurface, summary
 from conftest import braid_words
 
 
-def L(coeffs):
-    return LaurentPolynomial(coeffs)
+def L(terms):
+    """The polynomial of an {exponent: coefficient} dict."""
+    low = min(terms, default=0)
+    return LaurentPolynomial([terms.get(e, 0) for e in range(low, max(terms, default=-1) + 1)], low)
 
 
 def naive_product(a, b):
@@ -44,8 +46,12 @@ def naive_product(a, b):
     return out
 
 
+def as_dict(p):
+    return {p.low + k: c for k, c in enumerate(p.coeffs) if c}
+
+
 def as_dicts(matrix):
-    return [[dict(p.coeffs) for p in row] for row in matrix]
+    return [[as_dict(p) for p in row] for row in matrix]
 
 
 def as_polys(matrix):
@@ -108,6 +114,119 @@ class TestLaurent:
         assert eq_up_to_units(L({0: -1, 1: 1}), L({0: 1, 1: -1}))       # t-1 vs 1-t
         assert eq_up_to_units(L({0: 1, 1: -1, 2: 1}), L({1: 1, 2: -1, 3: 1}))  # shift by t
         assert not eq_up_to_units(L({0: -1, 1: 1}), L({0: 1, 1: 1}))
+
+
+# A reference on plain {exponent: coefficient} dicts, sharing no code with
+# LaurentPolynomial: every result drops its zero coefficients.
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_unit_multiples(p):
+    """Every +-t^j p whose exponents stay within -20..20."""
+    return [{e + j: s * c for e, c in p.items()} for j in range(-20, 21) for s in (1, -1)]
+
+
+def ref_canonical(p):
+    if not p:
+        return {}
+    low = min(p)
+    sign = 1 if p[low] > 0 else -1
+    return {e - low: sign * c for e, c in p.items()}
+
+
+# sparse dicts with negative exponents, gaps and explicit zero coefficients
+term_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=6)
+nonzero_dicts = term_dicts.filter(lambda d: any(d.values()))
+spanning_dicts = term_dicts.filter(lambda d: len([c for c in d.values() if c]) > 1)
+
+
+def assert_trimmed(p):
+    assert isinstance(p.coeffs, tuple)
+    if p.coeffs:
+        assert p.coeffs[0] and p.coeffs[-1]
+    else:
+        assert p.low == 0
+
+
+class TestLaurentAgainstReference:
+    @given(term_dicts, term_dicts)
+    @settings(max_examples=100)
+    def test_ring_operations(self, p, q):
+        a, b = L(p), L(q)
+        for got, want in (
+            (a + b, ref_add(p, q)),
+            (a - b, ref_add(p, q, -1)),
+            (-a, ref_add({}, p, -1)),
+            (a * b, ref_mul(p, q)),
+        ):
+            assert_trimmed(got)
+            assert as_dict(got) == want
+
+    @given(term_dicts, nonzero_dicts)
+    @settings(max_examples=100)
+    def test_exact_division_undoes_product(self, p, q):
+        quotient = (L(p) * L(q)).exact_div(L(q))
+        assert_trimmed(quotient)
+        assert quotient == L(p)
+
+    @given(term_dicts, spanning_dicts, st.data())
+    @settings(max_examples=100)
+    def test_non_multiple_is_refused(self, p, q, data):
+        # a nonzero r spanning fewer exponents than q is no multiple of q,
+        # and neither is p q + r
+        b = L(q)
+        r = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=len(b.coeffs) - 1).filter(any))
+        remainder = LaurentPolynomial(r, data.draw(st.integers(-6, 6)))
+        with pytest.raises(NonExactDivision):
+            (L(p) * b + remainder).exact_div(b)
+
+    @given(term_dicts)
+    def test_division_by_zero_is_refused(self, p):
+        with pytest.raises(NonExactDivision):
+            L(p).exact_div(L({}))
+
+    @given(term_dicts)
+    @settings(max_examples=100)
+    def test_canonical(self, p):
+        canon = L(p).canonical()
+        assert_trimmed(canon)
+        assert as_dict(canon) == ref_canonical({e: c for e, c in p.items() if c})
+
+    @given(term_dicts, term_dicts)
+    @settings(max_examples=100)
+    def test_eq_up_to_units(self, p, q):
+        p = {e: c for e, c in p.items() if c}
+        q = {e: c for e, c in q.items() if c}
+        assert eq_up_to_units(L(p), L(q)) == (q in ref_unit_multiples(p))
+
+    @given(term_dicts, st.integers(-6, 6), st.sampled_from((1, -1)))
+    @settings(max_examples=100)
+    def test_unit_multiples_are_equal_up_to_units(self, p, j, sign):
+        assert eq_up_to_units(L(p), L({e + j: sign * c for e, c in p.items()}))
+
+    @given(term_dicts, term_dicts, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_equal_polynomials_hash_equally(self, p, q, below, above):
+        a = L(p)
+        padded = LaurentPolynomial([0] * below + list(a.coeffs) + [0] * above, a.low - below)
+        for other in (padded, a + L(q) - L(q), L(q) + a - L(q)):
+            assert_trimmed(other)
+            assert other == a
+            assert hash(other) == hash(a)
 
 
 class TestMatMul:
@@ -173,7 +292,7 @@ class TestBurau:
     @given(braid_words(max_strands=4, max_length=6))
     @settings(max_examples=40)
     def test_determinant_at_one_is_permutation_sign(self, word):
-        det = sum(mat_det(reduced_burau(word)).coeffs.values())
+        det = sum(mat_det(reduced_burau(word)).coeffs)
         sign = -1 if len(word.letters) % 2 else 1
         assert det == sign
 
@@ -190,7 +309,7 @@ class TestAlexanderFromBraid:
         assert eq_up_to_units(alexander_from_braid(word_from_letters(2, [1, 1])), L({0: -1, 1: 1}))
 
     def test_split_unlink_vanishes(self):
-        assert alexander_from_braid(BraidWord(2, ())).is_zero()
+        assert not alexander_from_braid(BraidWord(2, ()))
 
     @given(braid_words(max_strands=4, max_length=5))
     @settings(max_examples=25, deadline=None)
