@@ -6,8 +6,9 @@ runs.  An argument the parser refuses is malformed input like any other;
 only ``-h`` prints argparse help instead of JSON.  Exit codes: 0 success, 1
 malformed or unreadable input (arguments included), 2
 precondition violation (e.g. NotFull, NotQuasipositive, or SizeLimitExceeded
-for ``--n`` above ``constructions.MAX_N`` or an ``--input`` document above
-``MAX_STRANDS``/``MAX_LETTERS``), 3 internal consistency failure.
+for ``--n`` above ``constructions.MAX_N``, an ``--input`` document or a
+combed graph's host above ``MAX_STRANDS``/``MAX_LETTERS``, or a combed graph
+above ``MAX_ARCS``), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ _LARGEST_FIBER = q_rep(MAX_N)
 MAX_STRANDS = _LARGEST_FIBER.strands
 MAX_LETTERS = _word_length(_LARGEST_FIBER)
 
+MAX_ARCS = 2000
+"""Largest arc count of a combed graph that ``reduce`` and ``quasipositize`` accept.
+
+Whitehead reduction is quadratic in arcs: on a 2-core x86-64 machine
+(Python 3.11, single runs) ``quasipositize`` on a grown spine of S(q_6) took
+0.35, 1.24, 4.12, 19.2 and 32.5 s at 200, 400, 800, 1,600 and 2,000 arcs,
+so the limit keeps the verb to about 30 s, as ``MAX_N`` keeps the ``--n``
+verbs.
+"""
+
 
 def _limit(what: str, value: int, limit: int) -> None:
     if value > limit:
@@ -75,6 +86,15 @@ def _band_representation(doc) -> BandRepresentation:
     _limit("strand count", rep.strands, MAX_STRANDS)
     _limit("expanded word length", _word_length(rep), MAX_LETTERS)
     return rep
+
+
+def _combed_graph(doc) -> CombedGraph:
+    """The combed graph in `doc`, refused before any reduction if above the limits."""
+    graph = CombedGraph.from_json(doc)
+    _limit("host strand count", graph.host.strands, MAX_STRANDS)
+    _limit("host expanded word length", _word_length(graph.host.rep), MAX_LETTERS)
+    _limit("arc count", graph.total_arcs(), MAX_ARCS)
+    return graph
 
 
 def _emit(report: dict) -> None:
@@ -160,7 +180,7 @@ def _dispatch(args, inputs: dict) -> dict:
         return verify_fiber(args.n).to_json()
     if args.verb == "reduce":
         doc = _read_document(args.input, inputs)
-        graph, trace = reduce_with_trace(CombedGraph.from_json(doc))
+        graph, trace = reduce_with_trace(_combed_graph(doc))
         return {"graph": graph.to_json(), "trace": [site.to_json() for site in trace]}
     if args.verb == "quasipositize":
         if (args.input is None) == (args.subset is None):
@@ -173,7 +193,7 @@ def _dispatch(args, inputs: dict) -> dict:
             result = quasipositize_handle_subsurface(args.n, selected)
         else:
             doc = _read_document(args.input, inputs)
-            result = quasipositize(args.n, CombedGraph.from_json(doc))
+            result = quasipositize(args.n, _combed_graph(doc))
         return result.to_json()
     if args.verb == "selftest":
         checks = run_all(args.seed)

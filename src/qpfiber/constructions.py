@@ -196,8 +196,8 @@ def expand_bands(rep: BandRepresentation) -> tuple[BraidWord, CombedGraph]:
         else:
             comps.append((0, graphcalc.IsolatedPoint()))
         comps.extend(pass_combs[s])
-        # component order inside a disk is immaterial to validity here (every
-        # handle carries one arc); sort by lowest handle for determinism
+        # component order inside a disk is immaterial; sort by lowest handle
+        # for determinism
         disks.append(tuple(comp for _, comp in sorted(comps, key=lambda x: x[0])))
     graph = CombedGraph(BraidedSurface(BandRepresentation(n, tuple(EmbeddedBand(c, c + 1, 1) for c in letters))), tuple(disks))
     return word, graph

@@ -2,11 +2,11 @@
 
 A combed graph meets every 0-handle in combs (a vertical spine with
 horizontal teeth, listed bottom to top) and isolated points, and every
-1-handle in arcs parallel to its core.  Components stack vertically inside
-a disk, so enumerating a disk's teeth component by component runs bottom to
-top; the teeth entering one attaching arc occupy its slots 0..r-1 in that
-order.  Arcs through a band pair slot p on the i side with slot r-1-p on
-the j side: the half-twist reverses the transverse order.
+1-handle in arcs parallel to its core.  A tooth's slot is its position on
+its band's attaching arc, 0..r-1 from the bottom; it is the one statement
+of where an arc end sits, and the order in which a disk lists its
+components means nothing.  Arcs through a band pair slot p on the i side
+with slot r-1-p on the j side: the half-twist reverses the transverse order.
 `CombedGraph.mate` is the one statement of this pairing that the package
 reads (`arcs` only lists it by slot for the JSON document).  The
 face-tracing conventions below are validated against the independent
@@ -51,7 +51,7 @@ input of the next edit is the graph the previous one already checked.
 
 Every edit goes through `edit_band`: it replaces components on the two
 disks one band joins, reusing every other disk's row, renumbers that band's
-arc ends by one rule, bottom to top on each disk, and validates the result.
+arc ends by one rule, by old slot on each disk, and validates the result.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class IsolatedPoint:
 
 @dataclass(frozen=True)
 class CombedGraph:
-    """A combed graph; `disks[s-1]` lists disk s's components bottom to top."""
+    """A combed graph; `disks[s-1]` lists disk s's components in any order."""
 
     host: BraidedSurface
     disks: tuple
@@ -107,12 +107,13 @@ class CombedGraph:
 
     @cached_property
     def arc_ends(self) -> MappingProxyType:
-        """Per (band, side) the arc-end locations in global (bottom-to-top) order.
+        """Per (band, side) the arc-end locations in slot order (bottom to top).
 
-        Teeth naming a 1-handle the host lacks are left out; `validate`
-        reports them.
+        Equal slots, which `validate` refuses, keep listing order.  Teeth
+        naming a 1-handle the host lacks are left out; `validate` reports them.
         """
         index: dict[tuple[int, str], list[Location]] = {}
+        unsorted = set()
         bands = self.host.bands
         for disk, comps in enumerate(self.disks, start=1):
             for ci, comp in enumerate(comps):
@@ -120,8 +121,13 @@ class CombedGraph:
                     continue
                 for ti, tooth in enumerate(comp.teeth):
                     if isinstance(tooth, ArcEnd) and 1 <= tooth.band <= len(bands):
-                        side = "i" if disk == bands[tooth.band - 1].i else "j"
-                        index.setdefault((tooth.band, side), []).append((disk, ci, ti))
+                        key = (tooth.band, "i" if disk == bands[tooth.band - 1].i else "j")
+                        locs = index.setdefault(key, [])
+                        if tooth.slot != len(locs):
+                            unsorted.add(key)
+                        locs.append((disk, ci, ti))
+        for key in unsorted:
+            index[key].sort(key=lambda loc: self.disks[loc[0] - 1][loc[1]].teeth[loc[2]].slot)
         return MappingProxyType({key: tuple(locs) for key, locs in index.items()})
 
     @cached_property
@@ -282,11 +288,11 @@ def _find_problems(graph: CombedGraph) -> list[str]:
 def _drawing_problem(graph: CombedGraph) -> str | None:
     """Why the combs cannot be drawn in their disks, or None if they can.
 
-    The arc ends entering one attaching arc must hold slots 0, 1, ... in
-    listing order.  On a disk's boundary the arc ends lie in (band height,
-    slot) order.  A comb must meet its arc ends in that order, bottom to top, and no two
-    combs may cross: their arc ends form a non-crossing partition of the
-    boundary points, so one comb may nest between two teeth of another.
+    The arc ends entering one attaching arc must hold slots 0..r-1, each
+    once.  On a disk's boundary the arc ends lie in (band height, slot)
+    order.  A comb must meet its arc ends in that order, bottom to top, and
+    no two combs may cross: their arc ends form a non-crossing partition of
+    the boundary points, so one comb may nest between two teeth of another.
     Free ends take no position.  One pass over the bands keeps, per disk, a
     stack of the combs met but not finished.
     """
@@ -306,7 +312,7 @@ def _drawing_problem(graph: CombedGraph) -> str | None:
                 teeth = comps[ci].teeth
                 if teeth[ti].slot != slot:
                     slots = [graph.disks[d - 1][c].teeth[t].slot for d, c, t in locs]
-                    return f"1-handle {band} {side}-side slots are {slots}, expected 0..{len(locs) - 1} in vertical order"
+                    return f"1-handle {band} {side}-side slots are {slots}, expected 0..{len(locs) - 1} each once"
                 met = combs.get(ci)
                 first = met[0] if met else 0
                 if ti != first:
@@ -516,35 +522,29 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
 
     `replace` maps (disk, component index) of the parent graph to the
     components that take its place: none removes it, two split it.  The one
-    renumbering rule: the arc ends of `band` on each of its two disks take
-    slots 0, 1, ... bottom to top, so teeth of `band` inside a replacement
-    may carry any slot.  Rows of other disks, and components that are not
-    replaced and hold no tooth of `band` (found from the parent's index),
-    are reused as they are.  An edit whose result fails `validate` is a bug
-    in the caller, so it raises InternalError.
+    renumbering rule: on each of its two disks the arc ends of `band` take
+    slots 0, 1, ... in order of (old slot, listing position), so a removed
+    end leaves no gap and the copies of a doubled end, listed bottom to top,
+    stay in that order.  Rows of other disks are reused as they are.  An
+    edit whose result fails `validate` is a bug in the caller, so it raises
+    InternalError.
     """
     hostband = graph.host.bands[band - 1]
     disks = list(graph.disks)
-    for disk, side in ((hostband.i, "i"), (hostband.j, "j")):
-        touched = {ci for _disk, ci, _ti in graph.arc_ends.get((band, side), ())}
-        slot = 0
-        row = []
-        for ci, comp in enumerate(graph.disks[disk - 1]):
-            new = replace.get((disk, ci))
-            if new is None:
-                if ci not in touched:
-                    row.append(comp)
-                    continue
-                new = (comp,)
-            for item in new:
-                if isinstance(item, Comb):
-                    teeth = list(item.teeth)
-                    for ti, tooth in enumerate(teeth):
-                        if isinstance(tooth, ArcEnd) and tooth.band == band:
-                            teeth[ti] = ArcEnd(band, slot)
-                            slot += 1
-                    item = Comb(tuple(teeth))
-                row.append(item)
+    for disk in (hostband.i, hostband.j):
+        row = [
+            item for ci, comp in enumerate(graph.disks[disk - 1]) for item in replace.get((disk, ci), (comp,))
+        ]
+        ends = sorted(
+            (tooth.slot, ci, ti)
+            for ci, item in enumerate(row) if isinstance(item, Comb)
+            for ti, tooth in enumerate(item.teeth) if isinstance(tooth, ArcEnd) and tooth.band == band
+        )
+        renumbered: dict[int, list] = {}
+        for slot, (_old, ci, ti) in enumerate(ends):
+            renumbered.setdefault(ci, list(row[ci].teeth))[ti] = ArcEnd(band, slot)
+        for ci, teeth in renumbered.items():
+            row[ci] = Comb(tuple(teeth))
         disks[disk - 1] = tuple(row)
     result = CombedGraph(graph.host, tuple(disks))
     problems = validate(result)
@@ -570,7 +570,7 @@ class Site:
 
 
 def eligible_sites(graph: CombedGraph) -> list[Site]:
-    """Sites where a comb has vertically adjacent teeth in one attaching arc."""
+    """Sites where consecutive teeth of a comb hold adjacent slots of one attaching arc."""
     sites = []
     for disk, comps in enumerate(graph.disks, start=1):
         for ci, comp in enumerate(comps):
@@ -578,7 +578,7 @@ def eligible_sites(graph: CombedGraph) -> list[Site]:
                 continue
             for ti in range(len(comp.teeth) - 1):
                 a, b = comp.teeth[ti], comp.teeth[ti + 1]
-                if isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band:
+                if isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1:
                     sites.append(Site(disk, ci, ti))
     return sites
 
@@ -586,14 +586,20 @@ def eligible_sites(graph: CombedGraph) -> list[Site]:
 def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> CombedGraph:
     """One Whitehead move: two parallel arcs become one, far combs merge.
 
+    The far end of the removed arc lies directly below the far end of the
+    kept one, and combs do not cross, so one far comb sits in a gap of the
+    other or the two are stacked: either the kept end is the first arc end
+    of its comb A, or the removed end is the last arc end of its comb B.
+    The merged comb is A up to the kept end, B up to the removed end, then
+    the rest of A and of B, listed where the lower-listed of A and B was.
     Preserves the regular-neighborhood summary and fullness; drops the arc
     count by exactly one.
     """
     _require_valid(graph)
-    try:
-        comp = graph.disks[site.disk - 1][site.component]
-    except IndexError as exc:
-        raise SiteNotEligible(f"no component at {site}") from exc
+    comps = graph.disks[site.disk - 1] if 1 <= site.disk <= len(graph.disks) else ()
+    if not (0 <= site.component < len(comps) and site.tooth >= 0):
+        raise SiteNotEligible(f"no component at {site}")
+    comp = comps[site.component]
     if not isinstance(comp, Comb):
         raise SiteNotEligible("site component is an isolated point")
     if site.tooth + 1 >= len(comp.teeth):
@@ -610,30 +616,17 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
         raise NotFull("Whitehead moves require a full graph")
 
     near_disk = site.disk
-    keep_far = graph.mate[(near_disk, site.component, site.tooth)]      # of the kept (lower-near) arc
-    drop_far = graph.mate[(near_disk, site.component, site.tooth + 1)]  # of the removed (upper-near) arc
-    far_disk = keep_far[0]
-    if keep_far[:2] == drop_far[:2]:
+    far_disk, a_idx, ta = graph.mate[(near_disk, site.component, site.tooth)]  # kept arc's far end
+    _, b_idx, tb = graph.mate[(near_disk, site.component, site.tooth + 1)]  # removed arc's far end
+    if a_idx == b_idx:
         raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
 
-    comb_b_idx, comb_a_idx = drop_far[1], keep_far[1]
-    disk_comps = graph.disks[far_disk - 1]
-    comb_b, comb_a = disk_comps[comb_b_idx], disk_comps[comb_a_idx]
-    if comb_b_idx > comb_a_idx:
-        raise InvalidGraph("far arc ends out of vertical order")
-    if drop_far[2] != len(comb_b.teeth) - 1:
-        raise InvalidGraph("removed far end is not the top tooth of its comb")
-    if keep_far[2] != 0:
-        raise InvalidGraph("kept far end is not the bottom tooth of its comb")
-    for between in disk_comps[comb_b_idx + 1 : comb_a_idx]:
-        if not isinstance(between, IsolatedPoint):
-            raise InvalidGraph("a comb separates the two far combs")
-
+    a, b = graph.disks[far_disk - 1][a_idx].teeth, graph.disks[far_disk - 1][b_idx].teeth
     teeth = comp.teeth
     result = edit_band(graph, band, {
         (near_disk, site.component): (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
-        (far_disk, comb_b_idx): (Comb(comb_b.teeth[:-1] + comb_a.teeth),),
-        (far_disk, comb_a_idx): (),  # absorbed into the merge
+        (far_disk, min(a_idx, b_idx)): (Comb(a[:ta] + b[:tb] + a[ta:] + b[tb + 1 :]),),
+        (far_disk, max(a_idx, b_idx)): (),  # absorbed into the merge
     })
     if result.total_arcs() != graph.total_arcs() - 1:
         raise InternalError("Whitehead move did not drop the arc count by one")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand
+from qpfiber.graphcalc import CombedGraph
 
 
 @st.composite
@@ -35,3 +36,13 @@ def braid_words(draw, max_strands=5, max_length=8, positive_only=False):
 @pytest.fixture
 def rng():
     return random.Random(97531)
+
+
+def relisted(graph, rng):
+    """The same graph, each disk listing its components in a random order."""
+    disks = []
+    for comps in graph.disks:
+        comps = list(comps)
+        rng.shuffle(comps)
+        disks.append(tuple(comps))
+    return CombedGraph(graph.host, tuple(disks))

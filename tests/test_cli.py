@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpfiber import cli
-from qpfiber.cli import MAX_LETTERS, MAX_STRANDS, run
+from qpfiber.cli import MAX_ARCS, MAX_LETTERS, MAX_STRANDS, run
 from qpfiber.constructions import MAX_N, q_rep
 from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph
 from qpfiber.surface import BraidedSurface
@@ -363,6 +363,17 @@ def test_input_limits_come_from_the_largest_fiber():
     assert (MAX_STRANDS, MAX_LETTERS) == (101, 20_000)
 
 
+def points_doc(host):
+    """A combed graph of one isolated point per disk."""
+    return {"host": host, "disks": [[{"point": True}]] * host["strands"]}
+
+
+def arcs_doc(host, arcs):
+    """A combed graph of `arcs` arcs through band 1, each joining two one-tooth combs."""
+    disk = [{"comb": [{"arc_end": [1, slot]}]} for slot in range(arcs)]
+    return {"host": host, "disks": [disk, disk]}
+
+
 @pytest.mark.parametrize(
     "verb, doc",
     [
@@ -372,16 +383,24 @@ def test_input_limits_come_from_the_largest_fiber():
         ("expand", {"strands": 3, "bands": [[1, 3, 1]] * (MAX_LETTERS // 3 + 1)}),
         ("pad", {"strands": MAX_STRANDS + 1, "letters": [[1, 1]]}),
         ("pad", {"strands": 2, "letters": [[1, 1]] * (MAX_STRANDS + 1)}),
+        ("reduce", points_doc({"strands": MAX_STRANDS + 1, "bands": []})),
+        ("reduce", points_doc({"strands": 2, "bands": [[1, 2, 1]] * (MAX_LETTERS + 1)})),
+        ("reduce", arcs_doc({"strands": 2, "bands": [[1, 2, 1]]}, MAX_ARCS + 1)),
+        ("quasipositize --n 2", points_doc({"strands": MAX_STRANDS + 1, "bands": []})),
+        ("quasipositize --n 2", arcs_doc(q_rep(2).to_json(), MAX_ARCS + 1)),
     ],
-    ids=["invariants-strands", "invariants-letters", "expand-strands", "expand-letters", "pad-strands", "pad-letters"],
+    ids=[
+        "invariants-strands", "invariants-letters", "expand-strands", "expand-letters", "pad-strands", "pad-letters",
+        "reduce-host-strands", "reduce-host-letters", "reduce-arcs", "quasipositize-host-strands", "quasipositize-arcs",
+    ],
 )
 def test_input_above_the_limits_exits_2_before_any_work(monkeypatch, verb, doc):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started above the size limit")
 
-    for name in ("BraidedSurface", "beta", "summary", "expand_bands", "pad_into_nabla"):
+    for name in ("BraidedSurface", "beta", "summary", "expand_bands", "pad_into_nabla", "reduce_with_trace", "quasipositize"):
         monkeypatch.setattr(cli, name, no_work)
-    code, out = run_on_stdin([verb], json.dumps(doc))
+    code, out = run_on_stdin(verb.split(), json.dumps(doc))
     assert code == 2
     assert json.loads(out)["kind"] == "SizeLimitExceeded"
 
@@ -392,11 +411,14 @@ def test_input_above_the_limits_exits_2_before_any_work(monkeypatch, verb, doc):
         ("pad", {"strands": MAX_STRANDS, "letters": [[1, 1]]}),
         ("expand", {"strands": MAX_STRANDS, "bands": [[1, 2, 1]]}),
         ("invariants", {"strands": MAX_STRANDS, "bands": [[1, 2, 1]]}),
+        ("reduce", points_doc({"strands": MAX_STRANDS, "bands": []})),
+        ("reduce", points_doc({"strands": 2, "bands": [[1, 2, 1]] * MAX_LETTERS})),
+        ("reduce", arcs_doc({"strands": 2, "bands": [[1, 2, 1]]}, MAX_ARCS)),
     ],
-    ids=["pad", "expand", "invariants"],
+    ids=["pad", "expand", "invariants", "reduce-host-strands", "reduce-host-letters", "reduce-arcs"],
 )
 def test_input_at_the_limits_is_accepted(verb, doc):
-    code, out = run_on_stdin([verb], json.dumps(doc))
+    code, out = run_on_stdin(verb.split(), json.dumps(doc))
     assert code == 0, out
 
 

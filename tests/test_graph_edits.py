@@ -1,14 +1,14 @@
 """The edit primitive and the once-per-graph caches, against naive references.
 
-The references below are the rebuild code that each graph edit used to
-carry: it rescans the graph for its arc ends and renumbers every tooth of
-every disk through a per-edit `renumber` closure.  They share no code with
-`graphcalc.edit_band` or `CombedGraph.arc_ends`.
+The references below rebuild each graph edit by hand: they rescan the graph
+for its arc ends and renumber every tooth of every disk through a per-edit
+`renumber` closure.  They share no code with `graphcalc.edit_band`,
+`graphcalc.whitehead_step` or `CombedGraph.arc_ends`.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpfiber.constructions import q_rep
 from qpfiber.graphcalc import (
@@ -16,6 +16,7 @@ from qpfiber.graphcalc import (
     Comb,
     CombedGraph,
     IsolatedPoint,
+    Site,
     eligible_sites,
     neighborhood_summary,
     reduce,
@@ -31,9 +32,11 @@ from qpfiber.sampling import (
 )
 from qpfiber.surface import BraidedSurface, handle_spine
 
+from conftest import relisted
+
 
 def naive_arc_end_locations(graph):
-    """Per (band, side) the arc-end locations bottom to top, by a full rescan."""
+    """Per (band, side) the arc-end locations by slot, by a full rescan."""
     index = {}
     for disk, comps in enumerate(graph.disks, start=1):
         for ci, comp in enumerate(comps):
@@ -43,8 +46,8 @@ def naive_arc_end_locations(graph):
                 if isinstance(tooth, ArcEnd):
                     band = graph.host.bands[tooth.band - 1]
                     side = "i" if disk == band.i else "j"
-                    index.setdefault((tooth.band, side), []).append((disk, ci, ti))
-    return index
+                    index.setdefault((tooth.band, side), []).append((tooth.slot, (disk, ci, ti)))
+    return {key: [loc for _slot, loc in sorted(ends)] for key, ends in index.items()}
 
 
 def naive_arc_count(graph, band):
@@ -59,7 +62,12 @@ def naive_arc_count(graph, band):
 
 
 def naive_whitehead(graph, site):
-    """The rebuild of a Whitehead move at an eligible site."""
+    """The rebuild of a Whitehead move at an eligible site, on a graph without free ends.
+
+    The merged far comb holds the arc ends of both far combs but the removed
+    one, sorted by (band, slot), and is listed where the lower-listed of the
+    two was.
+    """
     comp = graph.disks[site.disk - 1][site.component]
     band = comp.teeth[site.tooth].band
     p = comp.teeth[site.tooth].slot
@@ -72,9 +80,13 @@ def naive_whitehead(graph, site):
     far_side = "j" if near_side == "i" else "i"
     keep_far = index[(band, far_side)][r - 1 - p]
     drop_far = index[(band, far_side)][r - 2 - p]
-    comb_b_idx, comb_a_idx = drop_far[1], keep_far[1]
-    disk_comps = list(graph.disks[far_disk - 1])
-    merged = Comb(tuple(disk_comps[comb_b_idx].teeth[:-1]) + tuple(disk_comps[comb_a_idx].teeth))
+    low, high = sorted((drop_far[1], keep_far[1]))
+    disk_comps = graph.disks[far_disk - 1]
+    dropped = ArcEnd(band, r - 2 - p)
+    merged = Comb(tuple(sorted(
+        (tooth for ci in (low, high) for tooth in disk_comps[ci].teeth if tooth != dropped),
+        key=lambda tooth: (tooth.band, tooth.slot),
+    )))
 
     def renumber(tooth, disk):
         if not isinstance(tooth, ArcEnd) or tooth.band != band:
@@ -90,9 +102,9 @@ def naive_whitehead(graph, site):
             if disk == near_disk and ci == site.component:
                 teeth = tuple(x for ti, x in enumerate(item.teeth) if ti != site.tooth + 1)
                 row.append(Comb(tuple(renumber(x, disk) for x in teeth)))
-            elif disk == far_disk and ci == comb_b_idx:
+            elif disk == far_disk and ci == low:
                 row.append(Comb(tuple(renumber(x, disk) for x in merged.teeth)))
-            elif disk == far_disk and ci == comb_a_idx:
+            elif disk == far_disk and ci == high:
                 continue
             elif isinstance(item, Comb):
                 row.append(Comb(tuple(renumber(x, disk) for x in item.teeth)))
@@ -221,21 +233,73 @@ def sampled_graph(seed):
     return rng, grown_spine(rng, 3 + seed % 4 // 2, rng.randint(0, 10))
 
 
+def nested_double(rng, graph):
+    """Double a random arc so that the far combs of the two copies nest or stack.
+
+    The copy sits just above the old arc end on the near side and just below
+    it on the far side, as `naive_double` puts it without a split.  The far
+    comb, with the copy at tooth m and the old end at m + 1, is then cut in
+    two: the copy and a run of teeth below it nest in the rest, or the old
+    end and a run of teeth above it do.  Returns the new graph and the
+    Whitehead site that undoes the doubling.
+    """
+    band = rng.choice([t for t in range(1, graph.host.band_count() + 1) if naive_arc_count(graph, t)])
+    r = naive_arc_count(graph, band)
+    slot = rng.randrange(r)
+    hostband = graph.host.bands[band - 1]
+    near = rng.choice((hostband.i, hostband.j))
+    doubled = naive_double(graph, band, slot, near, split=False)
+    index = naive_arc_end_locations(doubled)
+    far_disk, ci, m = index[(band, "j" if near == hostband.i else "i")][r - 1 - slot]
+    teeth = doubled.disks[far_disk - 1][ci].teeth
+    if rng.random() < 0.5:
+        cut = rng.randint(0, m)
+        old_comb, copy_comb = teeth[:cut] + teeth[m + 1 :], teeth[cut : m + 1]
+    else:
+        cut = rng.randint(m + 2, len(teeth))
+        old_comb, copy_comb = teeth[m + 1 : cut], teeth[: m + 1] + teeth[cut:]
+    disks = list(doubled.disks)
+    row = disks[far_disk - 1]
+    disks[far_disk - 1] = row[:ci] + (Comb(old_comb), Comb(copy_comb)) + row[ci + 1 :]
+    near_loc = index[(band, "i" if near == hostband.i else "j")][slot]
+    return CombedGraph(graph.host, tuple(disks)), Site(*near_loc)
+
+
+def nested_graph(seed):
+    """A small full graph after a few nested doublings, relisted."""
+    rng = random.Random(seed)
+    graph = random_full_graph(rng)
+    for _ in range(rng.randint(1, 3) if graph.total_arcs() else 0):
+        graph, _site = nested_double(rng, graph)
+    return relisted(graph, rng)
+
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_whitehead_step_matches_the_naive_rebuild(seed):
-    _, graph = sampled_graph(seed)
-    while True:
-        sites = eligible_sites(graph)
-        if not sites:
-            break
-        for site in sites:
-            want = naive_whitehead(graph, site)
-            assert whitehead_step(graph, site, check_full=False) == want
-        graph = whitehead_step(graph, sites[0], check_full=False)
+    for graph in (sampled_graph(seed)[1], nested_graph(seed)):
+        while True:
+            sites = eligible_sites(graph)
+            if not sites:
+                break
+            for site in sites:
+                want = naive_whitehead(graph, site)
+                assert whitehead_step(graph, site, check_full=False) == want
+            graph = whitehead_step(graph, sites[0], check_full=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_whitehead_step_undoes_a_nested_doubling(seed):
+    rng, graph = sampled_graph(seed)
+    assume(graph.total_arcs())
+    doubled, site = nested_double(rng, graph)
+    assert validate(doubled) == []
+    assert neighborhood_summary(doubled) == neighborhood_summary(graph)
+    assert whitehead_step(doubled, site) == naive_whitehead(doubled, site) == graph
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,7 +335,8 @@ def cached_views(graph):
 @given(seeds)
 def test_caches_equal_a_fresh_rescan(seed):
     _, graph = sampled_graph(seed)
-    for current in (graph, reduce(graph)):
+    nested = nested_graph(seed)
+    for current in (graph, reduce(graph), nested, reduce(nested)):
         bands = range(1, current.host.band_count() + 1)
         index = naive_arc_end_locations(current)
         fresh = CombedGraph(current.host, current.disks)

@@ -32,6 +32,8 @@ from qpfiber.sampling import (
 from qpfiber.selfcheck import _bruteforce_is_full
 from qpfiber.surface import BraidedSurface, handle_spine, summary
 
+from conftest import relisted
+
 
 HOPF_HOST = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
 
@@ -257,6 +259,19 @@ class TestWhiteheadStep:
         with pytest.raises(SiteNotEligible):
             whitehead_step(g, Site(1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "site", [Site(1, -1, 0), Site(1, 0, -3), Site(-1, 0, 0), Site(0, 0, 0), Site(3, 0, 0), Site(1, 1, 0)]
+    )
+    def test_out_of_range_site_rejected(self, site):
+        with pytest.raises(SiteNotEligible):
+            whitehead_step(three_arc_example(), site)
+
+    def test_disk_zero_is_not_the_last_disk(self):
+        g = inverse_whitehead(spine(HOPF_HOST.rep), 1, 0, 2)
+        assert eligible_sites(g) == [Site(2, 0, 0)]
+        with pytest.raises(SiteNotEligible):
+            whitehead_step(g, Site(0, 0, 0))
+
 
 class TestReduce:
     def test_fixed_point_returned_unchanged(self):
@@ -294,6 +309,100 @@ class TestReduce:
             assert neighborhood_summary(reduced) == before
             assert is_full(reduced)
             assert not eligible_sites(reduced)
+
+
+def with_free_ends(graph, rng):
+    """The same graph with free ends put into some combs at random teeth."""
+    disks = []
+    for comps in graph.disks:
+        row = []
+        for comp in comps:
+            if isinstance(comp, Comb) and rng.random() < 0.3:
+                teeth = list(comp.teeth)
+                teeth.insert(rng.randint(0, len(teeth)), FreeEnd())
+                comp = Comb(tuple(teeth))
+            row.append(comp)
+        disks.append(tuple(row))
+    return CombedGraph(graph.host, tuple(disks))
+
+
+def assert_reduces(graph):
+    """`reduce` keeps the summary and fullness and leaves no eligible site."""
+    reduced = reduce(graph)
+    assert neighborhood_summary(reduced) == neighborhood_summary(graph)
+    assert is_full(reduced)
+    assert not eligible_sites(reduced)
+    return reduced
+
+
+class TestNestedCombs:
+    """A slot is a boundary position: combs may nest, and listing order means nothing."""
+
+    def test_direct_sweep_reduces(self):
+        # includes 25 full graphs that reach a Whitehead site whose far combs nest
+        rng = random.Random(21)
+        full = 0
+        for _ in range(3000):
+            g = random_direct_graph(rng, max_arcs=10)
+            if validate(g) or not is_full(g):
+                continue
+            full += 1
+            assert_reduces(g)
+        assert full == 839
+
+    def test_far_comb_nested_in_the_other(self):
+        # on disk 2 the kept far end (1,1) nests between the removed one (1,0) and (2,0)
+        host = BraidedSurface(
+            BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, -1), EmbeddedBand(1, 2, -1)))
+        )
+        g = CombedGraph(
+            host,
+            (
+                (Comb((ArcEnd(1, 0), ArcEnd(1, 1))), Comb((ArcEnd(2, 0),))),
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 0))), Comb((ArcEnd(1, 1),))),
+            ),
+        )
+        reduced = assert_reduces(g)
+        assert reduced.disks[1] == (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),)
+
+    def test_annulus_nesting_states_in_any_listing(self):
+        # two parallel cores of the annulus: on each disk one comb nests inside the other
+        host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
+        outer, inner = Comb((ArcEnd(1, 0), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0)))
+        for first in ((outer, inner), (inner, outer)):
+            for second in ((outer, inner), (inner, outer)):
+                g = CombedGraph(host, (first, second))
+                assert validate(g) == []
+                assert neighborhood_summary(g).components == ((0, 2), (0, 2))
+                assert is_full(g)
+
+    def test_teeth_around_a_nested_comb_are_no_site(self):
+        host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1),)))
+        g = CombedGraph(
+            host,
+            (
+                (Comb((ArcEnd(1, 0), ArcEnd(1, 2))), Comb((ArcEnd(1, 1),))),
+                tuple(Comb((ArcEnd(1, slot),)) for slot in range(3)),
+            ),
+        )
+        assert is_full(g)
+        assert eligible_sites(g) == []
+        assert reduce(g) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.booleans())
+    def test_listing_order_means_nothing(self, seed, free_ends):
+        rng = random.Random(seed)
+        g = random_direct_graph(rng, max_arcs=10)
+        if free_ends:
+            g = with_free_ends(g, rng)
+        h = relisted(g, rng)
+        assert (validate(h) == []) == (validate(g) == [])
+        assume(validate(g) == [])
+        assert neighborhood_summary(h) == neighborhood_summary(g)
+        assert is_full(h) == is_full(g) == _bruteforce_is_full(h)
+        if is_full(h):
+            assert neighborhood_summary(reduce(h)) == neighborhood_summary(g)
 
 
 class TestJson:

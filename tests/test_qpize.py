@@ -13,10 +13,12 @@ from qpfiber.graphcalc import (
     IsolatedPoint,
     neighborhood_summary,
 )
-from qpfiber.invariants import alexander_from_braid, eq_up_to_units
+from qpfiber.invariants import alexander_from_braid, alexander_from_seifert, eq_up_to_units, seifert_matrix
 from qpfiber.qpize import quasipositize, quasipositize_handle_subsurface
 from qpfiber.sampling import inverse_whitehead, random_fine_handle_subset
 from qpfiber.surface import BraidedSurface, handle_spine
+
+from conftest import relisted
 
 
 def q_host(n):
@@ -31,7 +33,7 @@ def empty_disks(host, overrides):
 
 
 class TestFullSpines:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fiber_reproduced(self, n):
         result = quasipositize_handle_subsurface(n, range(1, 2 * (n - 1) ** 2 + 1))
         assert all(b.sign == 1 for b in result.output.bands)
@@ -137,6 +139,25 @@ class TestReductionInsideQuasipositize:
             assert eq_up_to_units(
                 alexander_from_braid(beta(result.output)),
                 alexander_from_braid(beta(nabla(n))),
+            )
+
+    def test_listing_order_means_nothing(self, rng):
+        for k in range(40):
+            n = 3 + k % 2
+            host = q_host(n)
+            graph = handle_spine(host, random_fine_handle_subset(rng, 2 * (n - 1) ** 2))
+            for _ in range(rng.randint(0, 10)):
+                bands = [t for t in range(1, host.band_count() + 1) if graph.arc_count(t)]
+                if not bands:
+                    break
+                band = rng.choice(bands)
+                near = rng.choice((1, host.bands[band - 1].j))
+                graph = inverse_whitehead(graph, band, rng.randrange(graph.arc_count(band)), near)
+            want, got = quasipositize(n, graph), quasipositize(n, relisted(graph, rng))
+            assert got.output_summary == want.output_summary
+            assert got.output == want.output or eq_up_to_units(
+                alexander_from_seifert(seifert_matrix(got.output)),
+                alexander_from_seifert(seifert_matrix(want.output)),
             )
 
     def test_all_handles_of_q5_grown_to_150_arcs(self):
