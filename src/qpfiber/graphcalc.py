@@ -113,7 +113,7 @@ class CombedGraph:
         naming a 1-handle the host lacks are left out; `validate` reports them.
         """
         index: dict[tuple[int, str], list[Location]] = {}
-        unsorted = set()
+        slots: dict[tuple[int, str], list[int]] = {}  # of each list found out of slot order
         bands = self.host.bands
         for disk, comps in enumerate(self.disks, start=1):
             for ci, comp in enumerate(comps):
@@ -123,11 +123,11 @@ class CombedGraph:
                     if isinstance(tooth, ArcEnd) and 1 <= tooth.band <= len(bands):
                         key = (tooth.band, "i" if disk == bands[tooth.band - 1].i else "j")
                         locs = index.setdefault(key, [])
-                        if tooth.slot != len(locs):
-                            unsorted.add(key)
+                        if key in slots or tooth.slot != len(locs):  # in order, the slots so far are 0..len-1
+                            slots.setdefault(key, [*range(len(locs))]).append(tooth.slot)
                         locs.append((disk, ci, ti))
-        for key in unsorted:
-            index[key].sort(key=lambda loc: self.disks[loc[0] - 1][loc[1]].teeth[loc[2]].slot)
+        for key, found in slots.items():  # one disk per key, so equal slots sort by listing position
+            index[key] = [loc for _slot, loc in sorted(zip(found, index[key]))]
         return MappingProxyType({key: tuple(locs) for key, locs in index.items()})
 
     @cached_property
@@ -165,11 +165,8 @@ class CombedGraph:
         return sum(len(locs) for (_band, side), locs in self.arc_ends.items() if side == "i")
 
     def has_free_ends(self) -> bool:
-        for comps in self.disks:
-            for comp in comps:
-                if isinstance(comp, Comb) and any(isinstance(x, FreeEnd) for x in comp.teeth):
-                    return True
-        return False
+        teeth = (x for comps in self.disks for comp in comps if isinstance(comp, Comb) for x in comp.teeth)
+        return any(isinstance(x, FreeEnd) for x in teeth)
 
     def arcs(self) -> list[tuple[int, int, int]]:
         """All arcs as (band, i-slot, j-slot), sorted."""
@@ -592,6 +589,8 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     of its comb A, or the removed end is the last arc end of its comb B.
     The merged comb is A up to the kept end, B up to the removed end, then
     the rest of A and of B, listed where the lower-listed of A and B was.
+    A free end left between two arc ends into one band, where no host
+    boundary lies, goes to the top; no drawable input leaves one there.
     Preserves the regular-neighborhood summary and fullness; drops the arc
     count by exactly one.
     """
@@ -622,10 +621,18 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
         raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
 
     a, b = graph.disks[far_disk - 1][a_idx].teeth, graph.disks[far_disk - 1][b_idx].teeth
+    merged, lifted, run, last = [], [], [], None  # run: free ends since the last arc end
+    for tooth in a[:ta] + b[:tb] + a[ta:] + b[tb + 1 :]:
+        if isinstance(tooth, FreeEnd):
+            run.append(tooth)
+            continue
+        (lifted if tooth.band == last else merged).extend(run)
+        merged.append(tooth)
+        run, last = [], tooth.band
     teeth = comp.teeth
     result = edit_band(graph, band, {
         (near_disk, site.component): (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
-        (far_disk, min(a_idx, b_idx)): (Comb(a[:ta] + b[:tb] + a[ta:] + b[tb + 1 :]),),
+        (far_disk, min(a_idx, b_idx)): (Comb(tuple(merged + run + lifted)),),
         (far_disk, max(a_idx, b_idx)): (),  # absorbed into the merge
     })
     if result.total_arcs() != graph.total_arcs() - 1:

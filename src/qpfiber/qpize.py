@@ -7,9 +7,9 @@ from strand 1 out and back), dead ends (one-tooth combs, retracted into the
 material on strand 1 they hang from), and stray isolated points.  The local
 move then reads off a braided surface directly:
 
-* every tooth of a disk-1 comb becomes a 0-handle of the output, and so
-  does every isolated point (disk-1 or stray); 0-handles are indexed top to
-  bottom;
+* every tooth of a disk-1 comb becomes a 0-handle of the output, in the
+  order of its arc end on the disk's boundary, and so does every isolated
+  point (disk-1 or stray); 0-handles are indexed top to bottom;
 * consecutive teeth of one comb stay joined by a positive band between
   their 0-handles (the comb spine, re-fattened);
 * every crossing becomes one positive band joining the 0-handles carrying
@@ -117,15 +117,18 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
             if isinstance(comp, Comb) and len(comp.teeth) != 2:
                 raise InternalError(f"disk {disk} comb with {len(comp.teeth)} teeth after reduction")
 
-    # 0-handles: disk-1 teeth and isolated points, bottom to top, then stray
-    # points from the middle disks; output indices run top to bottom.
-    slots_bottom_up: list[tuple] = []  # ("tooth", ci, ti) | ("point", disk, ci)
-    for ci, comp in enumerate(pruned.disks[0]):
-        if isinstance(comp, IsolatedPoint):
-            slots_bottom_up.append(("point", 1, ci))
-        else:
-            for ti in range(len(comp.teeth)):
-                slots_bottom_up.append(("tooth", ci, ti))
+    # 0-handles: disk-1 teeth in boundary order, then disk-1 isolated points,
+    # bottom to top, then stray points from the middle disks; output indices
+    # run top to bottom.  So the listing order of components means nothing.
+    slots_bottom_up: list[tuple] = [  # ("tooth", ci, ti) | ("point", disk, ci)
+        ("tooth", ci, ti)
+        for band, hostband in enumerate(pruned.host.bands, start=1)
+        if hostband.i == 1
+        for _disk, ci, ti in pruned.arc_ends.get((band, "i"), ())
+    ]
+    slots_bottom_up += [
+        ("point", 1, ci) for ci, comp in enumerate(pruned.disks[0]) if isinstance(comp, IsolatedPoint)
+    ]
     stray = [
         ("point", disk, ci)
         for disk in range(2, nu + 1)
@@ -144,9 +147,9 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     # crossings to sit above all necks; the fiber Alexander agreement pins
     # this down (top-down emission is the faithful one).
     necks = []
-    for ci, comp in enumerate(pruned.disks[0]):
-        if isinstance(comp, Comb):
-            for ti in range(len(comp.teeth) - 2, -1, -1):
+    for kind, ci, first in slots_bottom_up:  # combs in the order of their bottom teeth
+        if kind == "tooth" and first == 0:
+            for ti in range(len(pruned.disks[0][ci].teeth) - 2, -1, -1):
                 a = strand_of[("tooth", ci, ti)]
                 b = strand_of[("tooth", ci, ti + 1)]
                 necks.append(EmbeddedBand(min(a, b), max(a, b), 1))

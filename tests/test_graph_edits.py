@@ -15,6 +15,7 @@ from qpfiber.graphcalc import (
     ArcEnd,
     Comb,
     CombedGraph,
+    FreeEnd,
     IsolatedPoint,
     Site,
     eligible_sites,
@@ -61,12 +62,23 @@ def naive_arc_count(graph, band):
     )
 
 
-def naive_whitehead(graph, site):
-    """The rebuild of a Whitehead move at an eligible site, on a graph without free ends.
+def stranded_free_end(teeth, k):
+    """Whether teeth[k] is a free end between two arc ends into one band."""
+    below = [x for x in teeth[:k] if isinstance(x, ArcEnd)]
+    above = [x for x in teeth[k + 1 :] if isinstance(x, ArcEnd)]
+    return isinstance(teeth[k], FreeEnd) and bool(below and above) and below[-1].band == above[0].band
 
-    The merged far comb holds the arc ends of both far combs but the removed
-    one, sorted by (band, slot), and is listed where the lower-listed of the
-    two was.
+
+def naive_whitehead(graph, site):
+    """The rebuild of a Whitehead move at an eligible site.
+
+    With A the far comb of the kept arc and B that of the removed one, the
+    merged comb holds A's teeth below the kept end, then B's below the
+    removed end, then A's from the kept end on, then B's above the removed
+    end; its arc ends are then the union of both but the removed one, sorted
+    by (band, slot).  A free end left between two arc ends into one band
+    moves to the top, one at a time.  The comb is listed where the
+    lower-listed of A and B was.
     """
     comp = graph.disks[site.disk - 1][site.component]
     band = comp.teeth[site.tooth].band
@@ -78,15 +90,18 @@ def naive_whitehead(graph, site):
     index = naive_arc_end_locations(graph)
     near_side = "i" if near_disk == hostband.i else "j"
     far_side = "j" if near_side == "i" else "i"
-    keep_far = index[(band, far_side)][r - 1 - p]
-    drop_far = index[(band, far_side)][r - 2 - p]
-    low, high = sorted((drop_far[1], keep_far[1]))
+    _, a_ci, ta = index[(band, far_side)][r - 1 - p]
+    _, b_ci, tb = index[(band, far_side)][r - 2 - p]
+    low, high = sorted((a_ci, b_ci))
     disk_comps = graph.disks[far_disk - 1]
-    dropped = ArcEnd(band, r - 2 - p)
-    merged = Comb(tuple(sorted(
-        (tooth for ci in (low, high) for tooth in disk_comps[ci].teeth if tooth != dropped),
-        key=lambda tooth: (tooth.band, tooth.slot),
-    )))
+    part = {(0 if ti < ta else 2, ti): tooth for ti, tooth in enumerate(disk_comps[a_ci].teeth)}
+    part.update(((1 if ti < tb else 3, ti), tooth) for ti, tooth in enumerate(disk_comps[b_ci].teeth) if ti != tb)
+    teeth = [part[key] for key in sorted(part)]
+    arc_ends = [tooth for tooth in teeth if isinstance(tooth, ArcEnd)]
+    assert arc_ends == sorted(arc_ends, key=lambda tooth: (tooth.band, tooth.slot))
+    while stranded := [k for k in range(len(teeth)) if stranded_free_end(teeth, k)]:
+        teeth.append(teeth.pop(stranded[0]))
+    merged = Comb(tuple(teeth))
 
     def renumber(tooth, disk):
         if not isinstance(tooth, ArcEnd) or tooth.band != band:
@@ -233,6 +248,27 @@ def sampled_graph(seed):
     return rng, grown_spine(rng, 3 + seed % 4 // 2, rng.randint(0, 10))
 
 
+def with_free_ends(graph, rng):
+    """The same graph with a free end in about half its combs.
+
+    A free end never goes between two arc ends into one band, where
+    `validate` refuses it.
+    """
+    disks = []
+    for comps in graph.disks:
+        row = []
+        for comp in comps:
+            if isinstance(comp, Comb) and rng.random() < 0.5:
+                teeth = list(comp.teeth)
+                spots = [k for k in range(len(teeth) + 1)
+                         if not stranded_free_end(teeth[:k] + [FreeEnd()] + teeth[k:], k)]
+                teeth.insert(rng.choice(spots), FreeEnd())
+                comp = Comb(tuple(teeth))
+            row.append(comp)
+        disks.append(tuple(row))
+    return CombedGraph(graph.host, tuple(disks))
+
+
 def nested_double(rng, graph):
     """Double a random arc so that the far combs of the two copies nest or stack.
 
@@ -240,8 +276,10 @@ def nested_double(rng, graph):
     it on the far side, as `naive_double` puts it without a split.  The far
     comb, with the copy at tooth m and the old end at m + 1, is then cut in
     two: the copy and a run of teeth below it nest in the rest, or the old
-    end and a run of teeth above it do.  Returns the new graph and the
-    Whitehead site that undoes the doubling.
+    end and a run of teeth above it do.  A cut that would leave a free end
+    between two arc ends into one band is not taken; the two stacking cuts
+    never do.  Returns the new graph and the Whitehead site that undoes the
+    doubling.
     """
     band = rng.choice([t for t in range(1, graph.host.band_count() + 1) if naive_arc_count(graph, t)])
     r = naive_arc_count(graph, band)
@@ -252,12 +290,14 @@ def nested_double(rng, graph):
     index = naive_arc_end_locations(doubled)
     far_disk, ci, m = index[(band, "j" if near == hostband.i else "i")][r - 1 - slot]
     teeth = doubled.disks[far_disk - 1][ci].teeth
-    if rng.random() < 0.5:
-        cut = rng.randint(0, m)
-        old_comb, copy_comb = teeth[:cut] + teeth[m + 1 :], teeth[cut : m + 1]
-    else:
-        cut = rng.randint(m + 2, len(teeth))
-        old_comb, copy_comb = teeth[m + 1 : cut], teeth[: m + 1] + teeth[cut:]
+    cuts = []
+    for cut in range(m + 1):
+        cuts.append((teeth[:cut] + teeth[m + 1 :], teeth[cut : m + 1]))
+    for cut in range(m + 2, len(teeth) + 1):
+        cuts.append((teeth[m + 1 : cut], teeth[: m + 1] + teeth[cut:]))
+    cuts = [pair for pair in cuts
+            if not any(stranded_free_end(part, k) for part in pair for k in range(len(part)))]
+    old_comb, copy_comb = rng.choice(cuts)
     disks = list(doubled.disks)
     row = disks[far_disk - 1]
     disks[far_disk - 1] = row[:ci] + (Comb(old_comb), Comb(copy_comb)) + row[ci + 1 :]
@@ -266,11 +306,13 @@ def nested_double(rng, graph):
 
 
 def nested_graph(seed):
-    """A small full graph after a few nested doublings, relisted."""
+    """A small full graph after a few nested doublings, relisted; free ends on odd seeds."""
     rng = random.Random(seed)
     graph = random_full_graph(rng)
     for _ in range(rng.randint(1, 3) if graph.total_arcs() else 0):
         graph, _site = nested_double(rng, graph)
+    if seed % 2:
+        graph = with_free_ends(graph, rng)
     return relisted(graph, rng)
 
 
@@ -296,6 +338,8 @@ def test_whitehead_step_matches_the_naive_rebuild(seed):
 def test_whitehead_step_undoes_a_nested_doubling(seed):
     rng, graph = sampled_graph(seed)
     assume(graph.total_arcs())
+    if seed % 3 == 0:
+        graph = with_free_ends(graph, rng)
     doubled, site = nested_double(rng, graph)
     assert validate(doubled) == []
     assert neighborhood_summary(doubled) == neighborhood_summary(graph)

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand
+from qpfiber.cli import run
 from qpfiber.errors import InvalidGraph, NotFull, SiteNotEligible
 from qpfiber.graphcalc import (
     ArcEnd,
@@ -388,6 +391,41 @@ class TestNestedCombs:
         assert is_full(g)
         assert eligible_sites(g) == []
         assert reduce(g) == g
+
+    @pytest.mark.parametrize(
+        "bands, disks, reduced_disk_2",
+        [
+            # on disk 2 the kept far end (1,1) nests below (1,2); its comb's free end lands between them
+            (
+                ((1, 2, 1),),
+                (
+                    (Comb((ArcEnd(1, 0),)), Comb((ArcEnd(1, 1), ArcEnd(1, 2)))),
+                    (Comb((ArcEnd(1, 0), ArcEnd(1, 2))), Comb((ArcEnd(1, 1), FreeEnd()))),
+                ),
+                (Comb((ArcEnd(1, 0), FreeEnd())),),
+            ),
+            # the mirror: the removed far end's comb nests above (1,0); the free end lands below it
+            (
+                ((1, 2, 1), (1, 2, 1)),
+                (
+                    (Comb((ArcEnd(1, 0),)), Comb((ArcEnd(1, 1),)), Comb((ArcEnd(2, 0), ArcEnd(2, 1)))),
+                    (Comb((ArcEnd(1, 0), FreeEnd(), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0)))),
+                ),
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 0), FreeEnd())),),
+            ),
+        ],
+    )
+    def test_free_end_between_arc_ends_into_one_band_goes_to_the_top(
+        self, bands, disks, reduced_disk_2, capsys, monkeypatch
+    ):
+        host = BraidedSurface(BandRepresentation(2, tuple(EmbeddedBand(*band) for band in bands)))
+        g = CombedGraph(host, disks)
+        assert validate(g) == [] and is_full(g)
+        assert assert_reduces(g).disks[1] == reduced_disk_2
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(g.to_json())))
+        assert run(["reduce", "--input", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert CombedGraph.from_json(report["result"]["graph"]).disks[1] == reduced_disk_2
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.booleans())

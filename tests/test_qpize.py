@@ -11,10 +11,13 @@ from qpfiber.graphcalc import (
     CombedGraph,
     FreeEnd,
     IsolatedPoint,
+    is_full,
     neighborhood_summary,
+    validate,
 )
-from qpfiber.invariants import alexander_from_braid, alexander_from_seifert, eq_up_to_units, seifert_matrix
+from qpfiber.invariants import alexander_from_braid, eq_up_to_units
 from qpfiber.qpize import quasipositize, quasipositize_handle_subsurface
+from qpfiber import sampling
 from qpfiber.sampling import inverse_whitehead, random_fine_handle_subset
 from qpfiber.surface import BraidedSurface, handle_spine
 
@@ -155,10 +158,17 @@ class TestReductionInsideQuasipositize:
                 graph = inverse_whitehead(graph, band, rng.randrange(graph.arc_count(band)), near)
             want, got = quasipositize(n, graph), quasipositize(n, relisted(graph, rng))
             assert got.output_summary == want.output_summary
-            assert got.output == want.output or eq_up_to_units(
-                alexander_from_seifert(seifert_matrix(got.output)),
-                alexander_from_seifert(seifert_matrix(want.output)),
-            )
+            assert got.output == want.output
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nested_disk_1_combs_give_one_output(self, n, monkeypatch):
+        # direct graphs on S(q_n) nest disk-1 combs; the 0-handles follow the boundary, not the listing
+        monkeypatch.setattr(sampling, "random_band_representation", lambda *args, **kwargs: q_rep(n))
+        rng = random.Random(7)
+        for _ in range(600):
+            graph = sampling.random_direct_graph(rng, max_arcs=12)
+            if validate(graph) == [] and is_full(graph):
+                assert quasipositize(n, relisted(graph, rng)).output == quasipositize(n, graph).output
 
     def test_all_handles_of_q5_grown_to_150_arcs(self):
         # The graph of `perfbench/known_fault.py --seed 1`: full, with so many
