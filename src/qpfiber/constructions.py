@@ -43,8 +43,10 @@ MAX_N = 11
 """Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
 
 ``verify-fiber`` runs in time growing about twofold per step of n: on a
-2-core x86-64 machine (Python 3.11) n = 9, 10, 11 and 12 took 6.0, 12.7,
-25.0 and 45.3 s, so the limit keeps every ``--n`` verb to about 30 s.
+2-core x86-64 machine (Python 3.11, single runs) n = 9, 10, 11 and 12 took
+1.5, 2.8, 6.4 and 11.7 s.  Raising the limit would also raise
+``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``, which are taken from
+``q_rep(MAX_N)``.
 """
 
 

@@ -26,12 +26,13 @@ point; it is pinned by the positive Hopf band having Seifert matrix [-1].
 
 Burau convention: letters act left to right, matching the permutation
 convention; the generator matrices are the standard reduced ones with
-sigma_i mapping to the identity apart from the block
-[[1, t, 0], [0, -t, 0], [0, 1, 1]] on rows i-1, i, i+1 (truncated at the
-edges), so det(rho(sigma_i)) = -t.  A generator differs from the identity
-in one column only, so the product over a word multiplies one column per
-letter: O(n) polynomial products per letter on n strands, not a dense
-O(n^3) matrix product (see ``mat_mul``).
+sigma_i mapping to the identity apart from column i, which reads
+(t, -t, 1) on rows i-1, i, i+1 (1-based, truncated at the edges), and
+sigma_i^-1 apart from its column (1, -t^-1, t^-1), so det(rho(sigma_i)) =
+-t.  Right multiplication by a generator therefore changes one column of
+the running product: the new column is the slab of its at most three
+neighbouring columns times the generator's column, O(n) polynomial
+products per letter on n strands (see ``reduced_burau``).
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ class LaurentPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor shifts and scales; a nonzero scalar keeps both ends nonzero
+            c = b[0]
+            return LaurentPolynomial(a if c == 1 else [c * x for x in a], self.low + other.low)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for k, y in enumerate(b, i):
@@ -173,13 +180,11 @@ def identity_matrix(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a b, computed column by column of b over that column's support.
 
-    A column of b whose only nonzero entry is the constant 1 reuses the
-    matching column of a; any other column costs len(a) * (its support)
-    polynomial products.  A Burau generator differs from the identity in
-    one column of at most three entries, so multiplying by it costs O(n)
-    polynomial products plus O(n^2) entry references, where a dense
-    product costs O(n^3) products.  Entries may be shared between a, b and
-    the result; no LaurentPolynomial is ever mutated, so sharing is safe.
+    A column of b costs at most len(a) * (its support) polynomial products.
+    `reduced_burau` multiplies an n x (at most 3) slab by one generator
+    column per letter, so a letter costs O(n) products and O(n) entry
+    references.  Entries may be shared between a, b and the result; no
+    LaurentPolynomial is ever mutated, so sharing is safe.
     """
     rows, cols = len(a), len(b[0]) if b else 0
     if not a or not cols:
@@ -189,17 +194,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for b_column in zip(*b):
         # the identity test skips the attribute lookup on shared zeros
         support = [(k, entry) for k, entry in enumerate(b_column) if entry is not _ZERO and entry.coeffs]
-        if len(support) == 1 and support[0][1] == _ONE:
-            columns.append(a_columns[support[0][0]])
-            continue
-        column = []
-        for i in range(rows):
-            acc = _ZERO
-            for k, entry in support:
-                factor = a_columns[k][i]
-                if factor.coeffs:
-                    acc = acc + factor * entry
-            column.append(acc)
+        column = [_ZERO] * rows
+        for k, entry in support:
+            for i, factor in enumerate(a_columns[k]):
+                if factor is not _ZERO and factor.coeffs:
+                    column[i] = column[i] + factor * entry
         columns.append(column)
     return tuple(zip(*columns))
 
@@ -233,37 +232,29 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
 # Reduced Burau and the braid route to Alexander
 
 
-_T = LaurentPolynomial([1], 1)
-_MINUS_T = LaurentPolynomial([-1], 1)
-_T_INV = LaurentPolynomial([1], -1)
-_MINUS_T_INV = LaurentPolynomial([-1], -1)
-
-
-def _burau_generator(n: int, i: int, sign: int) -> Matrix:
-    rows = list(identity_matrix(n - 1))
-    # 1-based generator index i acts on rows/cols i-1, i, i+1 (1-based),
-    # i.e. indices i-2, i-1, i (0-based), truncated at the matrix edge.
-    r = i - 1  # 0-based diagonal position of the generator
-    column = (_T, _MINUS_T, _ONE) if sign == 1 else (_ONE, _MINUS_T_INV, _T_INV)
-    for d, entry in zip((r - 1, r, r + 1), column):
-        if 0 <= d < len(rows):
-            row = list(rows[d])
-            row[r] = entry
-            rows[d] = tuple(row)
-    return tuple(rows)
+# column r of sigma_i and of sigma_i^-1 on rows r-1, r, r+1, for r = i-1, as 3 x 1 matrices
+_SIGMA = ((LaurentPolynomial([1], 1),), (LaurentPolynomial([-1], 1),), (_ONE,))
+_SIGMA_INVERSE = ((_ONE,), (LaurentPolynomial([-1], -1),), (LaurentPolynomial([1], -1),))
 
 
 def reduced_burau(word: BraidWord) -> Matrix:
     """Image of the word under the reduced Burau representation.
 
-    Letters multiply left to right: rho(w1 w2) = rho(w1) rho(w2).
+    Letters multiply left to right: rho(w1 w2) = rho(w1) rho(w2).  The
+    running product is kept as a list of columns; sigma_i^+-1 replaces
+    column r = i-1 by the slab of columns r-1, r, r+1 times the generator's
+    column, both truncated at the matrix edge.
     """
     if word.strands < 2:
         raise InvalidParameter("reduced Burau needs at least 2 strands")
-    out = identity_matrix(word.strands - 1)
+    size = word.strands - 1
+    columns = list(identity_matrix(size))  # the identity is symmetric: its rows are its columns
     for i, sign in word.letters:
-        out = mat_mul(out, _burau_generator(word.strands, i, sign))
-    return out
+        r = i - 1
+        lo, hi = max(r - 1, 0), min(r + 2, size)
+        generator_column = (_SIGMA if sign == 1 else _SIGMA_INVERSE)[lo - r + 1:hi - r + 1]
+        columns[r] = next(zip(*mat_mul(tuple(zip(*columns[lo:hi])), generator_column)))
+    return tuple(zip(*columns))
 
 
 def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:

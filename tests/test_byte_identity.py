@@ -28,6 +28,11 @@ representations (up to 7 strands and 10 bands) and on q_rep(n) and nabla(n)
 for n = 2..6, and the `repr` of 20 seeded products and the quotients taken
 from them (a quotient that is not exact reads "NonExactDivision").
 
+`PINNED_BURAU` was recorded while `reduced_burau` still multiplied by a
+whole generator matrix per letter, before it moved to one column update
+per letter: the `repr` of `reduced_burau` on beta(q_rep(k)) and
+beta(nabla(k)) for k = 2..6 and on 50 seeded signed words on 2-8 strands.
+
 `PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
 the checkout it runs in.
 """
@@ -44,7 +49,13 @@ from qpfiber.cli import run
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.graphcalc import cycle_words, validate
 from qpfiber.errors import NonExactDivision
-from qpfiber.invariants import LaurentPolynomial, alexander_from_braid, alexander_from_seifert, seifert_matrix
+from qpfiber.invariants import (
+    LaurentPolynomial,
+    alexander_from_braid,
+    alexander_from_seifert,
+    reduced_burau,
+    seifert_matrix,
+)
 from qpfiber.sampling import (
     inverse_whitehead,
     random_band_representation,
@@ -134,6 +145,23 @@ def _alexander_lists(reps):
         ]
         for rep in reps
     ]
+
+
+def _burau_cases():
+    for n in range(2, 7):
+        yield f"q_rep({n})", [beta(q_rep(n))]
+        yield f"nabla({n})", [beta(nabla(n))]
+    rng = random.Random(20691)
+    words = []
+    for _ in range(50):
+        n = rng.randint(2, 8)
+        letters = tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 24)))
+        words.append(BraidWord(n, letters))
+    yield "seeded", words
+
+
+def _burau_digest(words) -> str:
+    return hashlib.sha256(repr([reduced_burau(word) for word in words]).encode()).hexdigest()
 
 
 def _poly(terms: dict) -> LaurentPolynomial:
@@ -264,6 +292,20 @@ PINNED_ALEXANDER = {
 
 PINNED_ARITHMETIC = "7e6c1992112eccac7feecfd8c6be4807ae2dd189de1ee4ee14fcf7fa1bb2a244"
 
+PINNED_BURAU = {
+    "q_rep(2)": "8182ebd99a678b73f2cc102b21ffabdea1a533fed1fe2917b77bf83b5bdb4f6b",
+    "nabla(2)": "8182ebd99a678b73f2cc102b21ffabdea1a533fed1fe2917b77bf83b5bdb4f6b",
+    "q_rep(3)": "e79f06632c5f9024e1757506a73dd87fbce5174962fa9d77387c37f79b0421d1",
+    "nabla(3)": "e1462c3880da4cc74aef92301286af3826d1658042bf69db80f9ffff0bb1df52",
+    "q_rep(4)": "dfa52033966fd617bed1e4b2e020808b593dd34cdf0f0c23f658429ce5646552",
+    "nabla(4)": "0c339a947d7f7f6219d469de46d561b2948e94480b43a788136a78c7ff388c45",
+    "q_rep(5)": "be471e9714a8df82ed1911b665842fab0914cb7af4f5272b50847502a763bc03",
+    "nabla(5)": "8ed669cb663a141bbd8e810582a34a937ccbdda123fa8a54dba2401bf595cb8e",
+    "q_rep(6)": "92eb0e9c3b1963d77f697524dcd37b2db005b28acc4979472e4746051c1e5c93",
+    "nabla(6)": "2a7b5c090cbc261f28922c750e57ca00902fcac3e88ec7b9656c56e017411dbf",
+    "seeded": "b4cce3ef20dc19331e1dc731f0bd3b63c457d172e5c5cf05fbbad5da95cb09fe",
+}
+
 PINNED_CYCLE_WORDS = "0b2c6974e0c4d21280b9381d9c23fbe15035b9324c09358826c0adc26c4ffe48"
 
 
@@ -289,6 +331,10 @@ def test_laurent_arithmetic_repr_is_pinned():
     assert _json_digest(_arithmetic_reprs()) == PINNED_ARITHMETIC
 
 
+def test_burau_matrices_are_pinned():
+    assert {name: _burau_digest(words) for name, words in _burau_cases()} == PINNED_BURAU
+
+
 if __name__ == "__main__":
     for argv, graph in _cases():
         print(argv[0], _stdout_digest(argv, graph))
@@ -300,3 +346,5 @@ if __name__ == "__main__":
     for name, reps in _alexander_cases():
         print("alexander", name, _json_digest(_alexander_lists(reps)))
     print("arithmetic", _json_digest(_arithmetic_reprs()))
+    for name, words in _burau_cases():
+        print("burau", name, _burau_digest(words))

@@ -1,10 +1,12 @@
 import random
+from operator import mul
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, word_from_letters
+from qpfiber.constructions import q_rep
 from qpfiber.errors import NonExactDivision
 from qpfiber.invariants import (
     LaurentPolynomial,
@@ -74,6 +76,14 @@ def dict_generator(strands, i, sign):
     if r + 1 < size:
         m[r + 1][r] = below
     return m
+
+
+def naive_fold(word):
+    """The reduced Burau matrix of a word as a fold of `naive_product` over `dict_generator`."""
+    out = dict_identity(word.strands - 1)
+    for i, sign in word.letters:
+        out = naive_product(out, dict_generator(word.strands, i, sign))
+    return out
 
 
 polys = st.one_of(
@@ -152,6 +162,12 @@ def ref_canonical(p):
 term_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=6)
 nonzero_dicts = term_dicts.filter(lambda d: any(d.values()))
 spanning_dicts = term_dicts.filter(lambda d: len([c for c in d.values() if c]) > 1)
+# +-1, +-t^j and c t^j
+monomials = st.one_of(
+    st.sampled_from(({0: 1}, {0: -1})),
+    st.builds(lambda j, s: {j: s}, st.integers(-6, 6), st.sampled_from((1, -1))),
+    st.builds(lambda j, c: {j: c}, st.integers(-6, 6), st.integers(-4, 4).filter(bool)),
+)
 
 
 def assert_trimmed(p):
@@ -175,6 +191,16 @@ class TestLaurentAgainstReference:
         ):
             assert_trimmed(got)
             assert as_dict(got) == want
+
+    @given(term_dicts, monomials)
+    @settings(max_examples=100)
+    def test_monomial_products(self, p, m):
+        want = ref_mul(p, m)
+        for got in (L(p) * L(m), L(m) * L(p)):
+            assert_trimmed(got)
+            assert as_dict(got) == want
+            assert got == L(want)
+            assert hash(got) == hash(L(want))
 
     @given(term_dicts, nonzero_dicts)
     @settings(max_examples=100)
@@ -260,10 +286,19 @@ class TestBurau:
     @given(braid_words(max_strands=8, max_length=12))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_fold(self, word):
-        expected = dict_identity(word.strands - 1)
-        for i, sign in word.letters:
-            expected = naive_product(expected, dict_generator(word.strands, i, sign))
-        assert as_dicts(reduced_burau(word)) == expected
+        assert as_dicts(reduced_burau(word)) == naive_fold(word)
+
+    def test_edge_slabs_match_naive_fold(self):
+        # a letter at either edge multiplies a slab of two columns, or of one on 2 strands
+        for letters in ([1], [-1], [1, 1], [-1, -1, 1], [1, -1, -1, 1, 1]):
+            word = word_from_letters(2, letters)
+            assert as_dicts(reduced_burau(word)) == naive_fold(word)
+        for n in range(3, 7):
+            mixed = list(range(1, n)) + [-i for i in range(n - 1, 0, -1)] + [n - 1, -1]
+            for edge in (1, -1, n - 1, 1 - n):
+                for letters in ([edge], [edge, edge], mixed + [edge], [edge] + mixed + [edge]):
+                    word = word_from_letters(n, letters)
+                    assert as_dicts(reduced_burau(word)) == naive_fold(word), (n, letters)
 
     def test_empty_word_is_identity(self):
         assert reduced_burau(BraidWord(2, ())) == identity_matrix(1)
@@ -295,6 +330,106 @@ class TestBurau:
         det = sum(mat_det(reduced_burau(word)).coeffs)
         sign = -1 if len(word.letters) % 2 else 1
         assert det == sign
+
+
+# An oracle for the braid route sharing no code with LaurentPolynomial,
+# mat_mul or mat_det: rho(w) evaluated at an integer t0 modulo the prime P by
+# a dense product of integer generator matrices, and det(rho(t0) - I) by
+# plain Gaussian elimination.  A wrong polynomial of degree d agrees at one
+# point with probability at most about d / P.
+
+P = 2**61 - 1
+
+
+def modular_burau(word, t0):
+    """rho(word) at t = t0, mod P, as a dense product of generator matrices."""
+    size = word.strands - 1
+    t_inv = pow(t0, -1, P)
+    generator_columns = {}
+    for i in range(1, word.strands):
+        for sign, column in ((1, (t0, -t0, 1)), (-1, (1, -t_inv, t_inv))):
+            generator = [[int(r == c) for c in range(size)] for r in range(size)]
+            for d, entry in zip((i - 2, i - 1, i), column):
+                if 0 <= d < size:
+                    generator[d][i - 1] = entry % P
+            generator_columns[i, sign] = list(zip(*generator))
+    product = [[int(r == c) for c in range(size)] for r in range(size)]
+    for letter in word.letters:
+        columns = generator_columns[letter]
+        product = [[sum(map(mul, row, column)) % P for column in columns] for row in product]
+    return product
+
+
+def modular_det(matrix):
+    """Determinant mod P by Gaussian elimination."""
+    m = [list(row) for row in matrix]
+    det = 1
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k] % P
+        inverse = pow(m[k][k], -1, P)
+        for r in range(k + 1, len(m)):
+            factor = m[r][k] * inverse % P
+            if factor:
+                m[r] = [(x - factor * y) % P for x, y in zip(m[r], m[k])]
+    return det % P
+
+
+def burau_det_mod_p(word, t0):
+    """det(rho(t0) - I) mod P."""
+    rho = modular_burau(word, t0)
+    return modular_det([[(x - (r == c)) % P for c, x in enumerate(row)] for r, row in enumerate(rho)])
+
+
+def unit_multiples(value, t0, reach):
+    """Every +-t0^j value mod P with |j| <= reach."""
+    up = down = value
+    out = {value}
+    t_inv = pow(t0, -1, P)
+    for _ in range(reach):
+        up, down = up * t0 % P, down * t_inv % P
+        out.update((up, down))
+    return out | {-v % P for v in out}
+
+
+def alexander_agrees_mod_p(word, delta):
+    """det(rho(t0) - I) = +-t0^j delta(t0) (1 + t0 + ... + t0^(n-1)) mod P at t0 = 2, 3, 5.
+
+    `delta` is a coefficient list, constant term first.  Entries of rho(w)
+    have exponents within +-len(w), so j stays within (n - 1) len(w).
+    """
+    n = word.strands
+    reach = (n - 1) * len(word.letters)
+    for t0 in (2, 3, 5):
+        value = sum(c * pow(t0, e, P) for e, c in enumerate(delta)) * sum(pow(t0, e, P) for e in range(n)) % P
+        if burau_det_mod_p(word, t0) not in unit_multiples(value, t0, reach):
+            return False
+    return True
+
+
+class TestModularDeterminant:
+    def test_fiber_words(self):
+        for k in range(2, 6):
+            word = beta(q_rep(k))
+            assert alexander_agrees_mod_p(word, alexander_from_braid(word).coefficient_list()), k
+
+    def test_seeded_signed_words(self):
+        rng = random.Random(20701)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            word = word_from_letters(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 16))])
+            assert alexander_agrees_mod_p(word, alexander_from_braid(word).coefficient_list()), word
+
+    def test_a_wrong_polynomial_is_refused(self):
+        word = beta(q_rep(4))
+        delta = alexander_from_braid(word).coefficient_list()
+        assert not alexander_agrees_mod_p(word, [delta[0] + 1] + delta[1:])
+        assert not alexander_agrees_mod_p(word, delta + [1])
 
 
 class TestAlexanderFromBraid:
