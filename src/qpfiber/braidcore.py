@@ -246,12 +246,26 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
     Letters act left to right; each letter (i, sign) acts as the
     transposition (i, i+1) regardless of sign.
     """
-    perm = list(range(1, word.strands + 1))
-    for i, _ in word.letters:
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return _transpositions(word.strands, ((i, i + 1) for i, _ in word.letters))
+
+
+def band_permutation(rep: BandRepresentation) -> tuple[int, ...]:
+    """`permutation(beta(rep))`, without expanding the bands into letters.
+
+    A band (i, j) expands to a conjugate of one letter, which acts on the
+    positions as the transposition (i, j); the bands act left to right, as
+    their letters do.
+    """
+    return _transpositions(rep.strands, ((band.i, band.j) for band in rep.bands))
+
+
+def _transpositions(strands: int, swaps) -> tuple[int, ...]:
+    perm = list(range(1, strands + 1))
+    for a, b in swaps:
+        perm[a - 1], perm[b - 1] = perm[b - 1], perm[a - 1]
     # perm currently tracks positions; invert the bookkeeping so that
     # perm[x-1] is where strand x ends up.
-    image = [0] * word.strands
+    image = [0] * strands
     for pos, strand in enumerate(perm, start=1):
         image[strand - 1] = pos
     return tuple(image)
@@ -259,10 +273,14 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
 
 def permutation_cycles(word: BraidWord) -> list[tuple[int, ...]]:
     """Cycles of the strand permutation, each as a tuple of strand indices."""
-    perm = permutation(word)
-    seen = [False] * word.strands
-    cycles = []
-    for start in range(1, word.strands + 1):
+    return cycles(permutation(word))
+
+
+def cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation given as images, each from its least strand."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(1, len(perm) + 1):
         if seen[start - 1]:
             continue
         cyc = []
@@ -271,8 +289,8 @@ def permutation_cycles(word: BraidWord) -> list[tuple[int, ...]]:
             seen[x - 1] = True
             cyc.append(x)
             x = perm[x - 1]
-        cycles.append(tuple(cyc))
-    return cycles
+        out.append(tuple(cyc))
+    return out
 
 
 def exponent_sum(word: BraidWord) -> int:

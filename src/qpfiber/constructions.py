@@ -242,15 +242,14 @@ def verify_fiber(n: int) -> FiberReport:
     """
     q = q_rep(n)
     nab = nabla(n)
+    q_word, nab_word = beta(q), beta(nab)  # each expanded once
     report = FiberReport(
         n=n,
         chi_q=euler_characteristic(BraidedSurface(q)),
         chi_nabla=euler_characteristic(BraidedSurface(nab)),
-        components_q=len(permutation_cycles(beta(q))),
-        components_nabla=len(permutation_cycles(beta(nab))),
-        alexander_agree=eq_up_to_units(
-            alexander_from_braid(beta(q)), alexander_from_braid(beta(nab))
-        ),
+        components_q=len(permutation_cycles(q_word)),
+        components_nabla=len(permutation_cycles(nab_word)),
+        alexander_agree=eq_up_to_units(alexander_from_braid(q_word), alexander_from_braid(nab_word)),
     )
     if not report.ok():
         raise FiberVerificationFailed(f"fiber models disagree: {report.to_json()}")

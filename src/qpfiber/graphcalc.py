@@ -16,7 +16,11 @@ assumed.
 `validate` accepts only graphs that can be drawn in the disks.  On a
 disk's boundary the arc ends lie in (band height, slot) order; each comb
 meets its arc ends in that order, and the arc ends of different combs form
-a non-crossing partition of the boundary points (combs may nest).
+a non-crossing partition of the boundary points (combs may nest).  Host
+boundary lies between two neighboring arc ends into different bands, and
+between the last arc end and the first; none lies between adjacent slots of
+one attaching arc.  A free end must reach host boundary inside its face: the
+face of the disk, cut by the combs, that the free end's tooth leaves from.
 
 A graph is *full* when its inclusion is pi_1-injective on each component.
 The host retracts onto its handle graph H (a vertex per disk, an edge i to
@@ -43,19 +47,39 @@ components are disks.
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
-arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs` and
-every edit), the arc pairing (`mate`), the `validate` problems and the
-`neighborhood_summary`.  No check is skipped by this: a graph built by an
-edit is a new instance, so it is validated and summarised afresh, and the
-input of the next edit is the graph the previous one already checked.
+arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs`,
+`mate` and every edit), the `validate` problems and the
+`neighborhood_summary`.  `mate` is a lookup, not a table: the far end of
+the arc at slot p of r is entry r-1-p of the other side's index.
 
 Every edit goes through `edit_band`: it replaces components on the two
 disks one band joins, reusing every other disk's row, renumbers that band's
 arc ends by one rule, by old slot on each disk, and validates the result.
+Validation is local, and gives the answer a full `validate` would: every
+problem it reports lies on one disk (a tooth's type or 1-handle, the
+drawing of the disk's combs, a free end's reach) or on one band (its two
+arc-end counts).  Each (band, side) key of the index lives on one disk, so
+the child graph takes the parent's index entries and problems for every
+other disk and band, and rebuilds and checks only the two disks it rewrote
+and the bands whose counts changed there.
+
+A Whitehead move changes the neighborhood only inside a region: the comb
+of the site, the two far combs it merges, and the removed arc.  Face
+tracing enters and leaves that region only through arcs with one end
+outside it, so the boundary circles are kept when the tracing walk routes
+every entering arc end to the same leaving one before and after the move,
+closes as many walks inside the region, and pairs the band's other arcs as
+before.  The region is one piece before the move, and stays one when the
+kept arc still joins the site's comb to the merged one; with one arc and one
+comb gone, each component keeps its chi, and the child takes the parent's
+summary.  `reduce` still validates, summarises and
+checks fullness of a fresh copy of its result against its input, so a
+local check that missed a fault would show there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -110,44 +134,25 @@ class CombedGraph:
         """Per (band, side) the arc-end locations in slot order (bottom to top).
 
         Equal slots, which `validate` refuses, keep listing order.  Teeth
-        naming a 1-handle the host lacks are left out; `validate` reports them.
+        naming a 1-handle the host lacks, or one that does not reach their
+        disk, are left out; `validate` reports them.  So each key lives on
+        one disk: the band's i disk for side "i", its j disk for side "j".
         """
-        index: dict[tuple[int, str], list[Location]] = {}
-        slots: dict[tuple[int, str], list[int]] = {}  # of each list found out of slot order
-        bands = self.host.bands
+        index: dict[tuple[int, str], tuple[Location, ...]] = {}
         for disk, comps in enumerate(self.disks, start=1):
-            for ci, comp in enumerate(comps):
-                if not isinstance(comp, Comb):
-                    continue
-                for ti, tooth in enumerate(comp.teeth):
-                    if isinstance(tooth, ArcEnd) and 1 <= tooth.band <= len(bands):
-                        key = (tooth.band, "i" if disk == bands[tooth.band - 1].i else "j")
-                        locs = index.setdefault(key, [])
-                        if key in slots or tooth.slot != len(locs):  # in order, the slots so far are 0..len-1
-                            slots.setdefault(key, [*range(len(locs))]).append(tooth.slot)
-                        locs.append((disk, ci, ti))
-        for key, found in slots.items():  # one disk per key, so equal slots sort by listing position
-            index[key] = [loc for _slot, loc in sorted(zip(found, index[key]))]
-        return MappingProxyType({key: tuple(locs) for key, locs in index.items()})
+            index.update(_disk_arc_ends(self.host.bands, disk, comps))
+        return MappingProxyType(index)
 
     @cached_property
-    def mate(self) -> MappingProxyType:
+    def mate(self) -> "Pairing":
         """Each arc-end location to the location at the other end of its arc.
 
         The pairing rule: of the r arc ends through a band, the one at slot p
         on the i side meets the one at slot r-1-p on the j side (the
-        half-twist reverses the transverse order).  Built from `arc_ends`;
+        half-twist reverses the transverse order).  Looked up in `arc_ends`;
         meaningful only on a graph that `validate` accepts.
         """
-        index = self.arc_ends
-        pairs: dict[Location, Location] = {}
-        for band in range(1, self.host.band_count() + 1):
-            i_side = index.get((band, "i"), ())
-            j_side = index.get((band, "j"), ())
-            for near, far in zip(i_side, reversed(j_side)):
-                pairs[near] = far
-                pairs[far] = near
-        return MappingProxyType(pairs)
+        return Pairing(self.host.bands, self.disks, self.arc_ends)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -232,106 +237,209 @@ class CombedGraph:
 Location = tuple[int, int, int]
 
 
+def _disk_arc_ends(bands, disk: int, comps) -> dict[tuple[int, str], tuple[Location, ...]]:
+    """The `arc_ends` entries of one disk: its (band, side) keys, each in slot order."""
+    keys = {band: (band, "i" if disk == hostband.i else "j")
+            for band, hostband in enumerate(bands, start=1) if disk in (hostband.i, hostband.j)}
+    index: dict[tuple[int, str], list[Location]] = {}
+    slots: dict[tuple[int, str], list[int]] = {}  # of each list found out of slot order
+    for ci, comp in enumerate(comps):
+        if not isinstance(comp, Comb):
+            continue
+        for ti, tooth in enumerate(comp.teeth):
+            if isinstance(tooth, ArcEnd) and (key := keys.get(tooth.band)):
+                locs = index.setdefault(key, [])
+                if key in slots or tooth.slot != len(locs):  # in order, the slots so far are 0..len-1
+                    slots.setdefault(key, [*range(len(locs))]).append(tooth.slot)
+                locs.append((disk, ci, ti))
+    for key, found in slots.items():  # equal slots sort by listing position
+        index[key] = [loc for _slot, loc in sorted(zip(found, index[key]))]
+    return {key: tuple(locs) for key, locs in index.items()}
+
+
+def _key_disk(bands, key: tuple[int, str]) -> int:
+    band, side = key
+    hostband = bands[band - 1]
+    return hostband.i if side == "i" else hostband.j
+
+
+class Pairing(Mapping):
+    """`CombedGraph.mate`: the far end of an arc, looked up, never tabulated.
+
+    The arc at slot p of the r arc ends on one side of a band ends at entry
+    r-1-p of the other side's `arc_ends` list.
+    """
+
+    def __init__(self, bands, disks, index):
+        self._bands, self._disks, self._index = bands, disks, index
+
+    def __getitem__(self, loc: Location) -> Location:
+        disk, ci, ti = loc
+        try:
+            tooth = self._disks[disk - 1][ci].teeth[ti] if min(disk - 1, ci, ti) >= 0 else None
+            far = self._index[(tooth.band, "j" if disk == self._bands[tooth.band - 1].i else "i")]
+        except (IndexError, AttributeError, KeyError):  # no tooth there, a free end, or no arc
+            raise KeyError(loc) from None
+        if not 0 <= tooth.slot < len(far):
+            raise KeyError(loc)
+        return far[len(far) - 1 - tooth.slot]
+
+    def __iter__(self):
+        for locs in self._index.values():
+            yield from locs
+
+    def __len__(self) -> int:
+        return sum(len(locs) for locs in self._index.values())
+
+
 def validate(graph: CombedGraph) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
     return list(graph._problems)
 
 
 def _find_problems(graph: CombedGraph) -> list[str]:
-    problems = []
     host = graph.host
     if len(graph.disks) != host.strands:
         return [f"graph lists {len(graph.disks)} disks for a {host.strands}-strand host"]
-    k = host.band_count()
-    for disk, comps in enumerate(graph.disks, start=1):
-        for ci, comp in enumerate(comps):
-            if isinstance(comp, IsolatedPoint):
-                continue
-            if not isinstance(comp, Comb):
-                problems.append(f"disk {disk} component {ci} is not a comb or point")
-                continue
-            if not comp.teeth:
-                problems.append(f"disk {disk} component {ci} is an empty comb")
-            for ti, tooth in enumerate(comp.teeth):
-                if isinstance(tooth, FreeEnd):
-                    continue
-                if not isinstance(tooth, ArcEnd):
-                    problems.append(f"disk {disk} component {ci} tooth {ti} has unknown type")
-                    continue
-                if not 1 <= tooth.band <= k:
-                    problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
-                    continue
-                band = host.bands[tooth.band - 1]
-                if disk not in (band.i, band.j):
-                    problems.append(
-                        f"disk {disk} tooth enters 1-handle {tooth.band} joining {band.i},{band.j}"
-                    )
+    disks = range(1, host.strands + 1)
+    problems = [p for disk in disks for p in _tooth_problems(host, disk, enumerate(graph.disks[disk - 1]))]
     if problems:
         return problems
+    return _band_and_drawing_problems(graph, range(1, host.band_count() + 1), disks)
+
+
+def _band_and_drawing_problems(graph: CombedGraph, bands, disks) -> list[str]:
+    """The arc-end count problems of `bands`, then the first drawing problem of `disks`.
+
+    Of the drawing problems, the first in the order of one pass over the
+    bands, i side before j side, is reported: each disk's walk keeps its
+    own state, so that is the least (band, side) at which a disk's walk
+    stops.  A free end out of reach of the host boundary comes after every
+    other drawing problem.
+    """
     index = graph.arc_ends
-    for band in range(1, k + 1):
-        i_side = index.get((band, "i"), [])
-        j_side = index.get((band, "j"), [])
+    problems = []
+    for band in bands:
+        i_side, j_side = index.get((band, "i"), ()), index.get((band, "j"), ())
         if len(i_side) != len(j_side):
             problems.append(
                 f"1-handle {band} has {len(i_side)} arc ends on the i side, {len(j_side)} on the j side"
             )
-    problem = _drawing_problem(graph)
-    if problem:
-        problems.append(problem)
+    found = [problem for disk in disks if (problem := _drawing_problem(graph, disk))]
+    if found:
+        problems.append(min(found)[-1])
     return problems
 
 
-def _drawing_problem(graph: CombedGraph) -> str | None:
-    """Why the combs cannot be drawn in their disks, or None if they can.
-
-    The arc ends entering one attaching arc must hold slots 0..r-1, each
-    once.  On a disk's boundary the arc ends lie in (band height, slot)
-    order.  A comb must meet its arc ends in that order, bottom to top, and
-    no two combs may cross: their arc ends form a non-crossing partition of
-    the boundary points, so one comb may nest between two teeth of another.
-    Free ends take no position.  One pass over the bands keeps, per disk, a
-    stack of the combs met but not finished.
-    """
-    index = graph.arc_ends
-    # disk -> (stack of combs met but not finished, {comb: [tooth after the last arc end met, its last arc end]})
-    state: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
-    for band, hostband in enumerate(graph.host.bands, start=1):
-        for disk, side in ((hostband.i, "i"), (hostband.j, "j")):
-            locs = index.get((band, side))
-            if not locs:
+def _tooth_problems(host: BraidedSurface, disk: int, components) -> list[str]:
+    """Of (index, component) pairs on one disk, those not combs or points, and teeth off the disk."""
+    problems = []
+    k = host.band_count()
+    for ci, comp in components:
+        if isinstance(comp, IsolatedPoint):
+            continue
+        if not isinstance(comp, Comb):
+            problems.append(f"disk {disk} component {ci} is not a comb or point")
+            continue
+        if not comp.teeth:
+            problems.append(f"disk {disk} component {ci} is an empty comb")
+        for ti, tooth in enumerate(comp.teeth):
+            if isinstance(tooth, FreeEnd):
                 continue
-            if disk not in state:
-                state[disk] = ([], {})
-            stack, combs = state[disk]
-            comps = graph.disks[disk - 1]
-            for slot, (_disk, ci, ti) in enumerate(locs):
-                teeth = comps[ci].teeth
-                if teeth[ti].slot != slot:
-                    slots = [graph.disks[d - 1][c].teeth[t].slot for d, c, t in locs]
-                    return f"1-handle {band} {side}-side slots are {slots}, expected 0..{len(locs) - 1} each once"
-                met = combs.get(ci)
-                first = met[0] if met else 0
-                if ti != first:
-                    if first and teeth[first - 1].band == band:
-                        return f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive"
-                    expected = first
-                    while not isinstance(teeth[expected], ArcEnd):
-                        expected += 1
-                    if ti != expected:
-                        return f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order"
-                if met is None:
-                    end = len(teeth) - 1
-                    while not isinstance(teeth[end], ArcEnd):
-                        end -= 1
-                    met = combs[ci] = [0, end]
-                    stack.append(ci)
-                elif stack[-1] != ci:
-                    return f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary"
-                met[0] = ti + 1
-                if ti == met[1]:
-                    stack.pop()
-    return None
+            if not isinstance(tooth, ArcEnd):
+                problems.append(f"disk {disk} component {ci} tooth {ti} has unknown type")
+                continue
+            if not 1 <= tooth.band <= k:
+                problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
+                continue
+            band = host.bands[tooth.band - 1]
+            if disk not in (band.i, band.j):
+                problems.append(
+                    f"disk {disk} tooth enters 1-handle {tooth.band} joining {band.i},{band.j}"
+                )
+    return problems
+
+
+def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
+    """Why the combs of one disk cannot be drawn, or None if they can.
+
+    Returns (rank, band, side rank, message): rank 0 for a drawing fault,
+    1 for a free end out of reach, and the (band, side) where the walk
+    found it.  The arc ends entering one attaching arc must hold slots
+    0..r-1, each once.  On a disk's boundary the arc ends lie in (band
+    height, slot) order.  A comb must meet its arc ends in that order,
+    bottom to top, and no two combs may cross: their arc ends form a
+    non-crossing partition of the boundary points, so one comb may nest
+    between two teeth of another.  One walk along the boundary keeps a stack
+    of the combs met but not finished.
+
+    Free ends take no position, so a free end can reach any host boundary
+    of its face, and only its face matters.  The face of a free end between
+    two arc ends of a comb is the gap between them: the boundary stretches
+    from one neighboring arc end to the next that the walk passes while the
+    comb is on top of the stack.  A free end below a comb's first arc end
+    or above its last lies in the face around the comb: the gap of the comb
+    below it on the stack, or the face that holds the first and last
+    boundary points, which always meets host boundary.  A comb with no arc
+    end sits in that face too.  A stretch meets host boundary when its two
+    arc ends enter different bands.
+    """
+    bands = graph.host.bands
+    comps = graph.disks[disk - 1]
+    index = graph.arc_ends
+    stack: list[int] = []  # combs met but not finished
+    # comb -> [tooth after its last arc end met, its last arc end,
+    #          its open gap meets host boundary, a nested comb's free end lies in that gap]
+    gaps: dict[int, list] = {}
+    previous = None  # band of the last arc end met
+    out_of_reach = None
+    for band, hostband in enumerate(bands, start=1):
+        if disk not in (hostband.i, hostband.j):
+            continue
+        side = "i" if disk == hostband.i else "j"
+        locs = index.get((band, side))
+        if not locs:
+            continue
+        where = (band, 0 if side == "i" else 1)
+        for slot, (_disk, ci, ti) in enumerate(locs):
+            teeth = comps[ci].teeth
+            if teeth[ti].slot != slot:
+                slots = [graph.disks[d - 1][c].teeth[t].slot for d, c, t in locs]
+                want = f"expected 0..{len(locs) - 1} each once"
+                return (0, *where, f"1-handle {band} {side}-side slots are {slots}, {want}")
+            if stack and previous != band:
+                gaps[stack[-1]][2] = True
+            previous = band
+            gap = gaps.get(ci)
+            first = gap[0] if gap else 0
+            if ti != first:
+                if first and teeth[first - 1].band == band:
+                    return (0, *where, f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive")
+                expected = first
+                while not isinstance(teeth[expected], ArcEnd):
+                    expected += 1
+                if ti != expected:
+                    return (0, *where, f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order")
+            if gap is None:
+                end = len(teeth) - 1
+                while not isinstance(teeth[end], ArcEnd):
+                    end -= 1
+                if stack and (ti > 0 or end < len(teeth) - 1):  # free ends in the gap around it
+                    gaps[stack[-1]][3] = True
+                gap = gaps[ci] = [0, end, False, False]
+                stack.append(ci)
+            elif stack[-1] != ci:
+                return (0, *where, f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary")
+            else:
+                if (ti > first or gap[3]) and not gap[2] and out_of_reach is None:
+                    out_of_reach = (1, *where, f"disk {disk}: a free end between arc ends {first - 1} and {ti} "
+                                               f"of component {ci}, or of a comb they enclose, cannot reach "
+                                               f"the host boundary")
+                gap[2] = gap[3] = False
+            gap[0] = ti + 1
+            if ti == gap[1]:
+                stack.pop()
+    return out_of_reach
 
 
 def _require_valid(graph: CombedGraph):
@@ -372,20 +480,20 @@ def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
     return graph._summary
 
 
+def _comb_predecessor(disks, loc: Location) -> Location:
+    """Next arc end the tracing walk reaches inside the comb: drop one tooth cyclically."""
+    disk, ci, ti = loc
+    teeth = disks[disk - 1][ci].teeth
+    m = len(teeth)
+    step = (ti - 1) % m
+    while not isinstance(teeth[step], ArcEnd):
+        step = (step - 1) % m
+    return (disk, ci, step)
+
+
 def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
-    index, mate = graph.arc_ends, graph.mate
+    index, mate, disks = graph.arc_ends, graph.mate, graph.disks
     nodes, find = _component_roots(graph)
-
-    def comb_predecessor(loc: Location) -> Location:
-        """Next arc end reached inside the comb: drop one tooth cyclically."""
-        disk, ci, ti = loc
-        teeth = graph.disks[disk - 1][ci].teeth
-        m = len(teeth)
-        step = (ti - 1) % m
-        while not isinstance(teeth[step], ArcEnd):
-            step = (step - 1) % m
-        return (disk, ci, step)
-
     orbits_per_root: dict = {}
     seen: set[tuple[str, Location]] = set()
     for start_loc in mate:
@@ -401,7 +509,7 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
                 if ph == "A":
                     token = ("B", mate[loc])
                 else:
-                    token = ("A", comb_predecessor(loc))
+                    token = ("A", _comb_predecessor(disks, loc))
 
     node_count: dict = {}
     arc_count: dict = {}
@@ -514,6 +622,11 @@ def is_full(graph: CombedGraph) -> bool:
 # The edit primitive
 
 
+def _inherit(graph: CombedGraph, **cached) -> None:
+    """Store values of a new graph's cached properties, as their first use would."""
+    graph.__dict__.update(cached)
+
+
 def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
     """Replace components on the disks `band` joins; renumber its arc ends.
 
@@ -522,16 +635,28 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
     renumbering rule: on each of its two disks the arc ends of `band` take
     slots 0, 1, ... in order of (old slot, listing position), so a removed
     end leaves no gap and the copies of a doubled end, listed bottom to top,
-    stay in that order.  Rows of other disks are reused as they are.  An
-    edit whose result fails `validate` is a bug in the caller, so it raises
-    InternalError.
+    stay in that order.  Rows of other disks are reused as they are, and so
+    are their `arc_ends` entries.  The result is validated locally: the two
+    rewritten disks, and the arc-end counts of the bands whose counts
+    changed on them (see the module docstring).  An edit whose result fails
+    is a bug in the caller, so it raises InternalError.
     """
-    hostband = graph.host.bands[band - 1]
+    _require_valid(graph)
+    bands = graph.host.bands
+    hostband = bands[band - 1]
+    touched = (hostband.i, hostband.j)
     disks = list(graph.disks)
-    for disk in (hostband.i, hostband.j):
-        row = [
-            item for ci, comp in enumerate(graph.disks[disk - 1]) for item in replace.get((disk, ci), (comp,))
-        ]
+    rebuilt: dict[tuple[int, str], tuple[Location, ...]] = {}
+    problems = []
+    for disk in touched:
+        row, new = [], []
+        for ci, comp in enumerate(graph.disks[disk - 1]):
+            items = replace.get((disk, ci), (comp,))
+            if (disk, ci) in replace:
+                new.extend(enumerate(items, start=len(row)))
+            row.extend(items)
+        # renumbering changes only slots, so only the new components can hold a bad tooth
+        problems += _tooth_problems(graph.host, disk, new)
         ends = sorted(
             (tooth.slot, ci, ti)
             for ci, item in enumerate(row) if isinstance(item, Comb)
@@ -543,10 +668,20 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
         for ci, teeth in renumbered.items():
             row[ci] = Comb(tuple(teeth))
         disks[disk - 1] = tuple(row)
+        rebuilt.update(_disk_arc_ends(bands, disk, row))
     result = CombedGraph(graph.host, tuple(disks))
-    problems = validate(result)
+    parent = graph.arc_ends
+    kept = {key: locs for key, locs in parent.items() if _key_disk(bands, key) not in touched}
+    _inherit(result, arc_ends=MappingProxyType(kept | rebuilt))
+    if not problems:
+        changed = {band}.union(
+            key[0] for key in (parent.keys() - kept.keys()) | rebuilt.keys()
+            if len(rebuilt.get(key, ())) != len(parent.get(key, ()))
+        )
+        problems = _band_and_drawing_problems(result, sorted(changed), touched)
     if problems:
         raise InternalError(f"edit of band {band} produced an invalid graph: {problems}")
+    _inherit(result, _problems=())
     return result
 
 
@@ -566,18 +701,84 @@ class Site:
         return [self.disk, self.component, self.tooth]
 
 
+def _disk_sites(disk: int, comps) -> list[Site]:
+    """The eligible sites of one disk, by (component, tooth)."""
+    sites = []
+    for ci, comp in enumerate(comps):
+        if not isinstance(comp, Comb):
+            continue
+        for ti in range(len(comp.teeth) - 1):
+            a, b = comp.teeth[ti], comp.teeth[ti + 1]
+            if isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1:
+                sites.append(Site(disk, ci, ti))
+    return sites
+
+
 def eligible_sites(graph: CombedGraph) -> list[Site]:
     """Sites where consecutive teeth of a comb hold adjacent slots of one attaching arc."""
-    sites = []
-    for disk, comps in enumerate(graph.disks, start=1):
-        for ci, comp in enumerate(comps):
-            if not isinstance(comp, Comb):
-                continue
-            for ti in range(len(comp.teeth) - 1):
-                a, b = comp.teeth[ti], comp.teeth[ti + 1]
-                if isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1:
-                    sites.append(Site(disk, ci, ti))
-    return sites
+    return [site for disk, comps in enumerate(graph.disks, start=1) for site in _disk_sites(disk, comps)]
+
+
+def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
+    """The comb that far combs A (kept end at ta) and B (removed end at tb) become.
+
+    The move slides B's tooth at the removed end along the attaching arc
+    onto A's tooth at the kept end, just above it.  So going around the
+    merged comb, the teeth come in this cyclic order: B's below the removed
+    end, A's from the kept end on, A's below the kept end, B's above the
+    removed end.  Every free end stays in its face.  The listing starts in
+    the face around the merged comb, where one of the two combs started:
+    with A's teeth below the kept end if there are some and the removed end
+    is B's last arc end (B nests in a gap of A, or the two are stacked),
+    else with B's teeth below the removed end.  Without free ends this is A
+    up to the kept end, B up to the removed end, then the rest of A and of B.
+    """
+    if ta and not any(isinstance(tooth, ArcEnd) for tooth in b[tb + 1 :]):
+        return Comb(a[:ta] + b[tb + 1 :] + b[:tb] + a[ta:])
+    return Comb(b[:tb] + a[ta:] + a[:ta] + b[tb + 1 :])
+
+
+def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
+    """How face tracing crosses `region`, a set of (disk, component) combs.
+
+    The tracing walk of the module docstring enters the region through an
+    arc from an outside arc end x to an arc end inside, and leaves it
+    through an arc from inside to an outside arc end z.  Returns the map x
+    to z, the number of walks that never leave the region, and the pairs of
+    `band`'s arcs with no end in the region, all outside locations through
+    `relabel`.
+    """
+    mate, disks = graph.mate, graph.disks
+    inside = [
+        (disk, ci, ti)
+        for disk, ci in region
+        for ti, tooth in enumerate(disks[disk - 1][ci].teeth) if isinstance(tooth, ArcEnd)
+    ]
+    routes, seen = {}, set()
+    for start in inside:
+        entry = mate[start]
+        if entry[:2] in region:
+            continue
+        loc = start
+        while True:
+            seen.add(loc)
+            out = mate[_comb_predecessor(disks, loc)]
+            if out[:2] not in region:
+                break
+            loc = out
+        routes[relabel(entry)] = relabel(out)
+    closed = 0
+    for loc in inside:
+        if loc not in seen:
+            closed += 1
+            while loc not in seen:
+                seen.add(loc)
+                loc = mate[_comb_predecessor(disks, loc)]
+    pairs = {
+        relabel(loc): relabel(mate[loc])
+        for loc in graph.arc_ends.get((band, "i"), ()) if loc[:2] not in region and mate[loc][:2] not in region
+    }
+    return routes, closed, pairs
 
 
 def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> CombedGraph:
@@ -587,12 +788,11 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     kept one, and combs do not cross, so one far comb sits in a gap of the
     other or the two are stacked: either the kept end is the first arc end
     of its comb A, or the removed end is the last arc end of its comb B.
-    The merged comb is A up to the kept end, B up to the removed end, then
-    the rest of A and of B, listed where the lower-listed of A and B was.
-    A free end left between two arc ends into one band, where no host
-    boundary lies, goes to the top; no drawable input leaves one there.
-    Preserves the regular-neighborhood summary and fullness; drops the arc
-    count by exactly one.
+    The merged comb (`_merge_far_combs`) is listed where the lower-listed
+    of A and B was.  Preserves the regular-neighborhood summary and
+    fullness; drops the arc count by exactly one.  The summary is checked
+    locally: the move must route the face-tracing walk through its region
+    as before (`_routing`), with one arc and one comb gone.
     """
     _require_valid(graph)
     comps = graph.disks[site.disk - 1] if 1 <= site.disk <= len(graph.disks) else ()
@@ -614,31 +814,35 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     if check_full and not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
 
-    near_disk = site.disk
-    far_disk, a_idx, ta = graph.mate[(near_disk, site.component, site.tooth)]  # kept arc's far end
-    _, b_idx, tb = graph.mate[(near_disk, site.component, site.tooth + 1)]  # removed arc's far end
+    near = (site.disk, site.component)
+    far_disk, a_idx, ta = graph.mate[(*near, site.tooth)]  # kept arc's far end
+    _, b_idx, tb = graph.mate[(*near, site.tooth + 1)]  # removed arc's far end
     if a_idx == b_idx:
         raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
 
-    a, b = graph.disks[far_disk - 1][a_idx].teeth, graph.disks[far_disk - 1][b_idx].teeth
-    merged, lifted, run, last = [], [], [], None  # run: free ends since the last arc end
-    for tooth in a[:ta] + b[:tb] + a[ta:] + b[tb + 1 :]:
-        if isinstance(tooth, FreeEnd):
-            run.append(tooth)
-            continue
-        (lifted if tooth.band == last else merged).extend(run)
-        merged.append(tooth)
-        run, last = [], tooth.band
+    low, high = sorted((a_idx, b_idx))
+    far_comps = graph.disks[far_disk - 1]
     teeth = comp.teeth
     result = edit_band(graph, band, {
-        (near_disk, site.component): (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
-        (far_disk, min(a_idx, b_idx)): (Comb(tuple(merged + run + lifted)),),
-        (far_disk, max(a_idx, b_idx)): (),  # absorbed into the merge
+        near: (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
+        (far_disk, low): (_merge_far_combs(far_comps[a_idx].teeth, ta, far_comps[b_idx].teeth, tb),),
+        (far_disk, high): (),  # absorbed into the merge
     })
     if result.total_arcs() != graph.total_arcs() - 1:
         raise InternalError("Whitehead move did not drop the arc count by one")
-    if neighborhood_summary(result) != graph._summary:
+    if sum(map(len, result.disks)) != sum(map(len, graph.disks)) - 1:
+        raise InternalError("Whitehead move did not drop the component count by one")
+
+    def moved(loc: Location) -> Location:  # a parent location outside the region, as the result lists it
+        disk, ci, ti = loc
+        return (disk, ci - (disk == far_disk and ci > high), ti)
+
+    before = _routing(graph, band, {near, (far_disk, a_idx), (far_disk, b_idx)}, moved)
+    if _routing(result, band, {near, (far_disk, low)}, lambda loc: loc) != before:
         raise InternalError("Whitehead move changed the neighborhood summary")
+    if result.mate[(*near, site.tooth)][:2] != (far_disk, low):
+        raise InternalError("Whitehead move did not keep the site's comb joined to the merged comb")
+    _inherit(result, _summary=graph._summary)
     return result
 
 
@@ -648,18 +852,30 @@ def reduce(graph: CombedGraph) -> CombedGraph:
 
 
 def reduce_with_trace(graph: CombedGraph) -> tuple[CombedGraph, list[Site]]:
+    """`reduce`, and the sites of its moves in order.
+
+    Each disk keeps its list of eligible sites, rebuilt only for the two
+    disks a move rewrites.  The steps are checked locally; a fresh copy of
+    the result is validated, summarised and checked for fullness again.
+    """
     _require_valid(graph)
     if not is_full(graph):
         raise NotFull("reduce requires a full graph")
+    summary = neighborhood_summary(graph)
+    sites = [_disk_sites(disk, comps) for disk, comps in enumerate(graph.disks, start=1)]
     trace: list[Site] = []
     limit = graph.total_arcs()
     current = graph
-    while True:
-        sites = eligible_sites(current)
-        if not sites:
-            return current, trace
+    while (site := next((found[0] for found in sites if found), None)) is not None:
         if len(trace) >= limit:
             raise InternalError("reduction took more steps than the graph has arcs")
-        site = sites[0]
+        hostband = graph.host.bands[current.disks[site.disk - 1][site.component].teeth[site.tooth].band - 1]
         current = whitehead_step(current, site, check_full=False)
         trace.append(site)
+        for disk in (hostband.i, hostband.j):
+            sites[disk - 1] = _disk_sites(disk, current.disks[disk - 1])
+    if trace:
+        fresh = CombedGraph(current.host, current.disks)
+        if validate(fresh) or neighborhood_summary(fresh) != summary or not is_full(fresh):
+            raise InternalError("Whitehead reduction lost validity, the neighborhood summary or fullness")
+    return current, trace

@@ -163,10 +163,11 @@ def check_whitehead_reduction(seed: int = 20606) -> CheckResult:
             if nxt.total_arcs() != current.total_arcs() - 1:
                 ok = False
                 break
-            if graphcalc.neighborhood_summary(nxt) != want:
+            fresh = graphcalc.CombedGraph(nxt.host, nxt.disks)  # traced again, not the summary `nxt` took over
+            if graphcalc.neighborhood_summary(fresh) != want:
                 ok = False
                 break
-            if not graphcalc.is_full(nxt):
+            if not graphcalc.is_full(fresh):
                 ok = False
                 break
             current = nxt

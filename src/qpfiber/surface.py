@@ -5,7 +5,8 @@ band, stacked vertically in band order.  Everything topological about S(b)
 is read off this data: Euler characteristic (disks minus bands), components
 (connectivity of the handle graph), and boundary circles per component
 (cycles of the strand permutation of the braid word, attributed to the
-component owning their strands).
+component owning their strands).  That permutation is read off the bands,
+each the transposition of its two strands, without expanding the word.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .braidcore import BandRepresentation, UnionFind, beta, permutation_cycles
+from .braidcore import BandRepresentation, UnionFind, band_permutation, cycles
 from .errors import InvalidParameter
 
 
@@ -88,7 +89,7 @@ def summary(surface: BraidedSurface) -> SurfaceSummary:
         bands[root] = bands.get(root, 0) + 1
 
     boundary: dict[int, int] = {}
-    for cycle in permutation_cycles(beta(surface.rep)):
+    for cycle in cycles(band_permutation(surface.rep)):
         roots = {find(s) for s in cycle}
         assert len(roots) == 1, "a closure component crossed surface components"
         root = roots.pop()

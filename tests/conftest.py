@@ -46,3 +46,49 @@ def relisted(graph, rng):
         rng.shuffle(comps)
         disks.append(tuple(comps))
     return CombedGraph(graph.host, tuple(disks))
+
+
+def free_end_reaches_boundary(comps, ci, k):
+    """Whether free end k of comb `ci`, among a disk's components `comps`, can reach host boundary.
+
+    Brute force over the places where host boundary lies on the disk's
+    boundary: below the first arc end, and between two neighboring arc ends
+    into different bands.  The free end reaches one if, drawn to it as one
+    more boundary point of its comb, the comb still meets its points in
+    cyclic boundary order and no two combs cross.  Other free ends are left
+    out: they take no position.
+    """
+    from qpfiber.graphcalc import ArcEnd, Comb
+
+    def points(teeth):
+        return [(t.band, t.slot) for t in teeth if isinstance(t, ArcEnd)]
+
+    combs = {j: comp.teeth for j, comp in enumerate(comps) if isinstance(comp, Comb)}
+    ends = sorted(p for teeth in combs.values() for p in points(teeth))
+    places = [(ends[0][0], -0.5)] if ends else []
+    places += [(p[0], p[1] + 0.5) for p, q in zip(ends, ends[1:]) if p[0] != q[0]]
+    others = [points(teeth) for j, teeth in combs.items() if j != ci]
+    for place in places:
+        own = [place if j == k else (t.band, t.slot)
+               for j, t in enumerate(combs[ci]) if j == k or isinstance(t, ArcEnd)]
+        descents = sum(own[j] > own[(j + 1) % len(own)] for j in range(len(own)))
+        if descents <= 1 and not _blocks_cross(others + [own]):
+            return True
+    return not ends
+
+
+def _blocks_cross(blocks):
+    """Whether two of these sets of boundary points cross (interleave along the boundary)."""
+    owner = {p: b for b, block in enumerate(blocks) for p in block}
+    left = [len(block) for block in blocks]
+    stack = []
+    for p in sorted(owner):
+        b = owner[p]
+        if left[b] == len(blocks[b]):
+            stack.append(b)
+        elif stack[-1] != b:
+            return True
+        left[b] -= 1
+        if not left[b]:
+            stack.pop()
+    return False

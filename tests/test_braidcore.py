@@ -6,6 +6,7 @@ from qpfiber.braidcore import (
     BandRepresentation,
     BraidWord,
     EmbeddedBand,
+    band_permutation,
     beta,
     expand_band,
     exponent_sum,
@@ -118,6 +119,11 @@ def test_single_band_permutation_is_transposition(rep):
         expected = list(range(1, rep.strands + 1))
         expected[band.i - 1], expected[band.j - 1] = band.j, band.i
         assert perm == tuple(expected)
+
+
+@given(band_representations())
+def test_band_permutation_is_the_expanded_words(rep):
+    assert band_permutation(rep) == permutation(beta(rep))
 
 
 @given(braid_words(), braid_words())

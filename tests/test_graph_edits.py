@@ -3,14 +3,21 @@
 The references below rebuild each graph edit by hand: they rescan the graph
 for its arc ends and renumber every tooth of every disk through a per-edit
 `renumber` closure.  They share no code with `graphcalc.edit_band`,
-`graphcalc.whitehead_step` or `CombedGraph.arc_ends`.
+`graphcalc.whitehead_step` or `CombedGraph.arc_ends`.  Further tests check
+every edited graph against a fresh one, and that the local checks of an
+edit catch deliberately faulty edits.
 """
 
 import random
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qpfiber import graphcalc, qpize
+from qpfiber.braidcore import BandRepresentation, EmbeddedBand
 from qpfiber.constructions import q_rep
+from qpfiber.errors import InternalError
 from qpfiber.graphcalc import (
     ArcEnd,
     Comb,
@@ -19,6 +26,7 @@ from qpfiber.graphcalc import (
     IsolatedPoint,
     Site,
     eligible_sites,
+    is_full,
     neighborhood_summary,
     reduce,
     validate,
@@ -28,12 +36,13 @@ from qpfiber.qpize import _prune_dead_ends
 from qpfiber.sampling import (
     double_arc_bigon,
     inverse_whitehead,
+    random_direct_graph,
     random_fine_handle_subset,
     random_full_graph,
 )
 from qpfiber.surface import BraidedSurface, handle_spine
 
-from conftest import relisted
+from conftest import free_end_reaches_boundary, relisted
 
 
 def naive_arc_end_locations(graph):
@@ -73,12 +82,13 @@ def naive_whitehead(graph, site):
     """The rebuild of a Whitehead move at an eligible site.
 
     With A the far comb of the kept arc and B that of the removed one, the
-    merged comb holds A's teeth below the kept end, then B's below the
-    removed end, then A's from the kept end on, then B's above the removed
-    end; its arc ends are then the union of both but the removed one, sorted
-    by (band, slot).  A free end left between two arc ends into one band
-    moves to the top, one at a time.  The comb is listed where the
-    lower-listed of A and B was.
+    merged comb holds, cyclically, B's teeth below the removed end, A's from
+    the kept end on, A's below the kept end, then B's above the removed end.
+    When A has teeth below the kept end and the removed end is B's last arc
+    end, the listing starts with those teeth, else with B's below the
+    removed end.  Its arc ends are then the union of both but the removed
+    one, sorted by (band, slot), and no free end lies between two arc ends
+    into one band.  The comb is listed where the lower-listed of A and B was.
     """
     comp = graph.disks[site.disk - 1][site.component]
     band = comp.teeth[site.tooth].band
@@ -94,13 +104,15 @@ def naive_whitehead(graph, site):
     _, b_ci, tb = index[(band, far_side)][r - 2 - p]
     low, high = sorted((a_ci, b_ci))
     disk_comps = graph.disks[far_disk - 1]
-    part = {(0 if ti < ta else 2, ti): tooth for ti, tooth in enumerate(disk_comps[a_ci].teeth)}
-    part.update(((1 if ti < tb else 3, ti), tooth) for ti, tooth in enumerate(disk_comps[b_ci].teeth) if ti != tb)
+    b_last = max(ti for ti, tooth in enumerate(disk_comps[b_ci].teeth) if isinstance(tooth, ArcEnd))
+    # parts: 0 A below the kept end, 1 B below the removed end, 2 A from the kept end, 3 B above the removed end
+    rank = (0, 2, 3, 1) if ta > 0 and tb == b_last else (2, 0, 1, 3)
+    part = {(rank[0 if ti < ta else 2], ti): tooth for ti, tooth in enumerate(disk_comps[a_ci].teeth)}
+    part.update(((rank[1 if ti < tb else 3], ti), tooth) for ti, tooth in enumerate(disk_comps[b_ci].teeth) if ti != tb)
     teeth = [part[key] for key in sorted(part)]
     arc_ends = [tooth for tooth in teeth if isinstance(tooth, ArcEnd)]
     assert arc_ends == sorted(arc_ends, key=lambda tooth: (tooth.band, tooth.slot))
-    while stranded := [k for k in range(len(teeth)) if stranded_free_end(teeth, k)]:
-        teeth.append(teeth.pop(stranded[0]))
+    assert not any(stranded_free_end(teeth, k) for k in range(len(teeth)))
     merged = Comb(tuple(teeth))
 
     def renumber(tooth, disk):
@@ -251,20 +263,20 @@ def sampled_graph(seed):
 def with_free_ends(graph, rng):
     """The same graph with a free end in about half its combs.
 
-    A free end never goes between two arc ends into one band, where
-    `validate` refuses it.
+    A free end goes only where it can reach host boundary
+    (`free_end_reaches_boundary`), as `validate` requires.
     """
     disks = []
     for comps in graph.disks:
-        row = []
-        for comp in comps:
+        row = list(comps)
+        for ci, comp in enumerate(comps):
             if isinstance(comp, Comb) and rng.random() < 0.5:
-                teeth = list(comp.teeth)
-                spots = [k for k in range(len(teeth) + 1)
-                         if not stranded_free_end(teeth[:k] + [FreeEnd()] + teeth[k:], k)]
-                teeth.insert(rng.choice(spots), FreeEnd())
-                comp = Comb(tuple(teeth))
-            row.append(comp)
+                teeth = comp.teeth
+                spots = [k for k in range(len(teeth) + 1) if free_end_reaches_boundary(
+                    row[:ci] + [Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])] + row[ci + 1 :], ci, k)]
+                if spots:
+                    k = rng.choice(spots)
+                    row[ci] = Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])
         disks.append(tuple(row))
     return CombedGraph(graph.host, tuple(disks))
 
@@ -277,9 +289,9 @@ def nested_double(rng, graph):
     comb, with the copy at tooth m and the old end at m + 1, is then cut in
     two: the copy and a run of teeth below it nest in the rest, or the old
     end and a run of teeth above it do.  A cut that would leave a free end
-    between two arc ends into one band is not taken; the two stacking cuts
-    never do.  Returns the new graph and the Whitehead site that undoes the
-    doubling.
+    out of reach of host boundary (`free_end_reaches_boundary`) is not
+    taken; cutting off the copy alone never does.  Returns the new graph and
+    the Whitehead site that undoes the doubling.
     """
     band = rng.choice([t for t in range(1, graph.host.band_count() + 1) if naive_arc_count(graph, t)])
     r = naive_arc_count(graph, band)
@@ -295,12 +307,13 @@ def nested_double(rng, graph):
         cuts.append((teeth[:cut] + teeth[m + 1 :], teeth[cut : m + 1]))
     for cut in range(m + 2, len(teeth) + 1):
         cuts.append((teeth[m + 1 : cut], teeth[: m + 1] + teeth[cut:]))
-    cuts = [pair for pair in cuts
-            if not any(stranded_free_end(part, k) for part in pair for k in range(len(part)))]
-    old_comb, copy_comb = rng.choice(cuts)
+    row = doubled.disks[far_disk - 1]
+    rows = [row[:ci] + (Comb(old_comb), Comb(copy_comb)) + row[ci + 1 :] for old_comb, copy_comb in cuts]
+    rows = [new for new in rows if all(
+        free_end_reaches_boundary(new, cj, k)
+        for cj in (ci, ci + 1) for k, tooth in enumerate(new[cj].teeth) if isinstance(tooth, FreeEnd))]
     disks = list(doubled.disks)
-    row = disks[far_disk - 1]
-    disks[far_disk - 1] = row[:ci] + (Comb(old_comb), Comb(copy_comb)) + row[ci + 1 :]
+    disks[far_disk - 1] = rng.choice(rows)
     near_loc = index[(band, "i" if near == hostband.i else "j")][slot]
     return CombedGraph(graph.host, tuple(disks)), Site(*near_loc)
 
@@ -363,6 +376,34 @@ def test_arc_doubling_matches_the_naive_rebuild(seed):
     random_double(rng, graph, split=False)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_free_end_rule_matches_a_brute_force_placement(seed):
+    rng, graph = sampled_graph(seed)
+    assume(graph.total_arcs())
+    for _ in range(rng.randint(1, 3)):
+        graph, _site = nested_double(rng, graph)
+    disks = []
+    for comps in graph.disks:
+        row = list(comps)
+        for ci, comp in enumerate(comps):
+            if isinstance(comp, Comb) and rng.random() < 0.5:
+                k = rng.randint(0, len(comp.teeth))
+                row[ci] = Comb(comp.teeth[:k] + (FreeEnd(),) + comp.teeth[k:])
+        disks.append(tuple(row))
+    graph = CombedGraph(graph.host, tuple(disks))
+    problems = validate(graph)
+    if any("cannot reach" not in problem for problem in problems):
+        return  # a free end between two arc ends of its comb into one band, refused as such
+    reach = all(
+        free_end_reaches_boundary(comps, ci, k)
+        for comps in graph.disks
+        for ci, comp in enumerate(comps) if isinstance(comp, Comb)
+        for k, tooth in enumerate(comp.teeth) if isinstance(tooth, FreeEnd)
+    )
+    assert (problems == []) == reach
+
+
 def cached_views(graph):
     return (
         dict(graph.arc_ends),
@@ -415,3 +456,108 @@ def test_caching_keeps_equality_hash_and_json(seed):
     assert graph == twin and twin == graph
     assert (hash(graph), repr(graph)) == before == (hash(twin), repr(twin))
     assert graph.to_json() == twin.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_every_edit_equals_a_fresh_graph(seed):
+    # each Whitehead step and dead-end prune, with the index and checks it took over from its parent
+    rng = random.Random(seed)
+    if seed % 2:
+        graph = random_direct_graph(rng, max_arcs=12)
+        assume(validate(graph) == [] and is_full(graph))
+    else:
+        graph = grown_spine(rng, 3 + seed % 3, rng.randint(0, 12))
+    edited = []
+
+    def checked(edit):
+        def wrapper(*args, **kwargs):
+            result = edit(*args, **kwargs)
+            assert cached_views(result) == cached_views(CombedGraph(result.host, result.disks))
+            edited.append(result)
+            return result
+        return wrapper
+
+    with patch.object(graphcalc, "whitehead_step", checked(graphcalc.whitehead_step)), \
+            patch.object(qpize, "edit_band", checked(qpize.edit_band)):
+        reduced = reduce(graph)
+        _prune_dead_ends(reduced)
+    assert len(edited) >= graph.total_arcs() - reduced.total_arcs()
+
+
+def merged_comb_graph():
+    """A full graph whose one site merges [(1,0), (2,0)] and [(2,1)] on disk 1."""
+    host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, -1), EmbeddedBand(1, 2, -1))))
+    return CombedGraph(host, (
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 0))), Comb((ArcEnd(2, 1),)), IsolatedPoint()),
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 0), ArcEnd(2, 1))),),
+    ))
+
+
+def arc_end_indices(comb):
+    return [k for k, tooth in enumerate(comb.teeth) if isinstance(tooth, ArcEnd)]
+
+
+def swap_two_arc_ends(comb):
+    k, m = arc_end_indices(comb)[:2]
+    teeth = list(comb.teeth)
+    teeth[k], teeth[m] = teeth[m], teeth[k]
+    return Comb(tuple(teeth))
+
+
+def drop_an_arc_end(comb):
+    k = arc_end_indices(comb)[-1]
+    return Comb(comb.teeth[:k] + comb.teeth[k + 1 :])
+
+
+@pytest.mark.parametrize("mutate", [swap_two_arc_ends, drop_an_arc_end])
+def test_a_faulty_merge_is_caught(mutate, monkeypatch):
+    graphs = [merged_comb_graph()] + [grown_spine(random.Random(seed), 3 + seed % 3, 6) for seed in range(12)]
+    merge = graphcalc._merge_far_combs
+    monkeypatch.setattr(graphcalc, "_merge_far_combs", lambda *args: mutate(merge(*args)))
+    caught = 0
+    for graph in graphs:
+        for site in eligible_sites(graph):
+            if len(arc_end_indices(merge(*far_combs(graph, site)))) >= 2:
+                with pytest.raises(InternalError):
+                    whitehead_step(graph, site)
+                caught += 1
+    assert caught
+
+
+def far_combs(graph, site):
+    """The arguments of `_merge_far_combs` at a site: A's teeth and kept end, B's and removed end."""
+    far_disk, a_ci, ta = graph.mate[(site.disk, site.component, site.tooth)]
+    _, b_ci, tb = graph.mate[(site.disk, site.component, site.tooth + 1)]
+    comps = graph.disks[far_disk - 1]
+    return comps[a_ci].teeth, ta, comps[b_ci].teeth, tb
+
+
+def test_a_move_that_splits_the_graph_is_caught_by_the_face_routing(monkeypatch):
+    # instead of merging the far combs, the mutant takes the removed end off its comb and
+    # drops the isolated point: a valid graph with one arc and one component fewer, but
+    # with the wrong neighborhood
+    graph = merged_comb_graph()
+    mutant = {(2, 0): (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),), (1, 0): (Comb((ArcEnd(1, 0),)),), (1, 2): ()}
+    wrong = graphcalc.edit_band(graph, 2, mutant)
+    assert validate(wrong) == [] and wrong.total_arcs() == graph.total_arcs() - 1
+    assert sum(map(len, wrong.disks)) == sum(map(len, graph.disks)) - 1
+    assert neighborhood_summary(CombedGraph(wrong.host, wrong.disks)) != neighborhood_summary(graph)
+    edit = graphcalc.edit_band
+    monkeypatch.setattr(graphcalc, "edit_band", lambda g, band, replace: edit(g, band, mutant))
+    with pytest.raises(InternalError, match="neighborhood summary"):
+        whitehead_step(graph, Site(2, 0, 1))
+
+
+def test_an_edit_that_makes_two_combs_cross_is_caught():
+    host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
+    graph = CombedGraph(host, (
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0)))),
+        (Comb((ArcEnd(1, 0), ArcEnd(1, 1), ArcEnd(2, 0), ArcEnd(2, 1))),),
+    ))
+    assert validate(graph) == []
+    with pytest.raises(InternalError, match="cross"):
+        graphcalc.edit_band(graph, 1, {
+            (1, 0): (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),),
+            (1, 1): (Comb((ArcEnd(1, 1), ArcEnd(2, 1))),),
+        })

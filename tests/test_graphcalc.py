@@ -393,39 +393,85 @@ class TestNestedCombs:
         assert reduce(g) == g
 
     @pytest.mark.parametrize(
-        "bands, disks, reduced_disk_2",
+        "bands, disks",
         [
-            # on disk 2 the kept far end (1,1) nests below (1,2); its comb's free end lands between them
+            # on disk 2 the free end faces the stretches from slot 0 to 1 and from
+            # 1 to 2, inside the attaching arc of band 1
+            (
+                ((1, 2, 1),),
+                (
+                    tuple(Comb((ArcEnd(1, slot),)) for slot in range(3)),
+                    (Comb((ArcEnd(1, 0), ArcEnd(1, 2))), Comb((ArcEnd(1, 1), FreeEnd()))),
+                ),
+            ),
             (
                 ((1, 2, 1),),
                 (
                     (Comb((ArcEnd(1, 0),)), Comb((ArcEnd(1, 1), ArcEnd(1, 2)))),
                     (Comb((ArcEnd(1, 0), ArcEnd(1, 2))), Comb((ArcEnd(1, 1), FreeEnd()))),
                 ),
-                (Comb((ArcEnd(1, 0), FreeEnd())),),
             ),
-            # the mirror: the removed far end's comb nests above (1,0); the free end lands below it
+            # on disk 2 the free end between (1,0) and (2,1) faces the stretches from
+            # (1,0) to (1,1) and from (2,0) to (2,1), each inside one attaching arc
             (
                 ((1, 2, 1), (1, 2, 1)),
                 (
                     (Comb((ArcEnd(1, 0),)), Comb((ArcEnd(1, 1),)), Comb((ArcEnd(2, 0), ArcEnd(2, 1)))),
                     (Comb((ArcEnd(1, 0), FreeEnd(), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0)))),
                 ),
-                (Comb((ArcEnd(1, 0), ArcEnd(2, 0), FreeEnd())),),
             ),
         ],
+        ids=["item-5", "one-band", "two-bands"],
     )
-    def test_free_end_between_arc_ends_into_one_band_goes_to_the_top(
-        self, bands, disks, reduced_disk_2, capsys, monkeypatch
-    ):
+    def test_unreachable_free_end_is_refused(self, bands, disks, capsys, monkeypatch):
+        host = BraidedSurface(BandRepresentation(2, tuple(EmbeddedBand(*band) for band in bands)))
+        g = CombedGraph(host, disks)
+        assert [p for p in validate(g) if "cannot reach the host boundary" in p] == validate(g) != []
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(g.to_json())))
+        assert run(["reduce", "--input", "-"]) == 1
+        assert json.loads(capsys.readouterr().out)["kind"] == "malformed-input"
+
+    @pytest.mark.parametrize(
+        "bands, disks, site, merged",
+        [
+            # B = [(2,0), free end] nests below the kept end (2,1) of A = [(1,1), (2,1)], and
+            # A nests in [(1,0), (2,2)]: the free end stays between (1,1) and the kept end
+            (
+                ((1, 2, 1), (1, 2, 1)),
+                (
+                    (Comb((ArcEnd(1, 0), ArcEnd(2, 1), ArcEnd(2, 2))), Comb((ArcEnd(1, 1),)),
+                     Comb((ArcEnd(2, 0),))),
+                    (Comb((ArcEnd(1, 0), ArcEnd(2, 2))), Comb((ArcEnd(1, 1), ArcEnd(2, 1))),
+                     Comb((ArcEnd(2, 0), FreeEnd()))),
+                ),
+                Site(1, 0, 1),
+                (Comb((ArcEnd(1, 0), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), FreeEnd(), ArcEnd(2, 0)))),
+            ),
+            # A = [free end, (2,1)] nests above the removed end (2,0) of B = [(1,1), (2,0), (3,0)]:
+            # the free end stays between the kept end and (3,0)
+            (
+                ((1, 2, 1), (1, 2, 1), (1, 2, -1)),
+                (
+                    (Comb((FreeEnd(), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0), ArcEnd(3, 0))),
+                     Comb((FreeEnd(), ArcEnd(1, 0), ArcEnd(3, 1)))),
+                    (Comb((FreeEnd(), ArcEnd(3, 1))), Comb((ArcEnd(1, 0), ArcEnd(1, 1), ArcEnd(2, 0), ArcEnd(2, 1),
+                                                            FreeEnd(), ArcEnd(3, 0)))),
+                ),
+                Site(2, 1, 2),
+                (Comb((ArcEnd(1, 1), ArcEnd(2, 0), FreeEnd(), ArcEnd(3, 0))),
+                 Comb((FreeEnd(), ArcEnd(1, 0), ArcEnd(3, 1)))),
+            ),
+        ],
+        ids=["b-nests-in-a", "a-nests-in-b"],
+    )
+    def test_merge_keeps_each_free_end_in_its_face(self, bands, disks, site, merged):
+        # a free end moved to the top of the merged comb would land where no host boundary lies
         host = BraidedSurface(BandRepresentation(2, tuple(EmbeddedBand(*band) for band in bands)))
         g = CombedGraph(host, disks)
         assert validate(g) == [] and is_full(g)
-        assert assert_reduces(g).disks[1] == reduced_disk_2
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(g.to_json())))
-        assert run(["reduce", "--input", "-"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert CombedGraph.from_json(report["result"]["graph"]).disks[1] == reduced_disk_2
+        far_disk = 3 - site.disk
+        assert whitehead_step(g, site).disks[far_disk - 1] == merged
+        assert_reduces(g)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.booleans())
