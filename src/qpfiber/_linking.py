@@ -10,13 +10,22 @@ projected crossing at equal depth means the curves genuinely intersect in
 coordinates (zero checks, signs, parameter bounds, depth comparisons), so
 scaling both loops by one positive integer picks the same direction and gives
 the same answer: a caller with rational geometry clears denominators once.
+
+`pl_seifert_matrix` is the piecewise-linear model of a braided surface that
+`invariants.seifert_matrix` reads its integer terms off: basis cycles laid
+out as explicit loops, entries as linking numbers of a pushed-off loop with
+the other loops.  It is slow and shares no arithmetic with the integer
+form, so selftest and the tests keep it as the reference oracle.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from .braidcore import BandRepresentation
 from .errors import InternalError
+from .invariants import SeifertMatrix, _band_crossings, _basis_cycles
 
 Point = tuple[int, int, int]
 
@@ -126,3 +135,75 @@ def linking_number(loop_a: Sequence[Point], loop_b: Sequence[Point]) -> int:
         except _DegenerateProjection:
             continue
     raise InternalError("no generic projection direction found for linking number")
+
+
+# The PL model lies on an integer lattice of spacing `scale` (see
+# `pl_seifert_matrix`): disk s in the plane x = s * scale, band pos between
+# the heights pos * scale and (pos + 1) * scale, the foot of every band at
+# y = -scale, the corridor of cycle k at y = (k + 2) * scale.  The pushoff
+# distance scale / 256 and the spacing scale / 4096 of parallel strips
+# through a band stay tiny against that spacing.  Handedness of a positive
+# half-twist (which parallel strip passes in front, and which way the
+# surface normal rotates along the band).  Pinned by the positive Hopf band:
+# Seifert matrix [-1].
+_TWIST = -1
+
+
+def _cycle_loops(rep, crossings, traversals, cycle_index, scale):
+    """Core loop and its positive pushoff, as explicit PL point lists."""
+    delta, eta = scale // 256, scale // 4096
+    corridor_y, foot_y = (cycle_index + 2) * scale, -scale
+    core = []
+    push = []
+    for pos, direction in traversals:
+        band = rep.bands[pos]
+        slots = [index for index, _ in crossings[pos]]
+        count = len(slots)
+        p = slots.index(cycle_index)
+        step = scale // (count + 1)
+        z_i = pos * scale + (p + 1) * step
+        z_j = pos * scale + (count - p) * step
+        twist = _TWIST * band.sign
+        # z_i + z_j = (2 pos + 1) scale, so the midpoint height is exact
+        mid_x, mid_z = (band.i + band.j) * scale // 2, pos * scale + scale // 2
+        mid = (mid_x, foot_y - twist * (2 * p - (count - 1)) * eta, mid_z)
+        mid_push = (mid_x, mid[1], mid_z + twist * delta)
+        # direction +1 runs from disk i to disk j, -1 the other way
+        ends = [(band.i * scale, z_i, delta), (band.j * scale, z_j, -delta)]
+        (x_from, z_from, dy_from), (x_to, z_to, dy_to) = ends[::direction]
+        core += [
+            (x_from, corridor_y, z_from),
+            (x_from, foot_y, z_from),
+            mid,
+            (x_to, foot_y, z_to),
+            (x_to, corridor_y, z_to),
+        ]
+        push += [
+            (x_from + delta, corridor_y, z_from),
+            (x_from + delta, foot_y + dy_from, z_from),
+            mid_push,
+            (x_to + delta, foot_y + dy_to, z_to),
+            (x_to + delta, corridor_y, z_to),
+        ]
+    return core, push
+
+
+def pl_seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
+    """Seifert matrix of S(rep) from the PL model: lk(a+, b) for every pair.
+
+    `scale` is one lattice spacing for the whole surface: 4096 times the lcm
+    of count + 1 over the crossed bands, where count is the number of basis
+    cycles crossing a band, so every point of every loop is an integer.
+    """
+    cycles = _basis_cycles(rep)
+    if not cycles:
+        return SeifertMatrix(())
+    crossings = _band_crossings(cycles)
+    scale = 4096 * math.lcm(*(len(slots) + 1 for slots in crossings.values()))
+    loops = [_cycle_loops(rep, crossings, traversals, index, scale) for index, traversals in enumerate(cycles)]
+    size = len(cycles)
+    entries = tuple(
+        tuple(linking_number(loops[a][1], loops[b][0]) for b in range(size))
+        for a in range(size)
+    )
+    return SeifertMatrix(entries)

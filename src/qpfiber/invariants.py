@@ -12,17 +12,67 @@ as its lowest exponent and the tuple of coefficients from there up, with no
 zero at either end, so equal polynomials store equal pairs; sums align two
 lists and products convolve them.
 
-The Seifert matrix is computed from honest geometry: basis cycles of the
-surface's handle graph are laid out as explicit piecewise-linear loops in
-3-space (disks in the planes x = s, bands dipping to y < 0 with the
-transverse order through a band reversed by its half-twist), the positive
-pushoff displaces a loop along the surface normal field (+x on the disks,
-rotating through the band twists), and entries are exact linking numbers of
-the pushed-off loop with the other basis loops.  The model is built on one
-integer lattice per surface (see ``seifert_matrix``), so every point is a
-triple of ints; one uniform positive scale leaves every linking number as
-it is.  The handedness of a positive half-twist is the one calibration
-point; it is pinned by the positive Hopf band having Seifert matrix [-1].
+The Seifert matrix is a sum of integer terms read off band positions,
+slots, traversal directions and band signs; no point is laid out.  The
+terms are the crossings of one projection of a piecewise-linear model of
+the surface, which `_linking.pl_seifert_matrix` builds with explicit points
+and keeps as the reference oracle.  In that model (delta, eta and the tilt
+below are tiny against every other distance, the tilt tiniest):
+
+* disk s lies in the plane x = s, and band m (position m, joining disks
+  i_m < j_m, sign e_m) in the slab of heights m < z < m + 1;
+* the c_m basis cycles crossing band m take its slots p = 0..c_m-1 in cycle
+  order.  Strip p meets disk i_m at height m + (p+1)/(c_m+1) and disk j_m
+  at m + (c_m-p)/(c_m+1), both at the foot y = -1, and passes through the
+  band's middle point, at height m + 1/2, at y = -1 + e_m (2p - c_m + 1) eta;
+* cycle k joins the end of one band to the start of the next along a
+  corridor at y = k + 2 in the plane of the disk, by legs from the foot;
+* the pushoff a+ of cycle a moves delta along the surface normal: +x on
+  the disks, +y where a band leaves disk i, -y where it reaches disk j, and
+  -e_m delta in z at the band's middle.
+
+theta(a, b) = lk(a+, b) is the signed count of crossings where a+ passes
+over b, seen along (0, K, 1) for K -> oo: the image is the (z, x) plane,
+tilted so that a larger y sits slightly lower; "over" is larger y; a
+crossing counts +1 when the directions of a+ and b make a positive frame
+of (z, x).  The corridors and legs of a+ lie on the lines x = s + delta
+and those of b on x = s, so they never meet; strips of different bands lie
+in disjoint slabs; b's corridors lie above every strip, and a+'s strips
+pass x = j_m off b's leg there.  What is left are two kinds of crossing,
+both with a+ over b:
+
+* Corridor term.  a+'s corridor on disk s runs from the end of a's band
+  m1 to the start of its band m2 != m1 (a cycle crosses a band at most
+  once), dz = sign(m2 - m1).  It crosses b's strip through band m where
+  that strip meets x = s + delta, so i_m <= s < j_m, if the strip's point
+  lies strictly inside it.  That adds dz * d, where d = +1 if b runs
+  through m from disk i to disk j.  Give the corridor's ends and the point
+  the keys (band, slot), compared in lexicographic order.  If m is neither
+  m1 nor m2, the point lies in slab m and the ends in theirs: inside iff m
+  lies strictly between m1 and m2.  Otherwise s is an end of m, so
+  s = i_m, where strips rise with their slot, and the point sits
+  delta-close to its own slot's height: keys decide, unless they tie.  A
+  tie has a = b, at the end of a's own band m, where the strip leaves
+  towards the middle height: up iff q = c_m - 1 - 2p > 0.  At q = 0 the
+  strip is flat, and the tilt sets the point just above the image of a+'s
+  leg, whose foot stands delta higher in y.  So the point is inside iff
+  the tie is at the corridor's low end and q >= 0, or at its high end and
+  q < 0.
+* Band term.  The strips of slots p_a != p_b of band m cross once: in the
+  half next to disk i iff sign(p_a - p_b) = e_m, else in the half next to
+  disk j.  a+ starts delta above the foot and ends delta below it, and its
+  middle point is the higher one exactly in the first case, so only that
+  crossing counts, with sign -e_m d_a d_b.  A strip and its own pushoff
+  (p_a = p_b, so a = b) start apart by -sign(q) in z, with q = 0 counted
+  as q > 0 by the tilt, and meet the middle apart by -e_m.  They cross in
+  the half next to disk i iff these differ, with sign -e_m, which is
+  (1 - e_m)/2 - [q < 0] in all four cases.
+
+This is the technique of J. Collins, "An algorithm for computing the
+Seifert matrix of a link from a braid representation" (2007), on
+L. Rudolph's braided surfaces (Comment. Math. Helv. 58, 1983).  The
+handedness of a positive half-twist is the one calibration point; it is
+pinned by the positive Hopf band having Seifert matrix [-1].
 
 Burau convention: letters act left to right, matching the permutation
 convention; the generator matrices are the standard reduced ones with
@@ -37,10 +87,8 @@ products per letter on n strands (see ``reduced_burau``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ._linking import linking_number
 from .braidcore import BandRepresentation, BraidWord, fundamental_cycles
 from .errors import InvalidParameter, NonExactDivision
 
@@ -294,78 +342,65 @@ def _basis_cycles(rep: BandRepresentation):
     return fundamental_cycles([(band.i, band.j) for band in rep.bands])[1]
 
 
-# The PL model lies on an integer lattice of spacing `scale` (see
-# `seifert_matrix`): disk s in the plane x = s * scale, band pos between the
-# heights pos * scale and (pos + 1) * scale, the foot of every band at
-# y = -scale.  The pushoff distance scale / 256 and the spacing scale / 4096
-# of parallel strips through a band stay tiny against that spacing.
-# Handedness of a positive half-twist (which parallel strip passes in front,
-# and which way the surface normal rotates along the band).  Pinned by the
-# positive Hopf band: Seifert matrix [-1].
-_TWIST = -1
-
-
-def _cycle_loops(rep, slot_map, traversals, cycle_index, scale):
-    """Core loop and its positive pushoff, as explicit PL point lists."""
-    delta, eta = scale // 256, scale // 4096
-    corridor_y, foot_y = (cycle_index + 2) * scale, -scale
-    core = []
-    push = []
-    for pos, direction in traversals:
-        band = rep.bands[pos]
-        slots = slot_map[pos]
-        count = len(slots)
-        p = slots.index(cycle_index)
-        step = scale // (count + 1)
-        z_i = pos * scale + (p + 1) * step
-        z_j = pos * scale + (count - p) * step
-        twist = _TWIST * band.sign
-        # z_i + z_j = (2 pos + 1) scale, so the midpoint height is exact
-        mid_x, mid_z = (band.i + band.j) * scale // 2, pos * scale + scale // 2
-        mid = (mid_x, foot_y - twist * (2 * p - (count - 1)) * eta, mid_z)
-        mid_push = (mid_x, mid[1], mid_z + twist * delta)
-        # direction +1 runs from disk i to disk j, -1 the other way
-        ends = [(band.i * scale, z_i, delta), (band.j * scale, z_j, -delta)]
-        (x_from, z_from, dy_from), (x_to, z_to, dy_to) = ends[::direction]
-        core += [
-            (x_from, corridor_y, z_from),
-            (x_from, foot_y, z_from),
-            mid,
-            (x_to, foot_y, z_to),
-            (x_to, corridor_y, z_to),
-        ]
-        push += [
-            (x_from + delta, corridor_y, z_from),
-            (x_from + delta, foot_y + dy_from, z_from),
-            mid_push,
-            (x_to + delta, foot_y + dy_to, z_to),
-            (x_to + delta, corridor_y, z_to),
-        ]
-    return core, push
+def _band_crossings(cycles):
+    """Per crossed band: its cycles in cycle order, as (cycle, direction) by slot."""
+    crossings: dict[int, list[tuple[int, int]]] = {}
+    for index, traversals in enumerate(cycles):
+        for pos, direction in traversals:
+            crossings.setdefault(pos, []).append((index, direction))
+    return crossings
 
 
 def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
     """Seifert matrix of S(rep) on the fundamental cycles of its handle graph.
 
-    `scale` is one lattice spacing for the whole surface: 4096 times the lcm
-    of count + 1 over the crossed bands, where count is the number of basis
-    cycles crossing a band, so every point of every loop is an integer.
+    Entry (a, b) is the corridor term plus the band term of the module
+    docstring.  Corridor terms are summed row by row, over a's corridors
+    and the traversals of every cycle through a band that spans the
+    corridor's disk; band terms band by band, over pairs of slots.
     """
     cycles = _basis_cycles(rep)
     if not cycles:
         return SeifertMatrix(())
-    slot_map: dict[int, list[int]] = {}
-    for index, traversals in enumerate(cycles):
-        for pos, _ in traversals:
-            slot_map.setdefault(pos, []).append(index)
-    scale = 4096 * math.lcm(*(len(slots) + 1 for slots in slot_map.values()))
-    loops = [_cycle_loops(rep, slot_map, traversals, index, scale) for index, traversals in enumerate(cycles)]
+    bands = rep.bands
+    crossings = _band_crossings(cycles)
+
+    # spanning[s]: (band, slot), cycle, direction and c - 1 - 2p of each traversal whose band
+    # crosses the plane of disk s pushed towards +x, i <= s < j
+    spanning: dict[int, list[tuple[tuple[int, int], int, int, int]]] = {}
+    for pos, slots in crossings.items():
+        band = bands[pos]
+        for slot, (index, direction) in enumerate(slots):
+            point = ((pos, slot), index, direction, len(slots) - 1 - 2 * slot)
+            for disk in range(band.i, band.j):
+                spanning.setdefault(disk, []).append(point)
+    slot_of = {(index, pos): slot for pos, slots in crossings.items() for slot, (index, _) in enumerate(slots)}
+
     size = len(cycles)
-    entries = tuple(
-        tuple(linking_number(loops[a][1], loops[b][0]) for b in range(size))
-        for a in range(size)
-    )
-    return SeifertMatrix(entries)
+    rows = [[0] * size for _ in range(size)]
+    for a, traversals in enumerate(cycles):
+        row = rows[a]
+        # corridor terms: a's corridor on disk s joins the end of one traversal to the start of the next
+        for (pos_in, dir_in), (pos_out, _) in zip(traversals, traversals[1:] + traversals[:1]):
+            disk = bands[pos_in].j if dir_in == 1 else bands[pos_in].i
+            dz = 1 if pos_out > pos_in else -1
+            low, high = sorted(((pos_in, slot_of[a, pos_in]), (pos_out, slot_of[a, pos_out])))
+            for point, b, direction, q in spanning.get(disk, ()):
+                # a tie is a's own band leaving its disk i: the point sits above the end iff q >= 0
+                if (low < point < high) or (point == low and q >= 0) or (point == high and q < 0):
+                    row[b] += dz * direction
+    # band terms: the strips of one band cross once in the half where the pushoff passes over
+    for pos, slots in crossings.items():
+        sign = bands[pos].sign
+        count = len(slots)
+        for p_a, (a, d_a) in enumerate(slots):
+            row = rows[a]
+            for p_b, (b, d_b) in enumerate(slots):
+                if p_a == p_b:
+                    row[a] += (1 - sign) // 2 - (count - 1 - 2 * p_a < 0)
+                elif (p_a > p_b) == (sign == 1):
+                    row[b] -= sign * d_a * d_b
+    return SeifertMatrix(tuple(tuple(row) for row in rows))
 
 
 def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:

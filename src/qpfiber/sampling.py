@@ -39,12 +39,12 @@ def random_band_representation(
     return BandRepresentation(n, tuple(bands))
 
 
-def random_connected_quasipositive(
-    rng: random.Random, max_strands: int, max_bands: int
+def random_connected_representation(
+    rng: random.Random, max_strands: int, max_bands: int, positive_only: bool = False
 ) -> BandRepresentation:
     while True:
         rep = random_band_representation(
-            rng, max_strands, max_bands, positive_only=True, min_strands=2, min_bands=1
+            rng, max_strands, max_bands, positive_only=positive_only, min_strands=2, min_bands=1
         )
         if len(summary(BraidedSurface(rep)).components) == 1:
             return rep

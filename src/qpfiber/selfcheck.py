@@ -13,10 +13,13 @@ import random
 from dataclasses import dataclass
 
 from . import graphcalc
+from ._linking import pl_seifert_matrix
 from .braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, permutation_cycles
 from .constructions import expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import FiberVerificationFailed
 from .invariants import (
+    _band_crossings,
+    _basis_cycles,
     alexander_from_braid,
     alexander_from_seifert,
     eq_up_to_units,
@@ -25,7 +28,7 @@ from .invariants import (
 from .qpize import quasipositize, quasipositize_handle_subsurface
 from .sampling import (
     random_band_representation,
-    random_connected_quasipositive,
+    random_connected_representation,
     random_direct_graph,
     random_full_graph,
     random_graph_mixed_fullness,
@@ -67,17 +70,38 @@ def check_fiber_agreement() -> CheckResult:
 
 
 def check_cross_oracle(seed: int = 20603) -> CheckResult:
-    """Criterion 3: Seifert and Burau routes agree on 200 connected samples."""
+    """Criterion 3: Seifert and Burau routes agree on 200 quasipositive and 100 signed connected samples."""
     rng = random.Random(seed)
+    reps = [random_connected_representation(rng, 4, 5, positive_only=True) for _ in range(200)]
+    reps += [random_connected_representation(rng, 4, 5) for _ in range(100)]
     failures = []
-    for trial in range(200):
-        rep = random_connected_quasipositive(rng, max_strands=4, max_bands=5)
+    for trial, rep in enumerate(reps):
         via_seifert = alexander_from_seifert(seifert_matrix(rep))
         via_burau = alexander_from_braid(beta(rep))
         if not eq_up_to_units(via_seifert, via_burau):
             failures.append(f"trial {trial}: {rep.to_json()}")
     return CheckResult(
-        "cross-oracle-alexander", not failures, "; ".join(failures[:3]) or "200/200 agree"
+        "cross-oracle-alexander", not failures,
+        "; ".join(failures[:3]) or "200/200 quasipositive and 100/100 signed agree",
+    )
+
+
+def check_pl_seifert(seed: int = 20610) -> CheckResult:
+    """Criterion 10: the integer Seifert form equals the PL model entry for entry.
+
+    100 seeded signed representations, connected or not; the PL model's
+    linking numbers share no arithmetic with the integer terms.
+    """
+    rng = random.Random(seed)
+    reps = [random_band_representation(rng, max_strands=6, max_bands=8, min_strands=2) for _ in range(100)]
+    failures = [f"trial {t}: {rep.to_json()}" for t, rep in enumerate(reps) if seifert_matrix(rep) != pl_seifert_matrix(rep)]
+    disconnected = sum(len(summary(BraidedSurface(rep)).components) > 1 for rep in reps)
+    # an odd count of cycles through a band has a middle slot: its strip is flat, the q = 0 case of both terms
+    middle = sum(any(len(slots) % 2 for slots in _band_crossings(_basis_cycles(rep)).values()) for rep in reps)
+    return CheckResult(
+        "pl-seifert-agreement", not failures,
+        "; ".join(failures[:3])
+        or f"{len(reps)}/{len(reps)} agree ({disconnected} disconnected, {middle} with a middle slot)",
     )
 
 
@@ -335,4 +359,5 @@ def run_all(seed: int = 20600) -> list[CheckResult]:
         check_whitehead_reduction(seed + 7),
         check_quasipositize(seed + 8),
         check_fullness_detector(seed + 9),
+        check_pl_seifert(seed + 10),
     ]

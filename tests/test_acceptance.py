@@ -48,3 +48,7 @@ def test_criterion_8_quasipositize():
 
 def test_criterion_9_fullness_detector():
     _report(selfcheck.check_fullness_detector())
+
+
+def test_criterion_10_pl_seifert_agreement():
+    _report(selfcheck.check_pl_seifert())

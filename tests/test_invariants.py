@@ -1,10 +1,12 @@
+import itertools
 import random
 from operator import mul
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qpfiber._linking import pl_seifert_matrix
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, word_from_letters
 from qpfiber.constructions import q_rep
 from qpfiber.errors import NonExactDivision
@@ -22,7 +24,7 @@ from qpfiber.invariants import (
 )
 from qpfiber.surface import BraidedSurface, summary
 
-from conftest import braid_words
+from conftest import band_representations, braid_words
 
 
 def L(terms):
@@ -483,6 +485,36 @@ class TestSeifert:
         assert det(v.entries) == det(target)
         assert det(sym(v.entries)) == det(sym(target))
 
+    @given(band_representations(max_strands=6, max_bands=9))
+    @example(BandRepresentation(2, ()))
+    @example(BandRepresentation(2, (EmbeddedBand(1, 2, -1),)))
+    @example(BandRepresentation(2, (EmbeddedBand(1, 2, -1),) * 4))
+    @example(BandRepresentation(3, (EmbeddedBand(1, 3, 1), EmbeddedBand(1, 3, -1), EmbeddedBand(1, 3, 1))))
+    @example(BandRepresentation(
+        5, (EmbeddedBand(1, 2, -1), EmbeddedBand(1, 2, -1), EmbeddedBand(3, 5, 1), EmbeddedBand(3, 5, -1))
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_pl_model(self, rep):
+        """Entry for entry.
+
+        The examples: no band, one band, a band repeated four times (three
+        cycles cross the first copy, so one has the middle slot) and two
+        disconnected surfaces.
+        """
+        assert seifert_matrix(rep) == pl_seifert_matrix(rep)
+
+    def test_equals_the_pl_model_on_every_small_representation(self):
+        """Every representation on at most 4 strands with at most 3 bands, both signs."""
+        cases = 0
+        for n in range(1, 5):
+            choices = [EmbeddedBand(i, j, s) for i in range(1, n) for j in range(i + 1, n + 1) for s in (1, -1)]
+            for k in range(4):
+                for bands in itertools.product(choices, repeat=k):
+                    rep = BandRepresentation(n, bands)
+                    assert seifert_matrix(rep) == pl_seifert_matrix(rep), rep.to_json()
+                    cases += 1
+        assert cases == 1 + 15 + 259 + 1885
+
     def test_alexander_from_matrices(self):
         assert eq_up_to_units(alexander_from_seifert(SeifertMatrix(((-1,),))), L({0: -1, 1: 1}))
         assert alexander_from_seifert(SeifertMatrix(((-1, 1), (0, -1)))) == L({0: 1, 1: -1, 2: 1})
@@ -497,10 +529,10 @@ class TestSeifert:
             assert seifert_matrix(rep).size == expected
 
     def test_cross_oracle_smoke(self, rng):
-        from qpfiber.sampling import random_connected_quasipositive
+        from qpfiber.sampling import random_connected_representation
 
         for _ in range(25):
-            rep = random_connected_quasipositive(rng, 4, 5)
+            rep = random_connected_representation(rng, 4, 5, positive_only=True)
             a = alexander_from_seifert(seifert_matrix(rep))
             b = alexander_from_braid(beta(rep))
             assert eq_up_to_units(a, b), rep.to_json()

@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from qpfiber import invariants
+from qpfiber import _linking
 from qpfiber._linking import linking_number
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.errors import InternalError
@@ -50,7 +50,7 @@ def test_split_pair_does_not_link():
 )
 @settings(max_examples=60, deadline=None)
 def test_positive_scaling_and_integer_translation_keep_the_value(name, scale, shift):
-    """The homogeneity `seifert_matrix` relies on when it picks one lattice per surface."""
+    """The homogeneity `pl_seifert_matrix` relies on when it picks one lattice per surface."""
 
     def moved(loop):
         return [tuple(scale * c + d for c, d in zip(point, shift)) for point in loop]
@@ -72,9 +72,9 @@ def test_seifert_matrix_passes_integer_points(monkeypatch):
         seen.append(all(type(c) is int for loop in (loop_a, loop_b) for point in loop for c in point))
         return linking_number(loop_a, loop_b)
 
-    monkeypatch.setattr(invariants, "linking_number", checked)
+    monkeypatch.setattr(_linking, "linking_number", checked)
     rng = random.Random(20672)
     reps = [q_rep(4), nabla(4)] + [random_band_representation(rng, 6, 8, min_strands=2) for _ in range(10)]
     for rep in reps:
-        invariants.seifert_matrix(rep)
+        _linking.pl_seifert_matrix(rep)
     assert seen and all(seen)
