@@ -36,13 +36,13 @@ For a graph that can be drawn, this agrees with "no vertex-simple cycle
 bounds a disk on the host", the definition the brute-force oracle in
 `selfcheck` checks arc subset by arc subset.
 
-Face tracing walks the boundary of a regular neighborhood with two tokens
-per arc end: the strand entering the band just above a tooth, and the
-strand leaving it just below.  Inside a comb the walk drops one tooth
-cyclically (skipping teeth that end on the surface boundary); through a
-band it jumps to the paired arc end.  Orbits of this successor map are the
-boundary circles of components containing at least one arc; arc-free
-components are disks.
+Face tracing walks the boundary of a regular neighborhood one step per
+arc end (`_walk`): inside the arc end's comb it drops one tooth cyclically
+(skipping teeth that end on the surface boundary), then it jumps through
+the band to the paired arc end.  Orbits of this step are the boundary
+circles of components containing at least one arc; arc-free components
+are disks.  `_routing`, the local check of a Whitehead move, is the same
+walk restricted to a region.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
@@ -58,10 +58,12 @@ arc ends by one rule, by old slot on each disk, and validates the result.
 Validation is local, and gives the answer a full `validate` would: every
 problem it reports lies on one disk (a tooth's type or 1-handle, the
 drawing of the disk's combs, a free end's reach) or on one band (its two
-arc-end counts).  Each (band, side) key of the index lives on one disk, so
-the child graph takes the parent's index entries and problems for every
-other disk and band, and rebuilds and checks only the two disks it rewrote
-and the bands whose counts changed there.
+arc-end counts).  Each (band, side) key of the index lives on one disk,
+the one whose row of the host's `incidence` table holds it, so the child
+graph takes the parent's index entries and problems for every other disk
+and band, and rebuilds and checks only the two disks it rewrote and the
+bands whose counts changed there.  Each disk reads only its own row, so
+validation is linear in the size of the document.
 
 A Whitehead move changes the neighborhood only inside a region: the comb
 of the site, the two far combs it merges, and the removed arc.  Face
@@ -134,13 +136,13 @@ class CombedGraph:
         """Per (band, side) the arc-end locations in slot order (bottom to top).
 
         Equal slots, which `validate` refuses, keep listing order.  Teeth
-        naming a 1-handle the host lacks, or one that does not reach their
-        disk, are left out; `validate` reports them.  So each key lives on
-        one disk: the band's i disk for side "i", its j disk for side "j".
+        naming a 1-handle that does not meet their disk in the host's
+        `incidence` table are left out; `validate` reports them.  So each
+        key (band, side) lives on the one disk whose incidence row holds it.
         """
         index: dict[tuple[int, str], tuple[Location, ...]] = {}
-        for disk, comps in enumerate(self.disks, start=1):
-            index.update(_disk_arc_ends(self.host.bands, disk, comps))
+        for disk, (comps, row) in enumerate(zip(self.disks, self.host.incidence), start=1):
+            index.update(_disk_arc_ends(row, disk, comps))
         return MappingProxyType(index)
 
     @cached_property
@@ -152,7 +154,7 @@ class CombedGraph:
         half-twist reverses the transverse order).  Looked up in `arc_ends`;
         meaningful only on a graph that `validate` accepts.
         """
-        return Pairing(self.host.bands, self.disks, self.arc_ends)
+        return Pairing(self.host.incidence, self.disks, self.arc_ends)
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -237,17 +239,16 @@ class CombedGraph:
 Location = tuple[int, int, int]
 
 
-def _disk_arc_ends(bands, disk: int, comps) -> dict[tuple[int, str], tuple[Location, ...]]:
-    """The `arc_ends` entries of one disk: its (band, side) keys, each in slot order."""
-    keys = {band: (band, "i" if disk == hostband.i else "j")
-            for band, hostband in enumerate(bands, start=1) if disk in (hostband.i, hostband.j)}
+def _disk_arc_ends(row, disk: int, comps) -> dict[tuple[int, str], tuple[Location, ...]]:
+    """The `arc_ends` entries of one disk, its incidence `row`: its (band, side) keys, each in slot order."""
     index: dict[tuple[int, str], list[Location]] = {}
     slots: dict[tuple[int, str], list[int]] = {}  # of each list found out of slot order
     for ci, comp in enumerate(comps):
         if not isinstance(comp, Comb):
             continue
         for ti, tooth in enumerate(comp.teeth):
-            if isinstance(tooth, ArcEnd) and (key := keys.get(tooth.band)):
+            if isinstance(tooth, ArcEnd) and (side := row.get(tooth.band)):
+                key = (tooth.band, side)
                 locs = index.setdefault(key, [])
                 if key in slots or tooth.slot != len(locs):  # in order, the slots so far are 0..len-1
                     slots.setdefault(key, [*range(len(locs))]).append(tooth.slot)
@@ -257,10 +258,7 @@ def _disk_arc_ends(bands, disk: int, comps) -> dict[tuple[int, str], tuple[Locat
     return {key: tuple(locs) for key, locs in index.items()}
 
 
-def _key_disk(bands, key: tuple[int, str]) -> int:
-    band, side = key
-    hostband = bands[band - 1]
-    return hostband.i if side == "i" else hostband.j
+_FAR_SIDE = {"i": "j", "j": "i"}
 
 
 class Pairing(Mapping):
@@ -270,14 +268,14 @@ class Pairing(Mapping):
     r-1-p of the other side's `arc_ends` list.
     """
 
-    def __init__(self, bands, disks, index):
-        self._bands, self._disks, self._index = bands, disks, index
+    def __init__(self, incidence, disks, index):
+        self._incidence, self._disks, self._index = incidence, disks, index
 
     def __getitem__(self, loc: Location) -> Location:
         disk, ci, ti = loc
         try:
             tooth = self._disks[disk - 1][ci].teeth[ti] if min(disk - 1, ci, ti) >= 0 else None
-            far = self._index[(tooth.band, "j" if disk == self._bands[tooth.band - 1].i else "i")]
+            far = self._index[(tooth.band, _FAR_SIDE[self._incidence[disk - 1][tooth.band]])]
         except (IndexError, AttributeError, KeyError):  # no tooth there, a free end, or no arc
             raise KeyError(loc) from None
         if not 0 <= tooth.slot < len(far):
@@ -335,6 +333,7 @@ def _tooth_problems(host: BraidedSurface, disk: int, components) -> list[str]:
     """Of (index, component) pairs on one disk, those not combs or points, and teeth off the disk."""
     problems = []
     k = host.band_count()
+    row = host.incidence[disk - 1]
     for ci, comp in components:
         if isinstance(comp, IsolatedPoint):
             continue
@@ -352,8 +351,8 @@ def _tooth_problems(host: BraidedSurface, disk: int, components) -> list[str]:
             if not 1 <= tooth.band <= k:
                 problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
                 continue
-            band = host.bands[tooth.band - 1]
-            if disk not in (band.i, band.j):
+            if tooth.band not in row:
+                band = host.bands[tooth.band - 1]
                 problems.append(
                     f"disk {disk} tooth enters 1-handle {tooth.band} joining {band.i},{band.j}"
                 )
@@ -384,7 +383,6 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     end sits in that face too.  A stretch meets host boundary when its two
     arc ends enter different bands.
     """
-    bands = graph.host.bands
     comps = graph.disks[disk - 1]
     index = graph.arc_ends
     stack: list[int] = []  # combs met but not finished
@@ -393,11 +391,9 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     gaps: dict[int, list] = {}
     previous = None  # band of the last arc end met
     out_of_reach = None
-    for band, hostband in enumerate(bands, start=1):
-        if disk not in (hostband.i, hostband.j):
-            continue
-        side = "i" if disk == hostband.i else "j"
-        locs = index.get((band, side))
+    for key in graph.host.incidence[disk - 1].items():
+        band, side = key
+        locs = index.get(key)
         if not locs:
             continue
         where = (band, 0 if side == "i" else 1)
@@ -480,36 +476,45 @@ def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
     return graph._summary
 
 
-def _comb_predecessor(disks, loc: Location) -> Location:
-    """Next arc end the tracing walk reaches inside the comb: drop one tooth cyclically."""
+def _walk(mate, disks, loc: Location) -> Location:
+    """One step of the face-tracing walk: the comb's previous arc end, cyclically, then its mate."""
     disk, ci, ti = loc
     teeth = disks[disk - 1][ci].teeth
-    m = len(teeth)
-    step = (ti - 1) % m
+    step = ti - 1  # teeth[-1] is the top tooth
     while not isinstance(teeth[step], ArcEnd):
-        step = (step - 1) % m
-    return (disk, ci, step)
+        step -= 1
+    return mate[(disk, ci, step % len(teeth))]
 
 
 def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
+    """Boundary circles per component: the orbits of `_walk`, one token per arc end.
+
+    Why one token suffices.  Trace the boundary with two tokens per arc end
+    x: A(x), about to run along x's arc, and B(x), just arrived by it and
+    about to turn inside x's comb.  A(x) goes to B(mate[x]), and B(y) to
+    A(pred(y)), where pred(y) is the previous arc end of y's comb,
+    cyclically.  The orbits of this map are the boundary circles.  They
+    alternate A and B, so each holds a B token, and its B tokens make up
+    one orbit of the return map B(y) -> B(mate[pred(y)]), which is `_walk`.
+    Distinct orbits hold disjoint B tokens, so the boundary circles and the
+    orbits of `_walk` correspond one to one.  (The A tokens' return map
+    pred . mate equals mate . `_walk` . mate, conjugate to `_walk` by the
+    involution mate, so it has as many orbits.)  No step leaves a
+    component, so the count holds per component.
+    """
     index, mate, disks = graph.arc_ends, graph.mate, graph.disks
     nodes, find = _component_roots(graph)
     orbits_per_root: dict = {}
-    seen: set[tuple[str, Location]] = set()
-    for start_loc in mate:
-        for phase in ("A", "B"):
-            token = (phase, start_loc)
-            if token in seen:
-                continue
-            root = find((start_loc[0], start_loc[1]))
-            orbits_per_root[root] = orbits_per_root.get(root, 0) + 1
-            while token not in seen:
-                seen.add(token)
-                ph, loc = token
-                if ph == "A":
-                    token = ("B", mate[loc])
-                else:
-                    token = ("A", _comb_predecessor(disks, loc))
+    seen: set[Location] = set()
+    for start in mate:
+        if start in seen:
+            continue
+        root = find(start[:2])
+        orbits_per_root[root] = orbits_per_root.get(root, 0) + 1
+        loc = start
+        while loc not in seen:
+            seen.add(loc)
+            loc = _walk(mate, disks, loc)
 
     node_count: dict = {}
     arc_count: dict = {}
@@ -642,8 +647,8 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
     is a bug in the caller, so it raises InternalError.
     """
     _require_valid(graph)
-    bands = graph.host.bands
-    hostband = bands[band - 1]
+    incidence = graph.host.incidence
+    hostband = graph.host.bands[band - 1]
     touched = (hostband.i, hostband.j)
     disks = list(graph.disks)
     rebuilt: dict[tuple[int, str], tuple[Location, ...]] = {}
@@ -668,10 +673,13 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
         for ci, teeth in renumbered.items():
             row[ci] = Comb(tuple(teeth))
         disks[disk - 1] = tuple(row)
-        rebuilt.update(_disk_arc_ends(bands, disk, row))
+        rebuilt.update(_disk_arc_ends(incidence[disk - 1], disk, row))
     result = CombedGraph(graph.host, tuple(disks))
     parent = graph.arc_ends
-    kept = {key: locs for key, locs in parent.items() if _key_disk(bands, key) not in touched}
+    kept = dict(parent)
+    for disk in touched:
+        for key in incidence[disk - 1].items():  # the (band, side) keys that live on the disk
+            kept.pop(key, None)
     _inherit(result, arc_ends=MappingProxyType(kept | rebuilt))
     if not problems:
         changed = {band}.union(
@@ -701,17 +709,21 @@ class Site:
         return [self.disk, self.component, self.tooth]
 
 
+def _is_site(teeth, ti: int) -> bool:
+    """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
+    if not 0 <= ti < len(teeth) - 1:
+        return False
+    a, b = teeth[ti], teeth[ti + 1]
+    return isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1
+
+
 def _disk_sites(disk: int, comps) -> list[Site]:
     """The eligible sites of one disk, by (component, tooth)."""
-    sites = []
-    for ci, comp in enumerate(comps):
-        if not isinstance(comp, Comb):
-            continue
-        for ti in range(len(comp.teeth) - 1):
-            a, b = comp.teeth[ti], comp.teeth[ti + 1]
-            if isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1:
-                sites.append(Site(disk, ci, ti))
-    return sites
+    return [
+        Site(disk, ci, ti)
+        for ci, comp in enumerate(comps) if isinstance(comp, Comb)
+        for ti in range(len(comp.teeth) - 1) if _is_site(comp.teeth, ti)
+    ]
 
 
 def eligible_sites(graph: CombedGraph) -> list[Site]:
@@ -741,12 +753,12 @@ def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
 def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
     """How face tracing crosses `region`, a set of (disk, component) combs.
 
-    The tracing walk of the module docstring enters the region through an
-    arc from an outside arc end x to an arc end inside, and leaves it
-    through an arc from inside to an outside arc end z.  Returns the map x
-    to z, the number of walks that never leave the region, and the pairs of
-    `band`'s arcs with no end in the region, all outside locations through
-    `relabel`.
+    This is `_walk` restricted to the region's arc ends.  The walk enters
+    the region through an arc from an outside arc end x to an arc end
+    inside, and leaves it through an arc from inside to an outside arc end
+    z.  Returns the map x to z, the number of walks that never leave the
+    region, and the pairs of `band`'s arcs with no end in the region, all
+    outside locations through `relabel`.
     """
     mate, disks = graph.mate, graph.disks
     inside = [
@@ -762,7 +774,7 @@ def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
         loc = start
         while True:
             seen.add(loc)
-            out = mate[_comb_predecessor(disks, loc)]
+            out = _walk(mate, disks, loc)
             if out[:2] not in region:
                 break
             loc = out
@@ -773,7 +785,7 @@ def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
             closed += 1
             while loc not in seen:
                 seen.add(loc)
-                loc = mate[_comb_predecessor(disks, loc)]
+                loc = _walk(mate, disks, loc)
     pairs = {
         relabel(loc): relabel(mate[loc])
         for loc in graph.arc_ends.get((band, "i"), ()) if loc[:2] not in region and mate[loc][:2] not in region
@@ -796,21 +808,13 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     """
     _require_valid(graph)
     comps = graph.disks[site.disk - 1] if 1 <= site.disk <= len(graph.disks) else ()
-    if not (0 <= site.component < len(comps) and site.tooth >= 0):
-        raise SiteNotEligible(f"no component at {site}")
-    comp = comps[site.component]
-    if not isinstance(comp, Comb):
-        raise SiteNotEligible("site component is an isolated point")
-    if site.tooth + 1 >= len(comp.teeth):
-        raise SiteNotEligible("site names a tooth without an upper neighbor")
-    lower, upper = comp.teeth[site.tooth], comp.teeth[site.tooth + 1]
-    if not (isinstance(lower, ArcEnd) and isinstance(upper, ArcEnd)):
-        raise SiteNotEligible("site teeth are not both arc ends")
-    if lower.band != upper.band:
-        raise SiteNotEligible("site teeth enter different 1-handles")
-    band = lower.band
-    if upper.slot != lower.slot + 1:
-        raise SiteNotEligible("site teeth do not hold adjacent slots")
+    comp = comps[site.component] if 0 <= site.component < len(comps) else None
+    if not (isinstance(comp, Comb) and _is_site(comp.teeth, site.tooth)):
+        raise SiteNotEligible(
+            f"no eligible site at {site}: teeth {site.tooth} and {site.tooth + 1} of a comb must hold "
+            f"adjacent slots of one 1-handle"
+        )
+    band = comp.teeth[site.tooth].band
     if check_full and not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
 

@@ -3,15 +3,18 @@
 Input: a full combed graph on S(q_n).  After Whitehead reduction, every
 middle-disk comb meets each attaching arc at most once, so the graph
 decomposes over the coarse handles into crossings (two-tooth combs carried
-from strand 1 out and back), dead ends (one-tooth combs, retracted into the
-material on strand 1 they hang from), and stray isolated points.  The local
-move then reads off a braided surface directly:
+from strand 1 out and back), dead ends (one-tooth combs), and stray
+isolated points.  A dead end, with its arc and the disk-1 tooth it hangs
+from, is a tree branch of the graph, so leaving it out is an isotopy of the
+regular neighborhood: the read-out skips dead ends and their disk-1 teeth,
+and edits nothing.  It reads off a braided surface directly:
 
-* every tooth of a disk-1 comb becomes a 0-handle of the output, in the
-  order of its arc end on the disk's boundary, and so does every isolated
-  point (disk-1 or stray); 0-handles are indexed top to bottom;
-* consecutive teeth of one comb stay joined by a positive band between
-  their 0-handles (the comb spine, re-fattened);
+* every live tooth of a disk-1 comb becomes a 0-handle of the output, in
+  the order of its arc end on the disk's boundary, and so does every
+  isolated point (disk-1 or stray) and every disk-1 comb with no live
+  tooth; 0-handles are indexed top to bottom;
+* consecutive live teeth of one comb stay joined by a positive band
+  between their 0-handles (the comb spine, re-fattened);
 * every crossing becomes one positive band joining the 0-handles carrying
   its two disk-1 ends; crossing bands are ordered by coarse 1-handle, then
   slot.
@@ -41,7 +44,6 @@ from .graphcalc import (
     IsolatedPoint,
     Site,
     _require_valid,
-    edit_band,
     neighborhood_summary,
     reduce_with_trace,
 )
@@ -63,36 +65,6 @@ class QuasipositizationResult:
         }
 
 
-def _prune_dead_ends(graph: CombedGraph) -> CombedGraph:
-    """Retract one-tooth combs on disks >= 2 into the disk-1 side.
-
-    Each such comb, with its single arc and the disk-1 tooth it hangs from,
-    is a tree branch of the graph; removing it is an isotopy of the regular
-    neighborhood.  Disk-1 combs that lose their last tooth become isolated
-    points.
-    """
-    current = graph
-    while True:
-        target = None
-        for disk in range(2, len(current.disks) + 1):
-            for ci, comp in enumerate(current.disks[disk - 1]):
-                if isinstance(comp, Comb) and len(comp.teeth) == 1:
-                    target = (disk, ci, comp.teeth[0])
-                    break
-            if target:
-                break
-        if target is None:
-            return current
-        disk_r, ci_r, tooth = target
-        near_disk, near_ci, near_ti = current.mate[(disk_r, ci_r, 0)]
-        near = current.disks[near_disk - 1][near_ci].teeth
-        rest = near[:near_ti] + near[near_ti + 1 :]
-        current = edit_band(current, tooth.band, {
-            (disk_r, ci_r): (),
-            (near_disk, near_ci): (Comb(rest) if rest else IsolatedPoint(),),
-        })
-
-
 def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     """Re-present a full subsurface of S(q_n) by quasipositive bands."""
     expected = q_rep(n)
@@ -106,69 +78,68 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     input_summary = neighborhood_summary(graph)
 
     reduced, steps = reduce_with_trace(graph)
-    pruned = _prune_dead_ends(reduced)
 
     coarse = CoarseDecomposition(n)
     nu = coarse.nu
+    mate = reduced.mate
 
-    # middle disks now carry only isolated points and two-tooth crossings
+    # middle disks now carry only isolated points, two-tooth crossings and
+    # one-tooth dead ends; the disk-1 tooth a dead end hangs from is dead too
+    dead = set()
     for disk in range(2, nu + 1):
-        for comp in pruned.disks[disk - 1]:
-            if isinstance(comp, Comb) and len(comp.teeth) != 2:
+        for ci, comp in enumerate(reduced.disks[disk - 1]):
+            if isinstance(comp, Comb) and len(comp.teeth) == 1:
+                dead.add(mate[(disk, ci, 0)])
+            elif isinstance(comp, Comb) and len(comp.teeth) != 2:
                 raise InternalError(f"disk {disk} comb with {len(comp.teeth)} teeth after reduction")
 
-    # 0-handles: disk-1 teeth in boundary order, then disk-1 isolated points,
-    # bottom to top, then stray points from the middle disks; output indices
-    # run top to bottom.  So the listing order of components means nothing.
-    slots_bottom_up: list[tuple] = [  # ("tooth", ci, ti) | ("point", disk, ci)
-        ("tooth", ci, ti)
-        for band, hostband in enumerate(pruned.host.bands, start=1)
-        if hostband.i == 1
-        for _disk, ci, ti in pruned.arc_ends.get((band, "i"), ())
+    # 0-handles: live disk-1 teeth in boundary order, then disk-1 isolated
+    # points and combs with no live tooth, then stray points from the middle
+    # disks; output indices run top to bottom.  So the listing order of
+    # components means nothing.
+    teeth = [
+        loc
+        for key in reduced.host.incidence[0].items()
+        for loc in reduced.arc_ends.get(key, ()) if loc not in dead
     ]
-    slots_bottom_up += [
-        ("point", 1, ci) for ci, comp in enumerate(pruned.disks[0]) if isinstance(comp, IsolatedPoint)
-    ]
-    stray = [
-        ("point", disk, ci)
-        for disk in range(2, nu + 1)
-        for ci, comp in enumerate(pruned.disks[disk - 1])
-        if isinstance(comp, IsolatedPoint)
-    ]
-    total = len(slots_bottom_up) + len(stray)
+    combs: dict[int, list] = {}  # disk-1 comb -> its live teeth, bottom to top
+    for loc in teeth:
+        combs.setdefault(loc[1], []).append(loc)
+    points = len(reduced.disks[0]) - len(combs)  # isolated points, and combs with no live tooth
+    stray = sum(
+        isinstance(comp, IsolatedPoint) for disk in range(2, nu + 1) for comp in reduced.disks[disk - 1]
+    )
+    total = len(teeth) + points + stray
     if total == 0:
         raise InvalidGraph("graph has no material to present")
 
-    strand_of = {key: len(slots_bottom_up) - rank for rank, key in enumerate(slots_bottom_up)}
+    strand_of = {loc: len(teeth) + points - rank for rank, loc in enumerate(teeth)}
 
-    # necks: consecutive teeth of each disk-1 comb.  Around a fattened tooth
-    # the attachments run (crossing, neck below, neck above) in the disk
-    # orientation, which forces neck heights to DECREASE up the comb and all
-    # crossings to sit above all necks; the fiber Alexander agreement pins
-    # this down (top-down emission is the faithful one).
-    necks = []
-    for kind, ci, first in slots_bottom_up:  # combs in the order of their bottom teeth
-        if kind == "tooth" and first == 0:
-            for ti in range(len(pruned.disks[0][ci].teeth) - 2, -1, -1):
-                a = strand_of[("tooth", ci, ti)]
-                b = strand_of[("tooth", ci, ti + 1)]
-                necks.append(EmbeddedBand(min(a, b), max(a, b), 1))
+    # necks: consecutive live teeth of each disk-1 comb.  Around a fattened
+    # tooth the attachments run (crossing, neck below, neck above) in the
+    # disk orientation, which forces neck heights to DECREASE up the comb
+    # and all crossings to sit above all necks; the fiber Alexander
+    # agreement pins this down (top-down emission is the faithful one).
+    necks = [
+        EmbeddedBand(strand_of[upper], strand_of[lower], 1)
+        for live in combs.values()  # combs in the order of their bottom teeth
+        for lower, upper in reversed(list(zip(live, live[1:])))
+    ]
 
     # crossings: per coarse 1-handle, per slot of its first fine band
-    mate = pruned.mate
     strips = []
     for s in range(1, nu):
         first_band, middle_disk, second_band = coarse.coarse_one_handle(s)
-        for near1 in pruned.arc_ends.get((first_band, "i"), ()):  # disk-1 ends, by slot
+        for near1 in reduced.arc_ends.get((first_band, "i"), ()):  # disk-1 ends, by slot
+            if near1 in dead:
+                continue
             _disk, far_ci, _ti = mate[near1]
             # partner tooth on the middle-disk comb, and the disk-1 end of its arc
-            teeth = pruned.disks[middle_disk - 1][far_ci].teeth
+            far = reduced.disks[middle_disk - 1][far_ci].teeth
             partner = next(
-                ti for ti, tooth in enumerate(teeth) if isinstance(tooth, ArcEnd) and tooth.band == second_band
+                ti for ti, tooth in enumerate(far) if isinstance(tooth, ArcEnd) and tooth.band == second_band
             )
-            near2 = mate[(middle_disk, far_ci, partner)]
-            a = strand_of[("tooth", near1[1], near1[2])]
-            b = strand_of[("tooth", near2[1], near2[2])]
+            a, b = strand_of[near1], strand_of[mate[(middle_disk, far_ci, partner)]]
             if a == b:
                 raise InternalError("crossing returned to a single 0-handle")
             strips.append(EmbeddedBand(min(a, b), max(a, b), 1))

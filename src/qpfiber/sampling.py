@@ -56,10 +56,10 @@ def _double_arc(graph: CombedGraph, band: int, slot: int, near_disk: int, split:
     The copy sits just above the old arc end on the near side and just below
     it on the far side; with `split` the far comb is cut between the two.
     """
-    hostband = graph.host.bands[band - 1]
-    if near_disk not in (hostband.i, hostband.j):
+    side = graph.host.incidence[near_disk - 1].get(band)
+    if side is None:
         raise InternalError("near disk is not an end of the band")
-    near_loc = graph.arc_ends[(band, "i" if near_disk == hostband.i else "j")][slot]
+    near_loc = graph.arc_ends[(band, side)][slot]
     _, near_ci, near_ti = near_loc
     far_disk, far_ci, far_ti = graph.mate[near_loc]
     near = graph.disks[near_disk - 1][near_ci].teeth
@@ -156,9 +156,10 @@ def random_direct_graph(rng: random.Random, max_arcs: int = 10) -> CombedGraph:
     arcs = [0] * len(rep.bands)
     for _ in range(rng.randint(1, max_arcs)):
         arcs[rng.randrange(len(arcs))] += 1
+    host = BraidedSurface(rep)
     disks = []
-    for s in range(1, rep.strands + 1):
-        labels = [t for t, band in enumerate(rep.bands, start=1) if s in (band.i, band.j) for _ in range(arcs[t - 1])]
+    for row in host.incidence:
+        labels = [t for t in row for _ in range(arcs[t - 1])]
         if rng.random() < 0.5:
             rng.shuffle(labels)
         slots: dict[int, int] = {}
@@ -175,4 +176,4 @@ def random_direct_graph(rng: random.Random, max_arcs: int = 10) -> CombedGraph:
         if not comps or rng.random() < 0.2:
             comps.insert(rng.randint(0, len(comps)), IsolatedPoint())
         disks.append(tuple(comps))
-    return CombedGraph(BraidedSurface(rep), tuple(disks))
+    return CombedGraph(host, tuple(disks))

@@ -12,6 +12,8 @@ each the transposition of its two strands, without expanding the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable
 
 from .braidcore import BandRepresentation, UnionFind, band_permutation, cycles
@@ -34,6 +36,20 @@ class BraidedSurface:
 
     def band_count(self) -> int:
         return len(self.rep.bands)
+
+    @cached_property
+    def incidence(self) -> tuple[MappingProxyType, ...]:
+        """Per disk, the bands that meet it, in height order, each to its side.
+
+        `incidence[s - 1]` maps band t to "i" when s is the band's disk i,
+        and to "j" when s is its disk j.  The one statement of which side of a band
+        meets a disk; built once per surface, in time linear in its size.
+        """
+        rows: list[dict[int, str]] = [{} for _ in range(self.strands)]
+        for t, band in enumerate(self.bands, start=1):
+            rows[band.i - 1][t] = "i"
+            rows[band.j - 1][t] = "j"
+        return tuple(MappingProxyType(row) for row in rows)
 
     def to_json(self) -> dict:
         return self.rep.to_json()
@@ -111,18 +127,14 @@ def handle_spine(surface: BraidedSurface, selected: Iterable[int]):
     """
     from . import graphcalc
 
-    chosen = sorted(set(int(t) for t in selected))
+    chosen = {int(t) for t in selected}
     k = surface.band_count()
-    for t in chosen:
+    for t in sorted(chosen):
         if not 1 <= t <= k:
             raise InvalidParameter(f"selected 1-handle {t} out of range 1..{k}")
     disks = []
-    for s in range(1, surface.strands + 1):
-        teeth = []
-        for t in chosen:
-            band = surface.bands[t - 1]
-            if s in (band.i, band.j):
-                teeth.append(graphcalc.ArcEnd(t, 0))
+    for row in surface.incidence:
+        teeth = [graphcalc.ArcEnd(t, 0) for t in row if t in chosen]
         if teeth:
             disks.append((graphcalc.Comb(tuple(teeth)),))
         else:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -452,3 +453,16 @@ def test_any_argv_gives_one_json_document_and_a_documented_exit_code(argv):
     assert code in (0, 1, 2)
     report = json.loads(out.getvalue())  # raises unless stdout is exactly one JSON document
     assert report["ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("verb", ["reduce", "quasipositize --n 3"])
+def test_an_oversized_host_is_refused_in_time_proportional_to_its_size(verb):
+    # validation reads each disk's incidence row, not every band, so a host far above the
+    # strand limit is refused as fast as the document is read
+    strands = 8000
+    doc = points_doc({"strands": strands, "bands": [[i, i + 1, 1] for i in range(1, strands)]})
+    start = time.perf_counter()
+    code, out = run_on_stdin(verb.split(), json.dumps(doc))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert json.loads(out)["kind"] == "SizeLimitExceeded"

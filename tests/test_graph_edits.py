@@ -9,15 +9,16 @@ edit catch deliberately faulty edits.
 """
 
 import random
+import re
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qpfiber import graphcalc, qpize
+from qpfiber import graphcalc
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand
 from qpfiber.constructions import q_rep
-from qpfiber.errors import InternalError
+from qpfiber.errors import InternalError, SiteNotEligible
 from qpfiber.graphcalc import (
     ArcEnd,
     Comb,
@@ -32,10 +33,11 @@ from qpfiber.graphcalc import (
     validate,
     whitehead_step,
 )
-from qpfiber.qpize import _prune_dead_ends
+from qpfiber.qpize import quasipositize
 from qpfiber.sampling import (
     double_arc_bigon,
     inverse_whitehead,
+    random_band_representation,
     random_direct_graph,
     random_fine_handle_subset,
     random_full_graph,
@@ -359,12 +361,51 @@ def test_whitehead_step_undoes_a_nested_doubling(seed):
     assert whitehead_step(doubled, site) == naive_whitehead(doubled, site) == graph
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seeds)
-def test_dead_end_pruning_matches_the_naive_rebuild(seed):
-    _, graph = sampled_graph(seed)
-    for candidate in (graph, reduce(graph)):
-        assert _prune_dead_ends(candidate) == naive_prune_dead_ends(candidate)
+def test_the_read_out_skips_dead_ends_as_the_naive_pruning_removes_them(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 4
+    graph = grown_spine(rng, n, rng.randint(0, 12))
+    pruned = naive_prune_dead_ends(reduce(graph))
+    assert quasipositize(n, graph).output == quasipositize(n, pruned).output
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_incidence_equals_a_scan_of_the_bands(seed):
+    rep = random_band_representation(random.Random(seed), 6, 8) if seed % 2 else q_rep(2 + seed % 4)
+    host = BraidedSurface(rep)
+    incidence = host.incidence
+    assert len(incidence) == host.strands
+    pairs = [(t, side, disk) for disk, row in enumerate(incidence, start=1) for t, side in row.items()]
+    assert sorted((t, side) for t, side, _disk in pairs) == [
+        (t, side) for t in range(1, host.band_count() + 1) for side in ("i", "j")
+    ]
+    for t, side, disk in pairs:
+        band = host.bands[t - 1]
+        assert disk == (band.i if side == "i" else band.j)
+    for disk, row in enumerate(incidence, start=1):
+        assert list(row) == [t for t, band in enumerate(host.bands, start=1) if disk in (band.i, band.j)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds)
+def test_whitehead_step_refuses_exactly_the_triples_that_are_not_sites(seed):
+    for graph in (sampled_graph(seed)[1], nested_graph(seed)):
+        eligible = set(eligible_sites(graph))
+        triples = [
+            Site(disk, ci, ti)
+            for disk, comps in enumerate(graph.disks, start=1)
+            for ci, comp in enumerate(comps)
+            for ti in range(len(comp.teeth) if isinstance(comp, Comb) else 1)
+        ]
+        for site in triples:
+            if site in eligible:
+                whitehead_step(graph, site, check_full=False)
+            else:
+                with pytest.raises(SiteNotEligible, match=re.escape(f"no eligible site at {site}:")):
+                    whitehead_step(graph, site, check_full=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,7 +502,7 @@ def test_caching_keeps_equality_hash_and_json(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_every_edit_equals_a_fresh_graph(seed):
-    # each Whitehead step and dead-end prune, with the index and checks it took over from its parent
+    # each Whitehead step, with the index and checks it took over from its parent
     rng = random.Random(seed)
     if seed % 2:
         graph = random_direct_graph(rng, max_arcs=12)
@@ -478,10 +519,8 @@ def test_every_edit_equals_a_fresh_graph(seed):
             return result
         return wrapper
 
-    with patch.object(graphcalc, "whitehead_step", checked(graphcalc.whitehead_step)), \
-            patch.object(qpize, "edit_band", checked(qpize.edit_band)):
+    with patch.object(graphcalc, "whitehead_step", checked(graphcalc.whitehead_step)):
         reduced = reduce(graph)
-        _prune_dead_ends(reduced)
     assert len(edited) >= graph.total_arcs() - reduced.total_arcs()
 
 
