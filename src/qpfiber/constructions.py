@@ -42,11 +42,11 @@ from .surface import BraidedSurface, euler_characteristic, handle_spine
 MAX_N = 11
 """Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
 
-``verify-fiber`` runs in time growing about twofold per step of n: on a
-2-core x86-64 machine (Python 3.11, single runs) n = 9, 10, 11 and 12 took
-1.5, 2.8, 6.4 and 11.7 s.  Raising the limit would also raise
-``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``, which are taken from
-``q_rep(MAX_N)``.
+``verify-fiber`` runs in time growing by a factor of about 1.4 to 1.8 per
+step of n: on a 2-core x86-64 machine (Python 3.11, median of three runs of
+``verify_fiber(n)``) n = 9, 10, 11 and 12 took 0.66, 0.96, 1.68 and 2.27 s.
+Raising the limit would also raise ``cli.MAX_STRANDS`` and
+``cli.MAX_LETTERS``, which are taken from ``q_rep(MAX_N)``.
 """
 
 

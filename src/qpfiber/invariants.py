@@ -252,28 +252,84 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
-    """Fraction-free Bareiss determinant over Z[t, t^-1]."""
+    """Fraction-free Bareiss determinant over Z[t, t^-1], on sparse rows.
+
+    Bareiss (Math. Comp. 22, 1968) on the n x n matrix M, steps k = 0..n-1,
+    with p_k the pivot of step k and p_-1 = 1: before step k the rows at
+    positions i >= k hold R^k_i, with R^0 = M, and step k sets, for i > k,
+
+        R^(k+1)_ij = (R^k_ij p_k - R^k_ik R^k_kj) / p_(k-1),    p_k = R^k_kk.
+
+    By Sylvester's identity R^k_ij (i, j >= k) is the minor of M on rows
+    0..k-1, i and columns 0..k-1, j; the last pivot p_(n-1) is det M.
+    Each row is stored as a dict from column to its nonzero entries.
+
+    1. Pivot rows chosen as the run goes.  Step k takes, among the rows at
+       positions >= k with an entry in column k, one with the fewest entries
+       (Markowitz, Management Sci. 3, 1957), the lowest position on a tie,
+       and swaps it to position k, flipping the sign.  A row's update at
+       step k reads only that row and the pivot row, so R^k_i depends on
+       row i of M and the pivot rows of steps 0..k-1 in order, not on where
+       the other rows stand.  The run is therefore Bareiss without swaps on
+       M with its rows put in pivot order, whose determinant is det M times
+       the sign of that permutation, which the swaps count.  If no row has
+       an entry in column k, columns 0..k of R^k are nonzero only in rows
+       0..k-1; R^k comes from M with rows permuted by row operations that
+       add multiples of earlier rows and scale rows by nonzero factors, so
+       det M = 0.
+    2. Deferred scaling.  A row with no entry in column k only gets
+       R^(k+1)_i = R^k_i p_k / p_(k-1), which keeps its support.  So a row
+       stores S = R^a_i, where a - 1 is the step it was last updated at
+       (a = 0 if never), together with its divisor d = p_(a-1).  The
+       factors from steps a..k-1 telescope: R^k_i = S p_(k-1) / d.  When
+       column k next reaches it, substituting into the step gives
+
+           R^(k+1)_ij = (S_ij p_k - S_ik R^k_kj) / d,
+
+       one product and one division per entry with no factor for the
+       skipped steps; the row then stores R^(k+1)_i and divisor p_k.  The
+       pivot row itself is brought up to R^k_k = S p_(k-1) / d before its
+       entries are read, and at k = n - 1 that gives det M.
+    3. Exact quotients.  Every quotient taken is an entry R^(k+1)_ij or
+       R^k_kj, a minor of M, so it lies in Z[t, t^-1].  The divisor is a
+       nonzero pivot and Z[t, t^-1] has no zero divisors, so top-down long
+       division meets only leading coefficients that divide and leaves no
+       remainder: `exact_div` never raises here.
+
+    Only the rows with an entry in column k are touched at step k, and each
+    update costs the sizes of the two rows, not (n - k)^2.
+    """
     n = len(matrix)
-    if n == 0:
-        return _ONE
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot_row is None:
-                return _ZERO
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+    # position -> (nonzero entries by column, divisor of the row's next update)
+    rows = [({j: entry for j, entry in enumerate(row) if entry}, _ONE) for row in matrix]
+    sign, previous = 1, _ONE
+    for k in range(n):
+        candidates = [r for r in range(k, n) if k in rows[r][0]]
+        if not candidates:
+            return _ZERO
+        r = min(candidates, key=lambda c: len(rows[c][0]))  # the first of the fewest: lowest position
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
+        pivot_row, divisor = rows[k]
+        if divisor != previous:
+            pivot_row = {j: (entry * previous).exact_div(divisor) for j, entry in pivot_row.items()}
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = _ZERO
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+            row, divisor = rows[i]
+            factor = row.get(k)
+            if factor is None:
+                continue
+            updated = {j: entry * pivot for j, entry in row.items() if j != k}
+            for j, entry in pivot_row.items():
+                if j != k:
+                    updated[j] = updated.get(j, _ZERO) - factor * entry
+            updated = {j: entry for j, entry in updated.items() if entry}
+            if divisor != _ONE:
+                updated = {j: entry.exact_div(divisor) for j, entry in updated.items()}
+            rows[i] = (updated, pivot)
+        previous = pivot
+    return previous if sign == 1 else -previous
 
 
 # ---------------------------------------------------------------------------

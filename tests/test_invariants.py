@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpfiber._linking import pl_seifert_matrix
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, word_from_letters
-from qpfiber.constructions import q_rep
+from qpfiber.constructions import nabla, q_rep
 from qpfiber.errors import NonExactDivision
 from qpfiber.invariants import (
     LaurentPolynomial,
@@ -282,6 +282,89 @@ class TestMatMul:
             for i in range(1, strands):
                 product = naive_product(dict_generator(strands, i, 1), dict_generator(strands, i, -1))
                 assert product == dict_identity(strands - 1)
+
+
+def leibniz_det(matrix):
+    """Sum over permutations of signed products, on {exponent: coefficient} dicts."""
+    total = {}
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = {0: 1}
+        for row, column in enumerate(perm):
+            term = ref_mul(term, matrix[row][column])
+        total = ref_add(total, term, -1 if inversions % 2 else 1)
+    return total
+
+
+def sparse_dict_matrix(rng, size):
+    """A size x size matrix of dicts with about half the entries zero."""
+    return [
+        [{rng.randint(-2, 2): rng.choice((-2, -1, 1, 3)), rng.randint(-2, 2): 1} if rng.random() < 0.5 else {}
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+def seifert_grid(rep):
+    """V - t V^T of the Seifert matrix of rep, as `alexander_from_seifert` builds it."""
+    v = seifert_matrix(rep).entries
+    return tuple(tuple(L({0: v[i][j], 1: -v[j][i]}) for j in range(len(v))) for i in range(len(v)))
+
+
+square_matrices = st.integers(2, 5).flatmap(
+    lambda size: st.lists(st.lists(polys, min_size=size, max_size=size), min_size=size, max_size=size)
+)
+
+
+class TestDeterminant:
+    def test_matches_leibniz_on_seeded_sparse_matrices(self):
+        rng = random.Random(1401)
+        for size in range(1, 6):
+            for _ in range(12):
+                matrix = sparse_dict_matrix(rng, size)
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_small_shapes(self):
+        assert mat_det(()) == L({0: 1})
+        assert mat_det(((L({-2: 3, 1: -1}),),)) == L({-2: 3, 1: -1})
+        assert mat_det(((L({}),),)) == L({})
+
+    def test_empty_leading_pivot_swaps_rows(self):
+        assert mat_det(as_polys([[{}, {0: 1}], [{1: 1}, {}]])) == L({1: -1})
+        three = [[{}, {0: 2}, {1: 1}], [{}, {0: 1}, {}], [{0: 1, 1: 1}, {0: 1}, {0: 3}]]
+        assert as_dict(mat_det(as_polys(three))) == leibniz_det(three) == {1: -1, 2: -1}
+
+    def test_zero_column(self):
+        assert mat_det(as_polys([[{0: 1}, {}, {1: 2}], [{0: 3}, {}, {0: 1}], [{2: 1}, {}, {0: 1}]])) == L({})
+        assert mat_det(as_polys([[{0: 1}, {0: 2}], [{1: 1}, {1: 2}]])) == L({})
+
+    def test_deferred_scaling_across_steps(self):
+        # The last row is updated at step 0, skipped at steps 1 and 2, and next updated at step 3
+        # with divisor p_0 = t + 1; rows 1 and 3 become pivots only after steps that skipped them.
+        matrix = [
+            [{0: 1, 1: 1}, {}, {}, {}, {0: 1}],
+            [{}, {0: 2}, {0: 1}, {}, {}],
+            [{}, {0: 1}, {1: 1}, {0: 1}, {}],
+            [{}, {}, {}, {0: 3}, {1: 1}],
+            [{0: 1}, {}, {}, {0: 1}, {0: 2}],
+        ]
+        assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix)
+
+    @given(square_matrices, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_swapping_two_rows_negates(self, matrix, data):
+        i, j = data.draw(st.lists(st.integers(0, len(matrix) - 1), min_size=2, max_size=2, unique=True))
+        swapped = list(matrix)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert mat_det(as_polys(swapped)) == -mat_det(as_polys(matrix))
+
+    def test_seifert_determinants_are_pinned(self):
+        # det(V - t V^T) as mat_det returns it, before canonical(); q_rep(6) and nabla(6) present one fiber
+        q5 = {0: 1, 1: -1, 5: -3, 6: 3, 10: 3, 11: -3, 15: -1, 16: 1}
+        q6 = {0: -1, 1: 1, 6: 4, 7: -4, 12: -6, 13: 6, 18: 4, 19: -4, 24: -1, 25: 1}
+        assert as_dict(mat_det(seifert_grid(q_rep(5)))) == q5
+        assert as_dict(mat_det(seifert_grid(q_rep(6)))) == q6
+        assert as_dict(mat_det(seifert_grid(nabla(6)))) == q6
 
 
 class TestBurau:
