@@ -37,7 +37,6 @@ from .graphcalc import (
 )
 from .invariants import (
     LaurentPolynomial,
-    SeifertMatrix,
     alexander_from_braid,
     alexander_from_seifert,
     eq_up_to_units,

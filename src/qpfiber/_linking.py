@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .braidcore import BandRepresentation
 from .errors import InternalError
-from .invariants import SeifertMatrix, _band_crossings, _basis_cycles
+from .invariants import _band_crossings, _basis_cycles
 
 Point = tuple[int, int, int]
 
@@ -188,7 +188,7 @@ def _cycle_loops(rep, crossings, traversals, cycle_index, scale):
     return core, push
 
 
-def pl_seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
+def pl_seifert_matrix(rep: BandRepresentation) -> tuple[tuple[int, ...], ...]:
     """Seifert matrix of S(rep) from the PL model: lk(a+, b) for every pair.
 
     `scale` is one lattice spacing for the whole surface: 4096 times the lcm
@@ -197,13 +197,12 @@ def pl_seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
     """
     cycles = _basis_cycles(rep)
     if not cycles:
-        return SeifertMatrix(())
+        return ()
     crossings = _band_crossings(cycles)
     scale = 4096 * math.lcm(*(len(slots) + 1 for slots in crossings.values()))
     loops = [_cycle_loops(rep, crossings, traversals, index, scale) for index, traversals in enumerate(cycles)]
     size = len(cycles)
-    entries = tuple(
+    return tuple(
         tuple(linking_number(loops[a][1], loops[b][0]) for b in range(size))
         for a in range(size)
     )
-    return SeifertMatrix(entries)

@@ -41,16 +41,18 @@ arc end (`_walk`): inside the arc end's comb it drops one tooth cyclically
 (skipping teeth that end on the surface boundary), then it jumps through
 the band to the paired arc end.  Orbits of this step are the boundary
 circles of components containing at least one arc; arc-free components
-are disks.  `_routing`, the local check of a Whitehead move, is the same
-walk restricted to a region.
+are disks.  `SurfaceSummary.of_complex`, the one per-component count, reads
+the orbits as the circles of the complex of nodes and arcs.  `_routing`, the
+local check of a Whitehead move, is the same walk restricted to a region.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
 arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs`,
-`mate` and every edit), the `validate` problems and the
-`neighborhood_summary`.  `mate` is a lookup, not a table: the far end of
-the arc at slot p of r is entry r-1-p of the other side's index.
+`mate` and every edit), the `validate` problems, the `neighborhood_summary`
+and fullness (`_full`, so `is_full` folds a graph at most once).  `mate` is
+a lookup, not a table: the far end of the arc at slot p of r is entry r-1-p
+of the other side's index.
 
 Every edit goes through `edit_band`: it replaces components on the two
 disks one band joins, reusing every other disk's row, renumbers that band's
@@ -74,9 +76,10 @@ closes as many walks inside the region, and pairs the band's other arcs as
 before.  The region is one piece before the move, and stays one when the
 kept arc still joins the site's comb to the merged one; with one arc and one
 comb gone, each component keeps its chi, and the child takes the parent's
-summary.  `reduce` still validates, summarises and
-checks fullness of a fresh copy of its result against its input, so a
-local check that missed a fault would show there.
+summary.  A Whitehead move keeps fullness too, so the child of a full graph
+is full without folding.  `reduce` still validates, summarises and checks
+fullness of a fresh copy of its result against its input, so a local check
+that missed a fault would show there.
 """
 
 from __future__ import annotations
@@ -164,6 +167,46 @@ class CombedGraph:
     def _summary(self) -> SurfaceSummary:
         _require_valid(self)
         return _trace_summary(self)
+
+    @cached_property
+    def _full(self) -> bool:
+        """Whether the graph is pi_1-injective on each component, by folding.
+
+        Folding identifies, at each node class, arcs through one band that
+        leave it on the same side, and so merges their other ends.  It keeps
+        E - V exactly when no fold identifies two arcs whose other ends were
+        already one node, that is, when no cycle dies (see the module docstring).
+        """
+        _require_valid(self)
+        stars: dict = {}  # node root -> {(band, +1 at the i end, -1 at the j end): a neighbor}
+        pending = []      # pairs of nodes that folding must merge
+        arcs = _graph_arcs(self)
+        for band, tail, head in arcs:
+            for node, key, other in ((tail, (band, 1), head), (head, (band, -1), tail)):
+                star = stars.setdefault(node, {})
+                if key in star:
+                    pending.append((star[key], other))
+                else:
+                    star[key] = other
+        sets = UnionFind(stars)
+        merges = 0
+        while pending:
+            x, y = pending.pop()
+            rx, ry = sets.find(x), sets.find(y)
+            if rx == ry:
+                continue
+            if len(stars[rx]) > len(stars[ry]):
+                rx, ry = ry, rx
+            sets.union(rx, ry)
+            merges += 1
+            into = stars[ry]
+            for key, other in stars.pop(rx).items():
+                if key in into:
+                    pending.append((into[key], other))
+                else:
+                    into[key] = other
+        folded_arcs = sum(len(star) for star in stars.values()) // 2
+        return len(arcs) - folded_arcs == merges
 
     def arc_count(self, band: int) -> int:
         return len(self.arc_ends.get((band, "i"), ()))
@@ -458,19 +501,6 @@ def _graph_arcs(graph: CombedGraph) -> list[tuple[int, tuple[int, int], tuple[in
     ]
 
 
-def _component_roots(graph: CombedGraph):
-    """Union-find over (disk, comp) nodes along the arcs."""
-    nodes = [
-        (disk, ci)
-        for disk, comps in enumerate(graph.disks, start=1)
-        for ci in range(len(comps))
-    ]
-    sets = UnionFind(nodes)
-    for _band, tail, head in _graph_arcs(graph):
-        sets.union(tail, head)
-    return nodes, sets.find
-
-
 def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
     """Homeomorphism type of a regular neighborhood of the graph."""
     return graph._summary
@@ -502,40 +532,21 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     involution mate, so it has as many orbits.)  No step leaves a
     component, so the count holds per component.
     """
-    index, mate, disks = graph.arc_ends, graph.mate, graph.disks
-    nodes, find = _component_roots(graph)
-    orbits_per_root: dict = {}
+    mate, disks = graph.mate, graph.disks
+    orbits = []
     seen: set[Location] = set()
     for start in mate:
         if start in seen:
             continue
-        root = find(start[:2])
-        orbits_per_root[root] = orbits_per_root.get(root, 0) + 1
+        orbit = []
         loc = start
         while loc not in seen:
             seen.add(loc)
+            orbit.append(loc[:2])
             loc = _walk(mate, disks, loc)
-
-    node_count: dict = {}
-    arc_count: dict = {}
-    for node in nodes:
-        root = find(node)
-        node_count[root] = node_count.get(root, 0) + 1
-    for band in range(1, graph.host.band_count() + 1):
-        for loc in index.get((band, "i"), []):
-            root = find((loc[0], loc[1]))
-            arc_count[root] = arc_count.get(root, 0) + 1
-
-    components = []
-    for root, vertices in node_count.items():
-        edges = arc_count.get(root, 0)
-        chi = vertices - edges
-        boundary = orbits_per_root.get(root, 0)
-        if edges == 0:
-            assert vertices == 1 and boundary == 0
-            boundary = 1
-        components.append((chi, boundary))
-    return SurfaceSummary.from_components(components)
+        orbits.append(orbit)
+    nodes = [(disk, ci) for disk, comps in enumerate(disks, start=1) for ci in range(len(comps))]
+    return SurfaceSummary.of_complex(nodes, [(tail, head) for _band, tail, head in _graph_arcs(graph)], orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -548,21 +559,17 @@ def _host_spanning_tree(host: BraidedSurface) -> set[int]:
     return {pos + 1 for pos in forest}
 
 
-def _free_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _cyclic_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Free reduction, then cancellation of inverse letters at the two ends."""
     stack: list[tuple[int, int]] = []
     for letter in word:
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
+    while len(stack) >= 2 and stack[0][0] == stack[-1][0] and stack[0][1] == -stack[-1][1]:
+        stack = stack[1:-1]
     return stack
-
-
-def _cyclic_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    word = _free_reduce(word)
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return word
 
 
 def cycle_words(graph: CombedGraph) -> list[list[tuple[int, int]]]:
@@ -584,43 +591,8 @@ def cycle_words(graph: CombedGraph) -> list[list[tuple[int, int]]]:
 
 
 def is_full(graph: CombedGraph) -> bool:
-    """True iff the graph is pi_1-injective on each component, by folding.
-
-    Folding identifies, at each node class, arcs through one band that
-    leave it on the same side, and so merges their other ends.  It keeps
-    E - V exactly when no fold identifies two arcs whose other ends were
-    already one node, that is, when no cycle dies (see the module docstring).
-    """
-    _require_valid(graph)
-    stars: dict = {}  # node root -> {(band, +1 at the i end, -1 at the j end): a neighbor}
-    pending = []      # pairs of nodes that folding must merge
-    arcs = _graph_arcs(graph)
-    for band, tail, head in arcs:
-        for node, key, other in ((tail, (band, 1), head), (head, (band, -1), tail)):
-            star = stars.setdefault(node, {})
-            if key in star:
-                pending.append((star[key], other))
-            else:
-                star[key] = other
-    sets = UnionFind(stars)
-    merges = 0
-    while pending:
-        x, y = pending.pop()
-        rx, ry = sets.find(x), sets.find(y)
-        if rx == ry:
-            continue
-        if len(stars[rx]) > len(stars[ry]):
-            rx, ry = ry, rx
-        sets.union(rx, ry)
-        merges += 1
-        into = stars[ry]
-        for key, other in stars.pop(rx).items():
-            if key in into:
-                pending.append((into[key], other))
-            else:
-                into[key] = other
-    folded_arcs = sum(len(star) for star in stars.values()) // 2
-    return len(arcs) - folded_arcs == merges
+    """True iff the graph is pi_1-injective on each component; folded once per graph (`CombedGraph._full`)."""
+    return graph._full
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +765,7 @@ def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
     return routes, closed, pairs
 
 
-def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> CombedGraph:
+def whitehead_step(graph: CombedGraph, site: Site) -> CombedGraph:
     """One Whitehead move: two parallel arcs become one, far combs merge.
 
     The far end of the removed arc lies directly below the far end of the
@@ -804,7 +776,10 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
     of A and B was.  Preserves the regular-neighborhood summary and
     fullness; drops the arc count by exactly one.  The summary is checked
     locally: the move must route the face-tracing walk through its region
-    as before (`_routing`), with one arc and one comb gone.
+    as before (`_routing`), with one arc and one comb gone.  The graph must
+    be full (NotFull otherwise); fullness is cached per graph, and the child
+    takes both the summary and fullness from its parent, so a chain of
+    moves folds only the graph it starts from.
     """
     _require_valid(graph)
     comps = graph.disks[site.disk - 1] if 1 <= site.disk <= len(graph.disks) else ()
@@ -815,7 +790,7 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
             f"adjacent slots of one 1-handle"
         )
     band = comp.teeth[site.tooth].band
-    if check_full and not is_full(graph):
+    if not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
 
     near = (site.disk, site.component)
@@ -846,7 +821,7 @@ def whitehead_step(graph: CombedGraph, site: Site, check_full: bool = True) -> C
         raise InternalError("Whitehead move changed the neighborhood summary")
     if result.mate[(*near, site.tooth)][:2] != (far_disk, low):
         raise InternalError("Whitehead move did not keep the site's comb joined to the merged comb")
-    _inherit(result, _summary=graph._summary)
+    _inherit(result, _summary=graph._summary, _full=True)
     return result
 
 
@@ -860,7 +835,8 @@ def reduce_with_trace(graph: CombedGraph) -> tuple[CombedGraph, list[Site]]:
 
     Each disk keeps its list of eligible sites, rebuilt only for the two
     disks a move rewrites.  The steps are checked locally; a fresh copy of
-    the result is validated, summarised and checked for fullness again.
+    the result is validated, summarised and folded again.  So a reduction
+    that moves folds twice whatever its length: its input and that copy.
     """
     _require_valid(graph)
     if not is_full(graph):
@@ -874,7 +850,7 @@ def reduce_with_trace(graph: CombedGraph) -> tuple[CombedGraph, list[Site]]:
         if len(trace) >= limit:
             raise InternalError("reduction took more steps than the graph has arcs")
         hostband = graph.host.bands[current.disks[site.disk - 1][site.component].teeth[site.tooth].band - 1]
-        current = whitehead_step(current, site, check_full=False)
+        current = whitehead_step(current, site)
         trace.append(site)
         for disk in (hostband.i, hostband.j):
             sites[disk - 1] = _disk_sites(disk, current.disks[disk - 1])

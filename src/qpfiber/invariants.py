@@ -87,8 +87,6 @@ products per letter on n strands (see ``reduced_burau``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braidcore import BandRepresentation, BraidWord, fundamental_cycles
 from .errors import InvalidParameter, NonExactDivision
 
@@ -377,17 +375,6 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
 # Seifert matrices of braided surfaces
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """Integer Seifert matrix on the fundamental cycles of the handle graph."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
 def _basis_cycles(rep: BandRepresentation):
     """One cycle per co-tree band: ordered (band_pos, direction) traversals.
 
@@ -407,8 +394,8 @@ def _band_crossings(cycles):
     return crossings
 
 
-def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
-    """Seifert matrix of S(rep) on the fundamental cycles of its handle graph.
+def seifert_matrix(rep: BandRepresentation) -> tuple[tuple[int, ...], ...]:
+    """Seifert matrix of S(rep) on the fundamental cycles of its handle graph, as integer rows.
 
     Entry (a, b) is the corridor term plus the band term of the module
     docstring.  Corridor terms are summed row by row, over a's corridors
@@ -417,7 +404,7 @@ def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
     """
     cycles = _basis_cycles(rep)
     if not cycles:
-        return SeifertMatrix(())
+        return ()
     bands = rep.bands
     crossings = _band_crossings(cycles)
 
@@ -456,15 +443,14 @@ def seifert_matrix(rep: BandRepresentation) -> SeifertMatrix:
                     row[a] += (1 - sign) // 2 - (count - 1 - 2 * p_a < 0)
                 elif (p_a > p_b) == (sign == 1):
                     row[b] -= sign * d_a * d_b
-    return SeifertMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
-def alexander_from_seifert(matrix: SeifertMatrix) -> LaurentPolynomial:
-    """det(V - t V^T), canonical up to units; the 0x0 matrix gives 1."""
-    size = matrix.size
+def alexander_from_seifert(v: tuple[tuple[int, ...], ...]) -> LaurentPolynomial:
+    """det(V - t V^T) of the integer rows of V, canonical up to units; the 0x0 matrix gives 1."""
+    size = len(v)
     if size == 0:
         return _ONE
-    v = matrix.entries
     grid = tuple(
         tuple(LaurentPolynomial([v[i][j], -v[j][i]]) for j in range(size)) for i in range(size)
     )

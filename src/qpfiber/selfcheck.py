@@ -182,7 +182,7 @@ def check_whitehead_reduction(seed: int = 20606) -> CheckResult:
             sites = graphcalc.eligible_sites(current)
             if not sites:
                 break
-            nxt = graphcalc.whitehead_step(current, sites[0], check_full=False)
+            nxt = graphcalc.whitehead_step(current, sites[0])
             steps += 1
             if nxt.total_arcs() != current.total_arcs() - 1:
                 ok = False
@@ -305,7 +305,7 @@ def _bruteforce_is_full(graph) -> bool:
     return True
 
 
-def check_fullness_detector(seed: int = 20608) -> CheckResult:
+def check_injectivity_detector(seed: int = 20608) -> CheckResult:
     """Criterion 9: bigon/spine sanity plus brute-force agreement.
 
     Two graph families meet the brute force: graphs grown from spines (full,
@@ -358,6 +358,6 @@ def run_all(seed: int = 20600) -> list[CheckResult]:
         check_self_calibration(seed + 6),
         check_whitehead_reduction(seed + 7),
         check_quasipositize(seed + 8),
-        check_fullness_detector(seed + 9),
+        check_injectivity_detector(seed + 9),
         check_pl_seifert(seed + 10),
     ]

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable
 
 from .braidcore import BandRepresentation, UnionFind, band_permutation, cycles
-from .errors import InvalidParameter
+from .errors import InternalError, InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,32 @@ class SurfaceSummary:
         return {"chi": self.total_chi, "components": [list(c) for c in self.components]}
 
     @staticmethod
-    def from_components(components: Iterable[tuple[int, int]]) -> "SurfaceSummary":
-        comps = tuple(components)
-        return SurfaceSummary(sum(chi for chi, _ in comps), comps)
+    def of_complex(nodes, edges, circles) -> "SurfaceSummary":
+        """The summary of a ribbon complex: nodes, edges joining them, and its boundary circles.
+
+        The one per-component count of the package.  `nodes` and `edges` are
+        sequences, each edge a pair of nodes; each entry of `circles` lists the
+        nodes one boundary circle visits.  Per component, chi is nodes minus
+        edges, and each circle counts once, in the component its nodes lie in.
+        A component with no edge is a disk, with one circle.  A circle whose
+        nodes lie in two components is a bug in the caller: InternalError.
+        """
+        sets = UnionFind(nodes)
+        for tail, head in edges:
+            sets.union(tail, head)
+        root = {node: sets.find(node) for node in nodes}
+        counts: dict = {}  # root -> [nodes, edges, circles]
+        for r in root.values():
+            counts.setdefault(r, [0, 0, 0])[0] += 1
+        for tail, _head in edges:
+            counts[root[tail]][1] += 1
+        for circle in circles:
+            roots = set(map(root.__getitem__, circle))
+            if len(roots) != 1:
+                raise InternalError(f"a boundary circle visits {len(roots)} components")
+            counts[roots.pop()][2] += 1
+        components = tuple((v - e, c if e else 1) for v, e, c in counts.values())
+        return SurfaceSummary(sum(chi for chi, _ in components), components)
 
 
 def euler_characteristic(surface: BraidedSurface) -> int:
@@ -90,32 +113,11 @@ def euler_characteristic(surface: BraidedSurface) -> int:
 
 def summary(surface: BraidedSurface) -> SurfaceSummary:
     """Component-wise (chi, boundary circles) of S(b)."""
-    n = surface.strands
-    sets = UnionFind(range(1, n + 1))
-    find = sets.find
-    for band in surface.bands:
-        sets.union(band.i, band.j)
-
-    disks: dict[int, int] = {}
-    bands: dict[int, int] = {}
-    for s in range(1, n + 1):
-        disks[find(s)] = disks.get(find(s), 0) + 1
-    for band in surface.bands:
-        root = find(band.i)
-        bands[root] = bands.get(root, 0) + 1
-
-    boundary: dict[int, int] = {}
-    for cycle in cycles(band_permutation(surface.rep)):
-        roots = {find(s) for s in cycle}
-        assert len(roots) == 1, "a closure component crossed surface components"
-        root = roots.pop()
-        boundary[root] = boundary.get(root, 0) + 1
-
-    components = []
-    for root, disk_count in disks.items():
-        chi = disk_count - bands.get(root, 0)
-        components.append((chi, boundary[root]))
-    return SurfaceSummary.from_components(components)
+    return SurfaceSummary.of_complex(
+        range(1, surface.strands + 1),
+        [(band.i, band.j) for band in surface.bands],
+        cycles(band_permutation(surface.rep)),
+    )
 
 
 def handle_spine(surface: BraidedSurface, selected: Iterable[int]):

@@ -47,7 +47,7 @@ def test_criterion_8_quasipositize():
 
 
 def test_criterion_9_fullness_detector():
-    _report(selfcheck.check_fullness_detector())
+    _report(selfcheck.check_injectivity_detector())
 
 
 def test_criterion_10_pl_seifert_agreement():

@@ -314,7 +314,7 @@ def test_invariants_pad_and_expand_output_is_pinned():
 
 
 def test_seifert_entries_are_pinned():
-    got = {name: _json_digest([seifert_matrix(rep).entries for rep in reps]) for name, reps in _seifert_cases()}
+    got = {name: _json_digest([seifert_matrix(rep) for rep in reps]) for name, reps in _seifert_cases()}
     assert got == PINNED_SEIFERT
 
 
@@ -341,7 +341,7 @@ if __name__ == "__main__":
     for argv, doc in _document_cases():
         print(argv[0], _stdout_digest(argv, doc))
     for name, reps in _seifert_cases():
-        print("seifert", name, _json_digest([seifert_matrix(rep).entries for rep in reps]))
+        print("seifert", name, _json_digest([seifert_matrix(rep) for rep in reps]))
     print("cycle_words", _json_digest([cycle_words(graph) for graph in _cycle_graphs()]))
     for name, reps in _alexander_cases():
         print("alexander", name, _json_digest(_alexander_lists(reps)))

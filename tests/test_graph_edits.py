@@ -344,8 +344,8 @@ def test_whitehead_step_matches_the_naive_rebuild(seed):
                 break
             for site in sites:
                 want = naive_whitehead(graph, site)
-                assert whitehead_step(graph, site, check_full=False) == want
-            graph = whitehead_step(graph, sites[0], check_full=False)
+                assert whitehead_step(graph, site) == want
+            graph = whitehead_step(graph, sites[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,10 +402,10 @@ def test_whitehead_step_refuses_exactly_the_triples_that_are_not_sites(seed):
         ]
         for site in triples:
             if site in eligible:
-                whitehead_step(graph, site, check_full=False)
+                whitehead_step(graph, site)
             else:
                 with pytest.raises(SiteNotEligible, match=re.escape(f"no eligible site at {site}:")):
-                    whitehead_step(graph, site, check_full=False)
+                    whitehead_step(graph, site)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,6 +454,7 @@ def cached_views(graph):
         graph.total_arcs(),
         graph.arcs(),
         neighborhood_summary(graph),
+        is_full(graph),
     )
 
 
@@ -493,7 +494,7 @@ def test_caching_keeps_equality_hash_and_json(seed):
     graph, twin = CombedGraph(sampled.host, sampled.disks), CombedGraph(sampled.host, sampled.disks)
     before = hash(graph), repr(graph)
     cached_views(graph)
-    assert {"arc_ends", "mate", "_problems", "_summary"} <= vars(graph).keys()
+    assert {"arc_ends", "mate", "_problems", "_summary", "_full"} <= vars(graph).keys()
     assert graph == twin and twin == graph
     assert (hash(graph), repr(graph)) == before == (hash(twin), repr(twin))
     assert graph.to_json() == twin.to_json()
@@ -522,6 +523,39 @@ def test_every_edit_equals_a_fresh_graph(seed):
     with patch.object(graphcalc, "whitehead_step", checked(graphcalc.whitehead_step)):
         reduced = reduce(graph)
     assert len(edited) >= graph.total_arcs() - reduced.total_arcs()
+
+
+def counted_folds(monkeypatch) -> list:
+    """The graphs that `CombedGraph._full` folds from here on, in order."""
+    fold = CombedGraph.__dict__["_full"].func
+    folded = []
+
+    def counting(graph):
+        folded.append(graph)
+        return fold(graph)
+
+    monkeypatch.setattr(CombedGraph.__dict__["_full"], "func", counting)
+    return folded
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_reduction_folds_its_input_and_a_fresh_copy_of_its_result(seed, monkeypatch):
+    rng = random.Random(seed)
+    graph = grown_spine(rng, 4, rng.randint(4, 16))
+    folded = counted_folds(monkeypatch)
+    result, trace = graphcalc.reduce_with_trace(graph)
+    assert trace and len(folded) == 2
+    assert folded[0] is graph and folded[1] == result and folded[1] is not result
+
+
+def test_a_whitehead_child_is_full_without_folding(monkeypatch):
+    graph = grown_spine(random.Random(5), 4, 8)
+    site = eligible_sites(graph)[0]
+    folded = counted_folds(monkeypatch)
+    child = whitehead_step(graph, site)
+    assert folded == [graph]
+    assert is_full(child) and is_full(graph) and folded == [graph]
+    assert is_full(CombedGraph(child.host, child.disks)) and len(folded) == 2
 
 
 def merged_comb_graph():

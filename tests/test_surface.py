@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand, beta, permutation_cycles
 from qpfiber.constructions import nabla, q_rep
-from qpfiber.errors import InvalidParameter
+from qpfiber.errors import InternalError, InvalidParameter
 from qpfiber.graphcalc import neighborhood_summary
 from qpfiber.surface import (
     BraidedSurface,
@@ -47,6 +47,14 @@ def test_summary_validation():
         SurfaceSummary(1, ((1, 0),))  # closed component
     with pytest.raises(InvalidParameter):
         SurfaceSummary(0, ((0, 1),))  # non-orientable (chi, boundary) pair
+
+
+def test_summary_of_a_complex():
+    # an annulus (two nodes, two edges, two circles) beside an edgeless node, a disk
+    annulus = SurfaceSummary.of_complex("abc", [("a", "b"), ("b", "a")], [["a", "b"], ["b", "a", "b"]])
+    assert annulus == SurfaceSummary(1, ((0, 2), (1, 1)))
+    with pytest.raises(InternalError, match="2 components"):
+        SurfaceSummary.of_complex("abc", [("a", "b")], [["a", "b", "c"]])
 
 
 def test_handle_spine_full_selection_covers_surface():
