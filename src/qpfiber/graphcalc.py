@@ -42,48 +42,49 @@ arc end (`_walk`): inside the arc end's comb it drops one tooth cyclically
 the band to the paired arc end.  Orbits of this step are the boundary
 circles of components containing at least one arc; arc-free components
 are disks.  `SurfaceSummary.of_complex`, the one per-component count, reads
-the orbits as the circles of the complex of nodes and arcs.  `_routing`, the
-local check of a Whitehead move, is the same walk restricted to a region.
+the orbits as the circles of the complex of nodes and arcs.  The face-routing
+check of a Whitehead move is the same walk restricted to a region.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
 arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs`,
-`mate` and every edit), the `validate` problems, the `neighborhood_summary`
-and fullness (`_full`, so `is_full` folds a graph at most once).  `mate` is
-a lookup, not a table: the far end of the arc at slot p of r is entry r-1-p
-of the other side's index.
+`mate`, the edits and the working copy), the `validate` problems, the
+`neighborhood_summary` and fullness (`_full`, so `is_full` folds a graph
+at most once).  `mate` is a lookup, not a table: the far end of the arc at
+slot p of r is entry r-1-p of the other side's index.
 
-Every edit goes through `edit_band`: it replaces components on the two
-disks one band joins, reusing every other disk's row, renumbers that band's
-arc ends by one rule, by old slot on each disk, and validates the result.
-Validation is local, and gives the answer a full `validate` would: every
-problem it reports lies on one disk (a tooth's type or 1-handle, the
-drawing of the disk's combs, a free end's reach) or on one band (its two
-arc-end counts).  Each (band, side) key of the index lives on one disk,
-the one whose row of the host's `incidence` table holds it, so the child
-graph takes the parent's index entries and problems for every other disk
-and band, and rebuilds and checks only the two disks it rewrote and the
-bands whose counts changed there.  Each disk reads only its own row, so
-validation is linear in the size of the document.
+The samplers double arcs with `edit_band`: it replaces components on the
+two disks one band joins, reusing every other disk's row, renumbers that
+band's arc ends by one rule, by old slot on each disk, and validates the
+result.  Each disk reads only its own row, so validation is linear in the
+size of the document.
 
-A Whitehead move changes the neighborhood only inside a region: the comb
-of the site, the two far combs it merges, and the removed arc.  Face
-tracing enters and leaves that region only through arcs with one end
-outside it, so the boundary circles are kept when the tracing walk routes
-every entering arc end to the same leaving one before and after the move,
-closes as many walks inside the region, and pairs the band's other arcs as
-before.  The region is one piece before the move, and stays one when the
-kept arc still joins the site's comb to the merged one; with one arc and one
-comb gone, each component keeps its chi, and the child takes the parent's
-summary.  A Whitehead move keeps fullness too, so the child of a full graph
-is full without folding.  `reduce` still validates, summarises and checks
-fullness of a fresh copy of its result against its input, so a local check
-that missed a fault would show there.
+Whitehead moves are made on a private working copy (`_Working`).  A
+reduction deletes arcs in pairs and never inserts one, so the copy numbers
+each disk's input arc ends once, in boundary order, and the numbers serve
+as fixed order labels for the whole run: the pairing is a fixed table, two
+slots are adjacent when they are neighbours in a linked list of a disk's
+live arc ends, and an output slot is a rank, taken once, when the copy is
+frozen into a `CombedGraph`.  A move unlinks one arc and merges the two far
+combs, re-tests sites only in the two combs it changes, and checks itself
+over the teeth it changes (`_Working.move` says why that suffices).  Face
+tracing changes only at three arc ends of the comb of the site and the two
+far combs, so the boundary circles are kept when the tracing walk routes
+every arc end entering that region to the same leaving one before and
+after the move, and closes as many walks inside.  With one arc and one comb
+gone, each component keeps its chi, and a move keeps fullness too.
+`whitehead_step` is one move on a fresh copy, frozen, and its child takes
+the parent's summary and fullness.  `reduce` makes all its moves on one
+copy, freezes it once, and still validates, summarises and checks fullness
+of a fresh copy of its result against its input, so a local check that
+missed a fault would show there.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -339,18 +340,7 @@ def validate(graph: CombedGraph) -> list[str]:
 
 
 def _find_problems(graph: CombedGraph) -> list[str]:
-    host = graph.host
-    if len(graph.disks) != host.strands:
-        return [f"graph lists {len(graph.disks)} disks for a {host.strands}-strand host"]
-    disks = range(1, host.strands + 1)
-    problems = [p for disk in disks for p in _tooth_problems(host, disk, enumerate(graph.disks[disk - 1]))]
-    if problems:
-        return problems
-    return _band_and_drawing_problems(graph, range(1, host.band_count() + 1), disks)
-
-
-def _band_and_drawing_problems(graph: CombedGraph, bands, disks) -> list[str]:
-    """The arc-end count problems of `bands`, then the first drawing problem of `disks`.
+    """Tooth problems; else the arc-end count problems of each band, then the first drawing problem.
 
     Of the drawing problems, the first in the order of one pass over the
     bands, i side before j side, is reported: each disk's walk keeps its
@@ -358,9 +348,15 @@ def _band_and_drawing_problems(graph: CombedGraph, bands, disks) -> list[str]:
     stops.  A free end out of reach of the host boundary comes after every
     other drawing problem.
     """
+    host = graph.host
+    if len(graph.disks) != host.strands:
+        return [f"graph lists {len(graph.disks)} disks for a {host.strands}-strand host"]
+    disks = range(1, host.strands + 1)
+    problems = [p for disk in disks for p in _tooth_problems(host, disk, enumerate(graph.disks[disk - 1]))]
+    if problems:
+        return problems
     index = graph.arc_ends
-    problems = []
-    for band in bands:
+    for band in range(1, host.band_count() + 1):
         i_side, j_side = index.get((band, "i"), ()), index.get((band, "j"), ())
         if len(i_side) != len(j_side):
             problems.append(
@@ -596,7 +592,7 @@ def is_full(graph: CombedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The edit primitive
+# The doubling edit
 
 
 def _inherit(graph: CombedGraph, **cached) -> None:
@@ -610,30 +606,19 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
     `replace` maps (disk, component index) of the parent graph to the
     components that take its place: none removes it, two split it.  The one
     renumbering rule: on each of its two disks the arc ends of `band` take
-    slots 0, 1, ... in order of (old slot, listing position), so a removed
-    end leaves no gap and the copies of a doubled end, listed bottom to top,
-    stay in that order.  Rows of other disks are reused as they are, and so
-    are their `arc_ends` entries.  The result is validated locally: the two
-    rewritten disks, and the arc-end counts of the bands whose counts
-    changed on them (see the module docstring).  An edit whose result fails
-    is a bug in the caller, so it raises InternalError.
+    slots 0, 1, ... in order of (old slot, listing position), so the copies
+    of a doubled end, listed bottom to top, stay in that order.  Rows of
+    other disks are reused as they are.  The samplers double arcs with it.
+    An edit whose result fails `validate` is a bug in the caller, so it
+    raises InternalError.
     """
     _require_valid(graph)
-    incidence = graph.host.incidence
     hostband = graph.host.bands[band - 1]
-    touched = (hostband.i, hostband.j)
     disks = list(graph.disks)
-    rebuilt: dict[tuple[int, str], tuple[Location, ...]] = {}
-    problems = []
-    for disk in touched:
-        row, new = [], []
+    for disk in (hostband.i, hostband.j):
+        row = []
         for ci, comp in enumerate(graph.disks[disk - 1]):
-            items = replace.get((disk, ci), (comp,))
-            if (disk, ci) in replace:
-                new.extend(enumerate(items, start=len(row)))
-            row.extend(items)
-        # renumbering changes only slots, so only the new components can hold a bad tooth
-        problems += _tooth_problems(graph.host, disk, new)
+            row.extend(replace.get((disk, ci), (comp,)))
         ends = sorted(
             (tooth.slot, ci, ti)
             for ci, item in enumerate(row) if isinstance(item, Comb)
@@ -645,23 +630,10 @@ def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
         for ci, teeth in renumbered.items():
             row[ci] = Comb(tuple(teeth))
         disks[disk - 1] = tuple(row)
-        rebuilt.update(_disk_arc_ends(incidence[disk - 1], disk, row))
     result = CombedGraph(graph.host, tuple(disks))
-    parent = graph.arc_ends
-    kept = dict(parent)
-    for disk in touched:
-        for key in incidence[disk - 1].items():  # the (band, side) keys that live on the disk
-            kept.pop(key, None)
-    _inherit(result, arc_ends=MappingProxyType(kept | rebuilt))
-    if not problems:
-        changed = {band}.union(
-            key[0] for key in (parent.keys() - kept.keys()) | rebuilt.keys()
-            if len(rebuilt.get(key, ())) != len(parent.get(key, ()))
-        )
-        problems = _band_and_drawing_problems(result, sorted(changed), touched)
+    problems = validate(result)
     if problems:
         raise InternalError(f"edit of band {band} produced an invalid graph: {problems}")
-    _inherit(result, _problems=())
     return result
 
 
@@ -679,28 +651,6 @@ class Site:
 
     def to_json(self):
         return [self.disk, self.component, self.tooth]
-
-
-def _is_site(teeth, ti: int) -> bool:
-    """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
-    if not 0 <= ti < len(teeth) - 1:
-        return False
-    a, b = teeth[ti], teeth[ti + 1]
-    return isinstance(a, ArcEnd) and isinstance(b, ArcEnd) and a.band == b.band and b.slot == a.slot + 1
-
-
-def _disk_sites(disk: int, comps) -> list[Site]:
-    """The eligible sites of one disk, by (component, tooth)."""
-    return [
-        Site(disk, ci, ti)
-        for ci, comp in enumerate(comps) if isinstance(comp, Comb)
-        for ti in range(len(comp.teeth) - 1) if _is_site(comp.teeth, ti)
-    ]
-
-
-def eligible_sites(graph: CombedGraph) -> list[Site]:
-    """Sites where consecutive teeth of a comb hold adjacent slots of one attaching arc."""
-    return [site for disk, comps in enumerate(graph.disks, start=1) for site in _disk_sites(disk, comps)]
 
 
 def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
@@ -722,47 +672,425 @@ def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
     return Comb(b[:tb] + a[ta:] + a[:ta] + b[tb + 1 :])
 
 
-def _routing(graph: CombedGraph, band: int, region: set, relabel) -> tuple:
-    """How face tracing crosses `region`, a set of (disk, component) combs.
+_FREE = FreeEnd()
 
-    This is `_walk` restricted to the region's arc ends.  The walk enters
-    the region through an arc from an outside arc end x to an arc end
-    inside, and leaves it through an arc from inside to an outside arc end
-    z.  Returns the map x to z, the number of walks that never leave the
-    region, and the pairs of `band`'s arcs with no end in the region, all
-    outside locations through `relabel`.
+
+def _pred_at(teeth, pos: int) -> int:
+    """The arc end before position `pos` of a comb, cyclically, as `_walk` steps; at 0, its last arc end."""
+    k = pos - 1
+    while teeth[k] < 0:
+        k -= 1
+    return teeth[k]
+
+
+def _next_at(teeth, pos: int) -> tuple[int, int]:
+    """The arc end after position `pos` of a comb, cyclically, and its position; at -1, its first arc end."""
+    k = (pos + 1) % len(teeth)
+    while teeth[k] < 0:
+        k = (k + 1) % len(teeth)
+    return teeth[k], k
+
+
+def _cyclic_preds(teeth) -> dict[int, int]:
+    """Each arc end of a comb to the one before it, cyclically."""
+    ends = [x for x in teeth if x >= 0]
+    return dict(zip(ends, ends[-1:] + ends[:-1]))
+
+
+def _routes(step: Mapping) -> tuple[dict, int]:
+    """How the walk `step` crosses its key set: each entry to its exit, and the walks closed inside.
+
+    An entry is a key that no key steps to, so the walk reaches it from
+    outside; `step` is one-to-one, so every other key lies on a walk from an
+    entry or on a closed walk.
     """
-    mate, disks = graph.mate, graph.disks
-    inside = [
-        (disk, ci, ti)
-        for disk, ci in region
-        for ti, tooth in enumerate(disks[disk - 1][ci].teeth) if isinstance(tooth, ArcEnd)
-    ]
+    hit = set(step.values())
     routes, seen = {}, set()
-    for start in inside:
-        entry = mate[start]
-        if entry[:2] in region:
+    for start in step:
+        if start in hit:
             continue
-        loc = start
-        while True:
-            seen.add(loc)
-            out = _walk(mate, disks, loc)
-            if out[:2] not in region:
-                break
-            loc = out
-        routes[relabel(entry)] = relabel(out)
+        x = start
+        while x in step:
+            seen.add(x)
+            x = step[x]
+        routes[start] = x
     closed = 0
-    for loc in inside:
-        if loc not in seen:
+    for x in step:
+        if x not in seen:
             closed += 1
-            while loc not in seen:
-                seen.add(loc)
-                loc = _walk(mate, disks, loc)
-    pairs = {
-        relabel(loc): relabel(mate[loc])
-        for loc in graph.arc_ends.get((band, "i"), ()) if loc[:2] not in region and mate[loc][:2] not in region
-    }
-    return routes, closed, pairs
+            while x not in seen:
+                seen.add(x)
+                x = step[x]
+    return routes, closed
+
+
+class _Working:
+    """A mutable copy of a valid combed graph, on which Whitehead moves are made.
+
+    Each disk numbers its arc ends in boundary order, (band height, slot), in
+    one block of consecutive numbers.  A reduction deletes arcs, two ends at
+    a time, and never inserts one, so the numbers serve as fixed order
+    labels for the whole run:
+    - boundary order on a disk is number order;
+    - `mate` is a fixed table: the input's order-reversing pairing stays
+      order-reversing on the arcs that survive;
+    - two arc ends are adjacent slots when they are neighbours, on one band,
+      in the disk's doubly linked list of live arc ends (`next`, `prev`);
+    - an output slot is the rank of an arc end among the live ones of its
+      (band, side), computed once, by `freeze`.
+
+    A component's label is its input index, so listing order is label order
+    (`labels` holds the live ones per disk).  A comb is a list of arc-end
+    numbers, -1 for a free end; a point is ().  `freeze` rebuilds the disks a
+    change touched and reuses the others.
+    """
+
+    def __init__(self, graph: CombedGraph):
+        _require_valid(graph)
+        self.graph = graph
+        index = graph.arc_ends
+        self.band: list[int] = []
+        self.disk: list[int] = []
+        self.comb: list[int] = []        # the label of the comb holding the arc end
+        self.tooth: list[ArcEnd] = []    # the input's tooth: its slot is its number less its band's base
+        self.next: list[int] = []
+        self.prev: list[int] = []
+        self.head: list[int] = []        # per disk, its first live arc end, or -1
+        self.base: list[dict] = []       # per disk, band -> the number of its slot 0 there
+        self.comps: list[dict] = []      # per disk, label -> comb or point
+        self.labels: list[list[int]] = []
+        self.loose: list[bool] = []      # per disk, whether it holds a free end
+        for disk, (row, comps) in enumerate(zip(graph.host.incidence, graph.disks), start=1):
+            first = len(self.band)
+            combs = {ci: [-1] * len(comp.teeth) if isinstance(comp, Comb) else () for ci, comp in enumerate(comps)}
+            bases = {}
+            for key in row.items():
+                bases[key[0]] = len(self.band)
+                for _disk, ci, ti in index.get(key, ()):
+                    combs[ci][ti] = len(self.band)
+                    self.band.append(key[0])
+                    self.disk.append(disk)
+                    self.comb.append(ci)
+                    self.tooth.append(comps[ci].teeth[ti])
+            last = len(self.band)
+            self.next.extend([*range(first + 1, last), -1][: last - first])
+            self.prev.extend([-1, *range(first, last - 1)][: last - first])
+            self.head.append(first if last > first else -1)
+            self.base.append(bases)
+            self.comps.append(combs)
+            self.labels.append(list(combs))
+            self.loose.append(any(-1 in teeth for teeth in combs.values()))
+        self.mate = [0] * len(self.band)
+        for t, hostband in enumerate(graph.host.bands, start=1):
+            r = len(index.get((t, "i"), ()))
+            i_base, j_base = self.base[hostband.i - 1][t], self.base[hostband.j - 1][t]
+            for p in range(r):
+                self.mate[i_base + p], self.mate[j_base + r - 1 - p] = j_base + r - 1 - p, i_base + p
+        self.touched: set[int] = set()
+        self.queue = [  # sorted, so a heap
+            (disk, ci)
+            for disk, combs in enumerate(self.comps, start=1)
+            for ci, teeth in combs.items() if len(teeth) > 1
+        ]
+        self.queued = set(self.queue)
+
+    # -- sites --------------------------------------------------------------
+
+    def is_site(self, teeth, ti: int) -> bool:
+        """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
+        if not 0 <= ti < len(teeth) - 1:
+            return False
+        x, y = teeth[ti], teeth[ti + 1]
+        return x >= 0 and y >= 0 and self.next[x] == y and self.band[x] == self.band[y]
+
+    def sites(self) -> list[Site]:
+        return [
+            Site(disk, rank, ti)
+            for disk, (combs, labels) in enumerate(zip(self.comps, self.labels), start=1)
+            for rank, label in enumerate(labels)
+            for ti in range(len(combs[label]) - 1) if self.is_site(combs[label], ti)
+        ]
+
+    def _enqueue(self, disk: int, label: int) -> None:
+        key = (disk, label)
+        if key not in self.queued and len(self.comps[disk - 1].get(label, ())) > 1:
+            self.queued.add(key)
+            heapq.heappush(self.queue, key)
+
+    def least_site(self) -> tuple[int, int, int] | None:
+        """The least site by (disk, component, tooth), as (disk, label, tooth), or None.
+
+        Every comb that holds a site is queued: a move makes new sites only in
+        the two combs it changes (see `move`), and it queues both.
+        """
+        while self.queue:
+            disk, label = self.queue[0]
+            teeth = self.comps[disk - 1].get(label, ())
+            for ti in range(len(teeth) - 1):
+                if self.is_site(teeth, ti):
+                    return disk, label, ti
+            heapq.heappop(self.queue)
+            self.queued.discard((disk, label))
+        return None
+
+    def reduce(self) -> list[Site]:
+        """Moves at the least site until none remains; their sites, as the graph listed each."""
+        trace: list[Site] = []
+        limit = len(self.band) // 2
+        while (found := self.least_site()) is not None:
+            if len(trace) >= limit:
+                raise InternalError("reduction took more steps than the graph has arcs")
+            disk, label, ti = found
+            trace.append(Site(disk, bisect_left(self.labels[disk - 1], label), ti))
+            self.move(disk, label, ti)
+        return trace
+
+    # -- edits --------------------------------------------------------------
+
+    def _unlink(self, x: int) -> None:
+        """Take arc end x out of its disk's boundary list."""
+        p, q = self.prev[x], self.next[x]
+        if p >= 0:
+            self.next[p] = q
+        else:
+            self.head[self.disk[x] - 1] = q
+        if q >= 0:
+            self.prev[q] = p
+
+    def replace(self, disk: int, items: Mapping) -> None:
+        """Put each item at its label on `disk`: a comb's list, () for a point, or None to remove it."""
+        comps, labels, comb = self.comps[disk - 1], self.labels[disk - 1], self.comb
+        for label, teeth in items.items():
+            if teeth is None:
+                del comps[label]
+                del labels[bisect_left(labels, label)]
+                continue
+            if label not in comps:
+                insort(labels, label)
+            comps[label] = teeth
+            for x in teeth:
+                if x >= 0:
+                    comb[x] = label
+        self.touched.add(disk)
+
+    def _merged(self, far: int, a_comb: list, ta: int, b_comb: list, tb: int) -> list:
+        """`_merge_far_combs` on two far combs, as a list of arc-end numbers."""
+        tooth = self.tooth
+        merged = _merge_far_combs(
+            tuple(tooth[x] if x >= 0 else _FREE for x in a_comb), ta,
+            tuple(tooth[x] if x >= 0 else _FREE for x in b_comb), tb,
+        )
+        bases = self.base[far - 1]
+        try:
+            return [bases[x.band] + x.slot if isinstance(x, ArcEnd) else -1 for x in merged.teeth]
+        except KeyError:
+            raise InternalError("Whitehead move merged an arc end of another disk") from None
+
+    def move(self, disk: int, label: int, ti: int) -> None:
+        """One Whitehead move at the site (ti, ti+1) of comb `label` on `disk`.
+
+        With t, u the site's teeth, a = mate[t] and b = mate[u] the far ends of
+        the kept and the removed arc, and A, B their combs: the near comb
+        loses u, and A and B become `_merge_far_combs`'s comb M, at the lower
+        of their two labels.  Each per-step check is stated over the teeth
+        the move changes, and the comments say why that suffices:
+        (1) the site test (`is_site`, by the caller); (2) distinct far combs;
+        (3) arcs and components each one fewer; (4) face routing; (5) the
+        kept arc still joins the merged comb; (6) drawing and free-end reach.
+        """
+        mate, comb, nxt = self.mate, self.comb, self.next
+        near = self.comps[disk - 1][label]
+        t, u = near[ti], near[ti + 1]
+        a, b = mate[t], mate[u]
+        far = self.disk[a]
+        comps = self.comps[far - 1]
+        a_label, b_label = comb[a], comb[b]
+        # (2) Two parallel arcs whose far ends share a comb bound a bigon.
+        if a_label == b_label:
+            raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
+        a_comb, b_comb = comps[a_label], comps[b_label]
+        # (6) Non-crossing.  u is the neighbour of t on the near boundary, so
+        # b is the neighbour of a on the far one: the pairing reverses order,
+        # so b lies directly below a.  Merging two blocks of a non-crossing
+        # partition at adjacent points keeps it non-crossing: a block C
+        # crossing M would separate a point of A from a point of B, and a, b
+        # lie on one side of C, so C would cross A or B.  Dropping a point
+        # keeps it non-crossing too, so no other comb can cross M or the
+        # near comb.
+        if nxt[b] != a:
+            raise InternalError("far ends of a site are not adjacent on the disk boundary")
+        merged = self._merged(far, a_comb, a_comb.index(a), b_comb, b_comb.index(b))
+        # (3) and (6) M holds the teeth of A and B but b, its arc ends in
+        # boundary order (number order).  The near comb loses u by
+        # construction, and keeps its order: a subsequence of an ordered one.
+        ends = [x for x in merged if x >= 0]
+        kept = sorted(x for x in a_comb + b_comb if x >= 0 and x != b)
+        if len(merged) != len(a_comb) + len(b_comb) - 1 or sorted(ends) != kept:
+            raise InternalError("Whitehead move did not drop the arc count by one")
+        if ends != kept:
+            raise InternalError("Whitehead move made a comb that meets its arc ends out of boundary order")
+        # (4) Face tracing steps W(x) = mate[pred(x)], pred the arc end before
+        # x in its comb, cyclically.  The move changes pred only at w (the arc
+        # end after u in the near comb: pred u, then t), at a and at the arc
+        # end after b in B, and drops u and b.  So every step outside the
+        # region R = {t, u, w} + A + B is kept, and the boundary circles are
+        # kept exactly when the walk crosses R as before: each entry to the
+        # same exit, as many walks closed inside, with R less u and b after.
+        # Before, w -> b -> W(b) and (after b) -> u -> a -> W(a); after,
+        # w -> a -> W(b) and (after b) -> W(a): the same routes.
+        w, at = _next_at(near, ti + 1)
+        preds = _cyclic_preds(a_comb) | _cyclic_preds(b_comb)
+        preds.update({t: _pred_at(near, ti), u: t, w: u})
+        before = _routes({x: mate[p] for x, p in preds.items()})
+        count = len(self.labels[far - 1])
+        del near[ti + 1]
+        self._unlink(u)
+        self._unlink(b)
+        low, high = sorted((a_label, b_label))
+        self.replace(far, {low: merged, high: None})
+        if len(self.labels[far - 1]) != count - 1:
+            raise InternalError("Whitehead move did not drop the component count by one")
+        preds = {}
+        for k in {comb[x] for x in a_comb + b_comb if x >= 0 and x != b}:
+            preds |= _cyclic_preds(comps.get(k, ()))
+        preds.update({t: _pred_at(near, ti), w: _pred_at(near, at - (at > ti + 1))})
+        if _routes({x: mate[p] for x, p in preds.items()}) != before:
+            raise InternalError("Whitehead move changed the neighborhood summary")
+        # (5) The region was one piece; it stays one if the kept arc joins the
+        # near comb to M.  With one arc and one comb gone, chi is kept.
+        if comb[a] != low:
+            raise InternalError("Whitehead move did not keep the site's comb joined to the merged comb")
+        # (6) Free ends.  The near comb loses u, which shares no face with a
+        # free end: t and u are neighbours in the comb and on the boundary, so
+        # nothing lies between them.  On the far disk the move joins B to A
+        # across the stretch of boundary from b to a, which holds no other
+        # point and no host boundary, and drops b's tooth.  So only faces at
+        # that stretch change: the sliver between the join and the stretch
+        # leaves its face for the face beyond b's tooth, taking no host
+        # boundary and no comb along.  Every face keeps its host boundary and
+        # every comb but M its face, so only M's free ends are checked again.
+        if self.loose[far - 1] and (problem := self._free_end_problem(far, low)):
+            raise InternalError(f"Whitehead move made a comb that cannot be drawn: {problem}")
+        self.touched.add(disk)
+        # a new site needs a new pair of neighbours in a comb or on the
+        # boundary: (t, the tooth after u) in the near comb, (the arc end below
+        # b, a) and the splice points in M, so only these two combs can gain one
+        self._enqueue(disk, label)
+        self._enqueue(far, low)
+
+    def _free_end_problem(self, disk: int, label: int) -> str | None:
+        """Why a free end of comb `label`, or around a comb nested in it, cannot be drawn; None if none.
+
+        `_drawing_problem`'s rules for one comb: no free end between two arc
+        ends into one band; a free end in a gap, or around a comb nested in
+        it, reaches host boundary there; a free end around the comb reaches
+        it in the face around the comb.
+        """
+        teeth = self.comps[disk - 1][label]
+        band = self.band
+        ends = [k for k, x in enumerate(teeth) if x >= 0]
+        for k, m in zip(ends, ends[1:]):
+            if m > k + 1 and band[teeth[k]] == band[teeth[m]]:
+                return "a free end lies between two arc ends into one 1-handle"
+            reach, nested = self._gap(disk, teeth[k], teeth[m])
+            if not reach and (m > k + 1 or nested):
+                return "a free end in a gap of the comb cannot reach the host boundary"
+        if (teeth[0] < 0 or teeth[-1] < 0) and not self._around(disk, teeth[ends[0]]):
+            return "a free end around the comb cannot reach the host boundary"
+        return None
+
+    def _gap(self, disk: int, x: int, y: int) -> tuple[bool, bool]:
+        """Of the gap between consecutive arc ends x < y of a comb: whether it meets host boundary, and
+        (as far as the walk went) whether a comb nested in it has a free end around it.
+
+        The gap meets host boundary where two arc ends next to each other on
+        its stretch of boundary, stepping over the combs nested in it, enter
+        different bands, as in `_drawing_problem`.
+        """
+        comps, nxt, band, comb = self.comps[disk - 1], self.next, self.band, self.comb
+        nested = False
+        p = x
+        while True:
+            q = nxt[p]
+            if q < 0:
+                raise InternalError("a gap of a comb runs past the last arc end of its disk")
+            if band[q] != band[p]:
+                return True, nested
+            if q == y:
+                return False, nested
+            inner = comps[comb[q]]
+            nested = nested or inner[0] < 0 or inner[-1] < 0
+            p = _pred_at(inner, 0)
+
+    def _around(self, disk: int, first: int) -> bool:
+        """Whether the face around the comb whose first arc end is `first` meets host boundary."""
+        comps, comb = self.comps[disk - 1], self.comb
+        p = self.prev[first]
+        while p >= 0:
+            teeth = comps[comb[p]]
+            if p == _pred_at(teeth, 0):  # p is the last arc end of a comb beside this one: step over it
+                p = self.prev[_next_at(teeth, -1)[0]]
+                continue
+            y, _k = _next_at(teeth, teeth.index(p))  # p's comb holds this one in the gap above p
+            return self._gap(disk, p, y)[0]
+        return True  # the face that holds the first and last boundary points
+
+    def drop_leaves(self, disks) -> bool:
+        """Drop each one-tooth comb on `disks`, with its arc and the tooth at its far end.
+
+        Such a comb and its arc are a leaf of the graph, so dropping them is
+        an isotopy of the regular neighborhood, and keeps fullness: one node
+        and one arc fewer in one component, and one boundary circle passes
+        the arc no more.  A far comb left with no tooth becomes a point.
+        Returns whether anything was dropped.
+        """
+        dropped = False
+        for disk in disks:
+            for label in list(self.comps[disk - 1]):
+                teeth = self.comps[disk - 1].get(label, ())
+                if len(teeth) != 1 or teeth[0] < 0:
+                    continue
+                e = teeth[0]
+                f = self.mate[e]
+                far, f_label = self.disk[f], self.comb[f]
+                f_comb = self.comps[far - 1][f_label]
+                del f_comb[f_comb.index(f)]
+                self.replace(disk, {label: None})
+                self.replace(far, {} if f_comb else {f_label: ()})
+                for x in (e, f):  # its neighbours become adjacent
+                    p = self.prev[x]
+                    self._unlink(x)
+                    if p >= 0:
+                        self._enqueue(self.disk[p], self.comb[p])
+                self._enqueue(far, f_label)
+                dropped = True
+        return dropped
+
+    def freeze(self, **cached) -> CombedGraph:
+        """The graph as it stands, taking `cached` values; touched disks are rebuilt, the others reused."""
+        disks = list(self.graph.disks)
+        for disk in sorted(self.touched):
+            slot: dict[int, int] = {}
+            count: dict[int, int] = {}
+            x = self.head[disk - 1]
+            while x >= 0:
+                slot[x] = count.get(self.band[x], 0)
+                count[self.band[x]] = slot[x] + 1
+                x = self.next[x]
+            comps = self.comps[disk - 1]
+            disks[disk - 1] = tuple(
+                Comb(tuple(ArcEnd(self.band[x], slot[x]) if x >= 0 else _FREE for x in teeth))
+                if teeth else IsolatedPoint()
+                for teeth in map(comps.__getitem__, self.labels[disk - 1])
+            )
+        result = CombedGraph(self.graph.host, tuple(disks))
+        _inherit(result, **cached)
+        return result
+
+
+def eligible_sites(graph: CombedGraph) -> list[Site]:
+    """Sites where consecutive teeth of a comb hold adjacent slots of one attaching arc."""
+    return _Working(graph).sites()
 
 
 def whitehead_step(graph: CombedGraph, site: Site) -> CombedGraph:
@@ -774,55 +1102,24 @@ def whitehead_step(graph: CombedGraph, site: Site) -> CombedGraph:
     of its comb A, or the removed end is the last arc end of its comb B.
     The merged comb (`_merge_far_combs`) is listed where the lower-listed
     of A and B was.  Preserves the regular-neighborhood summary and
-    fullness; drops the arc count by exactly one.  The summary is checked
-    locally: the move must route the face-tracing walk through its region
-    as before (`_routing`), with one arc and one comb gone.  The graph must
-    be full (NotFull otherwise); fullness is cached per graph, and the child
-    takes both the summary and fullness from its parent, so a chain of
-    moves folds only the graph it starts from.
+    fullness; drops the arc count by exactly one.  The move is the one
+    `reduce` makes, on a working copy of the graph, with its checks (see
+    `_Working.move`).  The graph must be full (NotFull otherwise);
+    fullness is cached per graph, and the child takes both the summary and
+    fullness from its parent, so a chain of moves folds only the graph it
+    starts from.
     """
-    _require_valid(graph)
-    comps = graph.disks[site.disk - 1] if 1 <= site.disk <= len(graph.disks) else ()
-    comp = comps[site.component] if 0 <= site.component < len(comps) else None
-    if not (isinstance(comp, Comb) and _is_site(comp.teeth, site.tooth)):
+    work = _Working(graph)
+    comps = work.comps[site.disk - 1] if 1 <= site.disk <= len(work.comps) else {}
+    if not work.is_site(comps.get(site.component, ()), site.tooth):  # a label is the input's index
         raise SiteNotEligible(
             f"no eligible site at {site}: teeth {site.tooth} and {site.tooth + 1} of a comb must hold "
             f"adjacent slots of one 1-handle"
         )
-    band = comp.teeth[site.tooth].band
     if not is_full(graph):
         raise NotFull("Whitehead moves require a full graph")
-
-    near = (site.disk, site.component)
-    far_disk, a_idx, ta = graph.mate[(*near, site.tooth)]  # kept arc's far end
-    _, b_idx, tb = graph.mate[(*near, site.tooth + 1)]  # removed arc's far end
-    if a_idx == b_idx:
-        raise SiteNotEligible("far ends share a comb; the merge would close a cycle")
-
-    low, high = sorted((a_idx, b_idx))
-    far_comps = graph.disks[far_disk - 1]
-    teeth = comp.teeth
-    result = edit_band(graph, band, {
-        near: (Comb(teeth[: site.tooth + 1] + teeth[site.tooth + 2 :]),),
-        (far_disk, low): (_merge_far_combs(far_comps[a_idx].teeth, ta, far_comps[b_idx].teeth, tb),),
-        (far_disk, high): (),  # absorbed into the merge
-    })
-    if result.total_arcs() != graph.total_arcs() - 1:
-        raise InternalError("Whitehead move did not drop the arc count by one")
-    if sum(map(len, result.disks)) != sum(map(len, graph.disks)) - 1:
-        raise InternalError("Whitehead move did not drop the component count by one")
-
-    def moved(loc: Location) -> Location:  # a parent location outside the region, as the result lists it
-        disk, ci, ti = loc
-        return (disk, ci - (disk == far_disk and ci > high), ti)
-
-    before = _routing(graph, band, {near, (far_disk, a_idx), (far_disk, b_idx)}, moved)
-    if _routing(result, band, {near, (far_disk, low)}, lambda loc: loc) != before:
-        raise InternalError("Whitehead move changed the neighborhood summary")
-    if result.mate[(*near, site.tooth)][:2] != (far_disk, low):
-        raise InternalError("Whitehead move did not keep the site's comb joined to the merged comb")
-    _inherit(result, _summary=graph._summary, _full=True)
-    return result
+    work.move(site.disk, site.component, site.tooth)
+    return work.freeze(_problems=(), _summary=graph._summary, _full=True)
 
 
 def reduce(graph: CombedGraph) -> CombedGraph:
@@ -831,31 +1128,31 @@ def reduce(graph: CombedGraph) -> CombedGraph:
 
 
 def reduce_with_trace(graph: CombedGraph) -> tuple[CombedGraph, list[Site]]:
-    """`reduce`, and the sites of its moves in order.
+    """`reduce`, and the sites of its moves in order."""
+    return _reduced(graph, ())
 
-    Each disk keeps its list of eligible sites, rebuilt only for the two
-    disks a move rewrites.  The steps are checked locally; a fresh copy of
-    the result is validated, summarised and folded again.  So a reduction
-    that moves folds twice whatever its length: its input and that copy.
+
+def _reduced(graph: CombedGraph, leaves) -> tuple[CombedGraph, list[Site]]:
+    """`reduce_with_trace`, also dropping the one-tooth combs on the disks `leaves` (`_Working.drop_leaves`).
+
+    Moves and drops alternate until neither a site nor such a comb is left.
+    All of them are made on one working copy, frozen once; the steps are
+    checked locally, and a fresh copy of the result is validated,
+    summarised and folded again.  So a reduction that changes the graph
+    folds twice whatever its length: its input and that copy.
     """
-    _require_valid(graph)
     if not is_full(graph):
         raise NotFull("reduce requires a full graph")
     summary = neighborhood_summary(graph)
-    sites = [_disk_sites(disk, comps) for disk, comps in enumerate(graph.disks, start=1)]
-    trace: list[Site] = []
-    limit = graph.total_arcs()
-    current = graph
-    while (site := next((found[0] for found in sites if found), None)) is not None:
-        if len(trace) >= limit:
-            raise InternalError("reduction took more steps than the graph has arcs")
-        hostband = graph.host.bands[current.disks[site.disk - 1][site.component].teeth[site.tooth].band - 1]
-        current = whitehead_step(current, site)
-        trace.append(site)
-        for disk in (hostband.i, hostband.j):
-            sites[disk - 1] = _disk_sites(disk, current.disks[disk - 1])
-    if trace:
-        fresh = CombedGraph(current.host, current.disks)
-        if validate(fresh) or neighborhood_summary(fresh) != summary or not is_full(fresh):
-            raise InternalError("Whitehead reduction lost validity, the neighborhood summary or fullness")
-    return current, trace
+    work = _Working(graph)
+    trace = work.reduce()
+    while work.drop_leaves(leaves):
+        trace += work.reduce()
+    if not work.touched:
+        return graph, trace
+    result = work.freeze()
+    fresh = CombedGraph(result.host, result.disks)
+    if validate(fresh) or neighborhood_summary(fresh) != summary or not is_full(fresh):
+        raise InternalError("Whitehead reduction lost validity, the neighborhood summary or fullness")
+    _inherit(result, _problems=(), _summary=summary, _full=True)
+    return result, trace

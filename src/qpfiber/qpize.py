@@ -1,13 +1,18 @@
 """Quasipositive re-presentation of full subsurfaces of the fiber model.
 
-Input: a full combed graph on S(q_n).  After Whitehead reduction, every
-middle-disk comb meets each attaching arc at most once, so the graph
-decomposes over the coarse handles into crossings (two-tooth combs carried
-from strand 1 out and back), dead ends (one-tooth combs), and stray
-isolated points.  A dead end, with its arc and the disk-1 tooth it hangs
-from, is a tree branch of the graph, so leaving it out is an isotopy of the
-regular neighborhood: the read-out skips dead ends and their disk-1 teeth,
-and edits nothing.  It reads off a braided surface directly:
+Input: a full combed graph on S(q_n).  After Whitehead reduction, a
+middle-disk comb of two or more teeth may still meet one attaching arc
+twice, around a nested dead end (a one-tooth middle-disk comb).  A dead
+end, with its arc and the disk-1 tooth it hangs from, is a tree branch of
+the graph, so dropping it is an isotopy of the regular neighborhood; then
+the comb holds a site.  So on such a graph dead ends are dropped and the
+reduction goes on, until neither a site nor a dead end is left; a graph
+with no such comb takes no extra step.  Now every middle-disk comb meets
+each of its disk's two attaching arcs at most once, so the graph decomposes
+over the coarse handles into crossings (two-tooth combs carried from
+strand 1 out and back), dead ends, and stray isolated points.  The
+read-out skips dead ends and their disk-1 teeth, and edits nothing.  It
+reads off a braided surface directly:
 
 * every live tooth of a disk-1 comb becomes a 0-handle of the output, in
   the order of its arc end on the disk's boundary, and so does every
@@ -38,11 +43,11 @@ from .errors import (
     SummaryMismatch,
 )
 from .graphcalc import (
-    ArcEnd,
     Comb,
     CombedGraph,
     IsolatedPoint,
     Site,
+    _reduced,
     _require_valid,
     neighborhood_summary,
     reduce_with_trace,
@@ -78,20 +83,33 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     input_summary = neighborhood_summary(graph)
 
     reduced, steps = reduce_with_trace(graph)
-
     coarse = CoarseDecomposition(n)
     nu = coarse.nu
+    handles = [coarse.coarse_one_handle(s) for s in range(1, nu)]
+
+    def middle_combs():  # (coarse handle, index, the bands of its teeth) of each middle-disk comb
+        for handle in handles:
+            for ci, comp in enumerate(reduced.disks[handle[1] - 1]):
+                if isinstance(comp, Comb):
+                    yield handle, ci, [tooth.band for tooth in comp.teeth]
+
+    def misfit(handle, bands) -> bool:  # neither a dead end nor a crossing
+        return len(bands) > 1 and bands != [handle[0], handle[2]]
+
+    if any(misfit(handle, bands) for handle, _ci, bands in middle_combs()):
+        # a comb around a nested dead end: drop the dead ends and reduce on
+        reduced, more = _reduced(reduced, range(2, nu + 1))
+        steps += more
     mate = reduced.mate
 
     # middle disks now carry only isolated points, two-tooth crossings and
     # one-tooth dead ends; the disk-1 tooth a dead end hangs from is dead too
     dead = set()
-    for disk in range(2, nu + 1):
-        for ci, comp in enumerate(reduced.disks[disk - 1]):
-            if isinstance(comp, Comb) and len(comp.teeth) == 1:
-                dead.add(mate[(disk, ci, 0)])
-            elif isinstance(comp, Comb) and len(comp.teeth) != 2:
-                raise InternalError(f"disk {disk} comb with {len(comp.teeth)} teeth after reduction")
+    for handle, ci, bands in middle_combs():
+        if misfit(handle, bands):
+            raise InternalError(f"disk {handle[1]} comb into 1-handles {bands} after reduction")
+        if len(bands) == 1:
+            dead.add(mate[(handle[1], ci, 0)])
 
     # 0-handles: live disk-1 teeth in boundary order, then disk-1 isolated
     # points and combs with no live tooth, then stray points from the middle
@@ -128,18 +146,13 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
 
     # crossings: per coarse 1-handle, per slot of its first fine band
     strips = []
-    for s in range(1, nu):
-        first_band, middle_disk, second_band = coarse.coarse_one_handle(s)
+    for first_band, middle_disk, _second_band in handles:
         for near1 in reduced.arc_ends.get((first_band, "i"), ()):  # disk-1 ends, by slot
             if near1 in dead:
                 continue
             _disk, far_ci, _ti = mate[near1]
-            # partner tooth on the middle-disk comb, and the disk-1 end of its arc
-            far = reduced.disks[middle_disk - 1][far_ci].teeth
-            partner = next(
-                ti for ti, tooth in enumerate(far) if isinstance(tooth, ArcEnd) and tooth.band == second_band
-            )
-            a, b = strand_of[near1], strand_of[mate[(middle_disk, far_ci, partner)]]
+            # the disk-1 end of the crossing's arc through its second band
+            a, b = strand_of[near1], strand_of[mate[(middle_disk, far_ci, 1)]]
             if a == b:
                 raise InternalError("crossing returned to a single 0-handle")
             strips.append(EmbeddedBand(min(a, b), max(a, b), 1))

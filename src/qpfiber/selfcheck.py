@@ -168,14 +168,19 @@ def check_self_calibration(seed: int = 20605) -> CheckResult:
 
 
 def check_whitehead_reduction(seed: int = 20606) -> CheckResult:
-    """Criterion 7: reduction terminates, step by step, summary preserved."""
+    """Criterion 7: reduction terminates, step by step, summary preserved; `reduce_with_trace` agrees.
+
+    The stepwise loop freezes the working copy after every move
+    (`whitehead_step`); `reduce_with_trace` keeps one working copy for the
+    whole run.  Both must give the same graph and the same sites.
+    """
     rng = random.Random(seed)
     failures = []
     for trial in range(200):
         graph = random_full_graph(rng, max_arcs=12, expansions=5)
         start_arcs = graph.total_arcs()
         want = graphcalc.neighborhood_summary(graph)
-        steps = 0
+        trace = []
         current = graph
         ok = True
         while True:
@@ -183,7 +188,7 @@ def check_whitehead_reduction(seed: int = 20606) -> CheckResult:
             if not sites:
                 break
             nxt = graphcalc.whitehead_step(current, sites[0])
-            steps += 1
+            trace.append(sites[0])
             if nxt.total_arcs() != current.total_arcs() - 1:
                 ok = False
                 break
@@ -195,7 +200,7 @@ def check_whitehead_reduction(seed: int = 20606) -> CheckResult:
                 ok = False
                 break
             current = nxt
-        if not ok or steps > start_arcs or graphcalc.eligible_sites(current):
+        if not ok or len(trace) > start_arcs or graphcalc.reduce_with_trace(graph) != (current, trace):
             failures.append(f"trial {trial}")
     return CheckResult(
         "whitehead-reduction", not failures, "; ".join(failures[:3]) or "200/200 graphs"

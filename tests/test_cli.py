@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qpfiber import cli
 from qpfiber.cli import MAX_ARCS, MAX_LETTERS, MAX_STRANDS, run
 from qpfiber.constructions import MAX_N, q_rep
-from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph
+from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph, neighborhood_summary
 from qpfiber.surface import BraidedSurface
 
 
@@ -466,3 +466,54 @@ def test_an_oversized_host_is_refused_in_time_proportional_to_its_size(verb):
     assert time.perf_counter() - start < 2
     assert code == 2
     assert json.loads(out)["kind"] == "SizeLimitExceeded"
+
+
+def star_doc(arcs):
+    """S(q_2) with one disk-1 comb of `arcs` teeth into band 1, each arc to a one-tooth comb on disk 2.
+
+    Every pair of neighbouring disk-1 teeth is a site, and each move merges
+    two one-tooth combs on disk 2, so a reduction makes `arcs` - 1 moves.
+    """
+    return {
+        "host": q_rep(2).to_json(),
+        "disks": [
+            [{"comb": [{"arc_end": [1, slot]} for slot in range(arcs)]}],
+            [{"comb": [{"arc_end": [1, slot]}]} for slot in range(arcs)],
+        ],
+    }
+
+
+def summary_of_report(verb, report):
+    if verb == "reduce":
+        graph = CombedGraph.from_json(report["result"]["graph"])
+        return [list(c) for c in neighborhood_summary(graph).components]
+    return report["result"]["summary"]["components"]
+
+
+@pytest.mark.parametrize("verb", ["reduce", "quasipositize --n 2"])
+def test_a_star_at_the_arc_limit_reduces_in_time_linear_in_its_size(verb):
+    # a move works on the teeth it changes, not on the 2,000-tooth comb it takes its site from
+    start = time.perf_counter()
+    code, out = run_on_stdin(verb.split(), json.dumps(star_doc(MAX_ARCS)))
+    assert time.perf_counter() - start < 2
+    assert code == 0, out
+    report = json.loads(out)
+    assert len(report["result"]["trace"]) == MAX_ARCS - 1
+    assert summary_of_report(verb, report) == [[1, 1]]
+
+
+def nested_dead_end_doc(band):
+    """A forest on S(q_2) whose disk-2 comb holds two teeth on `band` around a nested dead end."""
+    def comb(*slots):
+        return {"comb": [{"arc_end": [band, slot]} for slot in slots]}
+
+    return {"host": q_rep(2).to_json(), "disks": [[comb(2), comb(1), comb(0)], [comb(0, 2), comb(1)]]}
+
+
+@pytest.mark.parametrize("band", [1, 2])
+def test_a_comb_around_a_nested_dead_end_is_quasipositized(band):
+    # dropping the dead end makes a site on disk 2; the reduction goes on from there
+    code, out = run_on_stdin(["quasipositize", "--n", "2"], json.dumps(nested_dead_end_doc(band)))
+    assert code == 0, out
+    report = json.loads(out)  # raises unless stdout is exactly one JSON document
+    assert report["result"]["summary"]["components"] == [[1, 1], [1, 1]]

@@ -2,14 +2,15 @@
 
 The references below rebuild each graph edit by hand: they rescan the graph
 for its arc ends and renumber every tooth of every disk through a per-edit
-`renumber` closure.  They share no code with `graphcalc.edit_band`,
-`graphcalc.whitehead_step` or `CombedGraph.arc_ends`.  Further tests check
-every edited graph against a fresh one, and that the local checks of an
-edit catch deliberately faulty edits.
+`renumber` closure.  They share no code with `graphcalc.edit_band`, the
+Whitehead moves of `graphcalc._Working` or `CombedGraph.arc_ends`.  Further
+tests check every move of a reduction against a fresh graph, and that the
+local checks of a move catch deliberately faulty moves.
 """
 
 import random
 import re
+from bisect import bisect_left
 from unittest.mock import patch
 
 import pytest
@@ -503,26 +504,71 @@ def test_caching_keeps_equality_hash_and_json(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_every_edit_equals_a_fresh_graph(seed):
-    # each Whitehead step, with the index and checks it took over from its parent
+    # each move of a reduction on its working copy, frozen with the checks it took over, against a
+    # fresh graph, the naive rebuild and a fresh working copy; spines grown by up to 60 doublings
+    # give long chains of moves
     rng = random.Random(seed)
-    if seed % 2:
+    if seed % 3 == 0:
         graph = random_direct_graph(rng, max_arcs=12)
         assume(validate(graph) == [] and is_full(graph))
+    elif seed % 3 == 1:
+        graph = grown_spine(rng, 3 + seed % 4, rng.randint(0, 60))
     else:
-        graph = grown_spine(rng, 3 + seed % 3, rng.randint(0, 12))
-    edited = []
+        graph = nested_graph(seed)
+    summary = neighborhood_summary(graph)
+    frozen = [graph]
+    move = graphcalc._Working.move
 
-    def checked(edit):
-        def wrapper(*args, **kwargs):
-            result = edit(*args, **kwargs)
-            assert cached_views(result) == cached_views(CombedGraph(result.host, result.disks))
-            edited.append(result)
-            return result
-        return wrapper
+    def checked(work, disk, label, ti):
+        site = Site(disk, bisect_left(work.labels[disk - 1], label), ti)
+        move(work, disk, label, ti)
+        result = work.freeze(_problems=(), _summary=summary, _full=True)
+        assert cached_views(result) == cached_views(CombedGraph(result.host, result.disks))
+        assert result == naive_whitehead(frozen[-1], site)
+        sites = eligible_sites(result)
+        assert work.sites() == sites
+        found = work.least_site()
+        assert (found and Site(found[0], bisect_left(work.labels[found[0] - 1], found[1]), found[2])) == (
+            sites[0] if sites else None
+        )
+        frozen.append(result)
 
-    with patch.object(graphcalc, "whitehead_step", checked(graphcalc.whitehead_step)):
+    with patch.object(graphcalc._Working, "move", checked):
         reduced = reduce(graph)
-    assert len(edited) >= graph.total_arcs() - reduced.total_arcs()
+    assert len(frozen) - 1 == graph.total_arcs() - reduced.total_arcs()
+    assert frozen[-1] == reduced
+
+
+def naive_reduction(graph):
+    """Naive Whitehead moves at the least site, found by a scan of slots, until none is left."""
+    trace = []
+    while True:
+        sites = [
+            Site(disk, ci, ti)
+            for disk, comps in enumerate(graph.disks, start=1)
+            for ci, comp in enumerate(comps) if isinstance(comp, Comb)
+            for ti, (x, y) in enumerate(zip(comp.teeth, comp.teeth[1:]))
+            if isinstance(x, ArcEnd) and isinstance(y, ArcEnd) and x.band == y.band and y.slot == x.slot + 1
+        ]
+        if not sites:
+            return graph, trace
+        trace.append(sites[0])
+        graph = naive_whitehead(graph, sites[0])
+
+
+@pytest.mark.parametrize("n, moves", [(3, 40), (4, 90), (5, 160), (6, 250)])
+def test_reduction_equals_the_naive_moves_on_grown_spines(n, moves):
+    graph = grown_spine(random.Random(n), n, moves)
+    assert graph.total_arcs() >= moves
+    assert graphcalc.reduce_with_trace(graph) == naive_reduction(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_reduction_equals_the_naive_moves_with_free_ends(seed):
+    rng = random.Random(seed)
+    graph = with_free_ends(random_full_graph(rng, max_strands=5, max_bands=6, max_arcs=20, expansions=10), rng)
+    assert graphcalc.reduce_with_trace(graph) == naive_reduction(graph)
 
 
 def counted_folds(monkeypatch) -> list:
@@ -598,6 +644,26 @@ def test_a_faulty_merge_is_caught(mutate, monkeypatch):
     assert caught
 
 
+def test_a_merge_that_moves_a_free_end_out_of_its_face_is_caught(monkeypatch):
+    # the merge puts the free end of B = [(2,0), free end] between A's (1,1) and (2,1); moved to the
+    # top of the merged comb it would face only the attaching arc of band 2
+    host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
+    graph = CombedGraph(host, (
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 1), ArcEnd(2, 2))), Comb((ArcEnd(1, 1),)), Comb((ArcEnd(2, 0),))),
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 2))), Comb((ArcEnd(1, 1), ArcEnd(2, 1))), Comb((ArcEnd(2, 0), FreeEnd()))),
+    ))
+    assert validate(graph) == [] and is_full(graph)
+    merge = graphcalc._merge_far_combs
+
+    def free_ends_on_top(*args):
+        teeth = merge(*args).teeth
+        return Comb(tuple(sorted(teeth, key=lambda x: isinstance(x, FreeEnd))))
+
+    monkeypatch.setattr(graphcalc, "_merge_far_combs", free_ends_on_top)
+    with pytest.raises(InternalError, match="cannot be drawn"):
+        whitehead_step(graph, Site(1, 0, 1))
+
+
 def far_combs(graph, site):
     """The arguments of `_merge_far_combs` at a site: A's teeth and kept end, B's and removed end."""
     far_disk, a_ci, ta = graph.mate[(site.disk, site.component, site.tooth)]
@@ -616,8 +682,12 @@ def test_a_move_that_splits_the_graph_is_caught_by_the_face_routing(monkeypatch)
     assert validate(wrong) == [] and wrong.total_arcs() == graph.total_arcs() - 1
     assert sum(map(len, wrong.disks)) == sum(map(len, graph.disks)) - 1
     assert neighborhood_summary(CombedGraph(wrong.host, wrong.disks)) != neighborhood_summary(graph)
-    edit = graphcalc.edit_band
-    monkeypatch.setattr(graphcalc, "edit_band", lambda g, band, replace: edit(g, band, mutant))
+    replace = graphcalc._Working.replace
+
+    def split(work, disk, items):  # on far disk 1, B (label 0) keeps its first tooth and the point (label 2) goes
+        replace(work, disk, {0: work.comps[0][0][:1], 2: None} if disk == 1 else items)
+
+    monkeypatch.setattr(graphcalc._Working, "replace", split)
     with pytest.raises(InternalError, match="neighborhood summary"):
         whitehead_step(graph, Site(2, 0, 1))
 
