@@ -5,13 +5,21 @@ horizontal teeth, listed bottom to top) and isolated points, and every
 1-handle in arcs parallel to its core.  A tooth's slot is its position on
 its band's attaching arc, 0..r-1 from the bottom; it is the one statement
 of where an arc end sits, and the order in which a disk lists its
-components means nothing.  Arcs through a band pair slot p on the i side
-with slot r-1-p on the j side: the half-twist reverses the transverse order.
-`CombedGraph.mate` is the one statement of this pairing that the package
-reads (`arcs` only lists it by slot for the JSON document).  The
-face-tracing conventions below are validated against the independent
-permutation-cycle boundary count by the self-calibration suite, not
-assumed.
+components means nothing.
+
+Each graph numbers its arc ends once (`_Ends`): every disk takes one block
+of consecutive numbers, in boundary order (band height, slot).  The table
+holds each end's band and node, each comb as a list of numbers (-1 for a
+free end), each end's neighbours on the boundary, and the pairing: arcs
+through a band pair slot p on the i side with slot r-1-p on the j side,
+since the half-twist reverses the transverse order.  Each rule is stated
+once over these numbers, and read both by the graph and by the working
+copy of the Whitehead moves: the pairing, the face-tracing step
+(`_Ends.steps`), the site test (`_Ends.is_site`) and the gap walk of
+free-end reach (`_Ends.unreached`).  `CombedGraph.arc_ends`, `mate` and
+`arcs` are views of the table by location and by slot.  The face-tracing
+conventions below are validated against the independent permutation-cycle
+boundary count by the self-calibration suite, not assumed.
 
 `validate` accepts only graphs that can be drawn in the disks.  On a
 disk's boundary the arc ends lie in (band height, slot) order; each comb
@@ -21,6 +29,9 @@ boundary lies between two neighboring arc ends into different bands, and
 between the last arc end and the first; none lies between adjacent slots of
 one attaching arc.  A free end must reach host boundary inside its face: the
 face of the disk, cut by the combs, that the free end's tooth leaves from.
+A free end between two arc ends of its comb lies in their gap; one below
+the comb's first arc end or above its last lies in the gap the comb is
+nested in, so validation charges it to that gap and walks each gap once.
 
 A graph is *full* when its inclusion is pi_1-injective on each component.
 The host retracts onto its handle graph H (a vertex per disk, an edge i to
@@ -37,22 +48,20 @@ bounds a disk on the host", the definition the brute-force oracle in
 `selfcheck` checks arc subset by arc subset.
 
 Face tracing walks the boundary of a regular neighborhood one step per
-arc end (`_walk`): inside the arc end's comb it drops one tooth cyclically
-(skipping teeth that end on the surface boundary), then it jumps through
-the band to the paired arc end.  Orbits of this step are the boundary
-circles of components containing at least one arc; arc-free components
-are disks.  `SurfaceSummary.of_complex`, the one per-component count, reads
-the orbits as the circles of the complex of nodes and arcs.  The face-routing
-check of a Whitehead move is the same walk restricted to a region.
+arc end: from x to the mate of the arc end before x in its comb,
+cyclically (skipping teeth that end on the surface boundary).  Orbits of
+this step are the boundary circles of components containing at least one
+arc; arc-free components are disks.  `SurfaceSummary.of_complex`, the one
+per-component count, reads the orbits as the circles of the complex of
+nodes and arcs.  The face-routing check of a Whitehead move is the same
+step restricted to a region.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
-arc-end index (`arc_ends`, read by `arc_count`, `total_arcs`, `arcs`,
-`mate`, the edits and the working copy), the `validate` problems, the
-`neighborhood_summary` and fullness (`_full`, so `is_full` folds a graph
-at most once).  `mate` is a lookup, not a table: the far end of the arc at
-slot p of r is entry r-1-p of the other side's index.
+numbering (`_ends`), its views `arc_ends` and `mate`, the `validate`
+problems, the `neighborhood_summary` and fullness (`_full`, so `is_full`
+folds a graph at most once).
 
 The samplers double arcs with `edit_band`: it replaces components on the
 two disks one band joins, reusing every other disk's row, renumbers that
@@ -60,25 +69,25 @@ band's arc ends by one rule, by old slot on each disk, and validates the
 result.  Each disk reads only its own row, so validation is linear in the
 size of the document.
 
-Whitehead moves are made on a private working copy (`_Working`).  A
-reduction deletes arcs in pairs and never inserts one, so the copy numbers
-each disk's input arc ends once, in boundary order, and the numbers serve
-as fixed order labels for the whole run: the pairing is a fixed table, two
-slots are adjacent when they are neighbours in a linked list of a disk's
-live arc ends, and an output slot is a rank, taken once, when the copy is
-frozen into a `CombedGraph`.  A move unlinks one arc and merges the two far
-combs, re-tests sites only in the two combs it changes, and checks itself
-over the teeth it changes (`_Working.move` says why that suffices).  Face
-tracing changes only at three arc ends of the comb of the site and the two
-far combs, so the boundary circles are kept when the tracing walk routes
-every arc end entering that region to the same leaving one before and
-after the move, and closes as many walks inside.  With one arc and one comb
-gone, each component keeps its chi, and a move keeps fullness too.
-`whitehead_step` is one move on a fresh copy, frozen, and its child takes
-the parent's summary and fullness.  `reduce` makes all its moves on one
-copy, freezes it once, and still validates, summarises and checks fullness
-of a fresh copy of its result against its input, so a local check that
-missed a fault would show there.
+Whitehead moves are made on a private working copy (`_Working`), a mutable
+copy of the numbering.  A reduction deletes arcs in pairs and never inserts
+one, so the numbers serve as fixed order labels for the whole run: the
+pairing stays a fixed table, two slots are adjacent when they are
+neighbours in the linked list of a disk's live arc ends, and an output slot
+is a rank, taken once, when the copy is frozen into a `CombedGraph`.  A
+move unlinks one arc and merges the two far combs, re-tests sites only in
+the two combs it changes, and checks itself over the teeth it changes
+(`_Working.move` says why that suffices).  Face tracing changes only at
+three arc ends of the comb of the site and the two far combs, so the
+boundary circles are kept when the tracing walk routes every arc end
+entering that region to the same leaving one before and after the move,
+and closes as many walks inside.  With one arc and one comb gone, each
+component keeps its chi, and a move keeps fullness too.  `whitehead_step`
+is one move on a fresh copy, frozen, and its child takes the parent's
+summary and fullness.  `reduce` makes all its moves on one copy, freezes it
+once, and still validates, summarises and checks fullness of a fresh copy
+of its result against its input, so a local check that missed a fault
+would show there.
 """
 
 from __future__ import annotations
@@ -136,29 +145,29 @@ class CombedGraph:
     # -- bookkeeping ------------------------------------------------------
 
     @cached_property
+    def _ends(self) -> "_Ends":
+        return _Ends(self)
+
+    @cached_property
     def arc_ends(self) -> MappingProxyType:
-        """Per (band, side) the arc-end locations in slot order (bottom to top).
+        """Per (band, side) the arc-end locations in slot order (bottom to top): a view of `_ends`.
 
         Equal slots, which `validate` refuses, keep listing order.  Teeth
         naming a 1-handle that does not meet their disk in the host's
         `incidence` table are left out; `validate` reports them.  So each
         key (band, side) lives on the one disk whose incidence row holds it.
         """
-        index: dict[tuple[int, str], tuple[Location, ...]] = {}
-        for disk, (comps, row) in enumerate(zip(self.disks, self.host.incidence), start=1):
-            index.update(_disk_arc_ends(row, disk, comps))
-        return MappingProxyType(index)
+        locs = self._ends.locs
+        return MappingProxyType({key: tuple(map(locs.__getitem__, ends)) for key, ends in self._ends.keys.items()})
 
     @cached_property
-    def mate(self) -> "Pairing":
-        """Each arc-end location to the location at the other end of its arc.
+    def mate(self) -> Mapping[Location, Location]:
+        """Each arc-end location to the location at the other end of its arc: a view of `_ends.mate`.
 
-        The pairing rule: of the r arc ends through a band, the one at slot p
-        on the i side meets the one at slot r-1-p on the j side (the
-        half-twist reverses the transverse order).  Looked up in `arc_ends`;
-        meaningful only on a graph that `validate` accepts.
+        Meaningful only on a graph that `validate` accepts.
         """
-        return Pairing(self.host.incidence, self.disks, self.arc_ends)
+        locs = self._ends.locs
+        return MappingProxyType({locs[x]: locs[y] for x, y in enumerate(self._ends.mate) if y >= 0})
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -210,22 +219,23 @@ class CombedGraph:
         return len(arcs) - folded_arcs == merges
 
     def arc_count(self, band: int) -> int:
-        return len(self.arc_ends.get((band, "i"), ()))
+        return len(self._ends.keys.get((band, "i"), ()))
 
     def total_arcs(self) -> int:
-        return sum(len(locs) for (_band, side), locs in self.arc_ends.items() if side == "i")
+        return sum(len(ends) for (_band, side), ends in self._ends.keys.items() if side == "i")
 
     def has_free_ends(self) -> bool:
         teeth = (x for comps in self.disks for comp in comps if isinstance(comp, Comb) for x in comp.teeth)
         return any(isinstance(x, FreeEnd) for x in teeth)
 
     def arcs(self) -> list[tuple[int, int, int]]:
-        """All arcs as (band, i-slot, j-slot), sorted."""
-        out = []
-        for band in range(1, self.host.band_count() + 1):
-            r = self.arc_count(band)
-            out.extend((band, p, r - 1 - p) for p in range(r))
-        return out
+        """All arcs as (band, i-slot, j-slot), sorted; read off `_ends.mate`."""
+        keys, mate = self._ends.keys, self._ends.mate
+        return [
+            (band, x - i_side.start, mate[x] - keys[(band, "j")].start)
+            for band in range(1, self.host.band_count() + 1) if (i_side := keys.get((band, "i")))
+            for x in i_side if mate[x] >= 0
+        ]
 
     def to_json(self) -> dict:
         disks = []
@@ -283,55 +293,130 @@ class CombedGraph:
 Location = tuple[int, int, int]
 
 
-def _disk_arc_ends(row, disk: int, comps) -> dict[tuple[int, str], tuple[Location, ...]]:
-    """The `arc_ends` entries of one disk, its incidence `row`: its (band, side) keys, each in slot order."""
-    index: dict[tuple[int, str], list[Location]] = {}
-    slots: dict[tuple[int, str], list[int]] = {}  # of each list found out of slot order
-    for ci, comp in enumerate(comps):
-        if not isinstance(comp, Comb):
-            continue
-        for ti, tooth in enumerate(comp.teeth):
-            if isinstance(tooth, ArcEnd) and (side := row.get(tooth.band)):
-                key = (tooth.band, side)
-                locs = index.setdefault(key, [])
-                if key in slots or tooth.slot != len(locs):  # in order, the slots so far are 0..len-1
-                    slots.setdefault(key, [*range(len(locs))]).append(tooth.slot)
-                locs.append((disk, ci, ti))
-    for key, found in slots.items():  # equal slots sort by listing position
-        index[key] = [loc for _slot, loc in sorted(zip(found, index[key]))]
-    return {key: tuple(locs) for key, locs in index.items()}
+class _Ends:
+    """The arc-end numbering of a combed graph, and the rules stated over it.
 
-
-_FAR_SIDE = {"i": "j", "j": "i"}
-
-
-class Pairing(Mapping):
-    """`CombedGraph.mate`: the far end of an arc, looked up, never tabulated.
-
-    The arc at slot p of the r arc ends on one side of a band ends at entry
-    r-1-p of the other side's `arc_ends` list.
+    Each disk numbers its arc ends in boundary order, (band height, slot),
+    in one block of consecutive numbers; equal slots, which `validate`
+    refuses, keep listing order, and teeth into a 1-handle that does not
+    meet their disk take none.  Per arc end x:
+    - `band[x]`, and its node: `disk[x]` and `comb[x]`, its comb's label;
+    - `next[x]` and `prev[x]`, its neighbours on the disk's boundary, or -1;
+    - `mate[x]`, the other end of its arc: of the r arc ends through a band,
+      slot p on the i side pairs with slot r-1-p on the j side (-1 where
+      the two sides' counts differ, which `validate` refuses);
+    - `locs[x]`, its location (disk, component, tooth) in the graph.
+    Per disk: `comps`, each comb as a list of numbers (-1 for a free end),
+    by label, and a point as []; `labels`, the labels in listing order
+    (here the component indices); `head`, its first arc end or -1; and
+    `loose`, whether it holds a free end.  `keys` maps (band, side) to the
+    range of its numbers, by slot.  `_Working` is a mutable copy.
     """
 
-    def __init__(self, incidence, disks, index):
-        self._incidence, self._disks, self._index = incidence, disks, index
+    def __init__(self, graph: CombedGraph):
+        self.band: list[int] = []
+        self.disk: list[int] = []
+        self.comb: list[int] = []
+        self.locs: list[Location] = []
+        self.next: list[int] = []
+        self.prev: list[int] = []
+        self.head: list[int] = []
+        self.comps: list = []
+        self.labels: list[list[int]] = []
+        self.loose: list[bool] = []
+        self.keys: dict[tuple[int, str], range] = {}
+        for disk, (comps, row) in enumerate(zip(graph.disks, graph.host.incidence), start=1):
+            combs = [[-1] * len(comp.teeth) if isinstance(comp, Comb) else [] for comp in comps]
+            found: dict[int, list] = {}  # band -> (slot, component, tooth) of each of its arc ends here
+            for ci, comp in enumerate(comps):
+                for ti, tooth in enumerate(comp.teeth if isinstance(comp, Comb) else ()):
+                    if isinstance(tooth, ArcEnd) and tooth.band in row:
+                        found.setdefault(tooth.band, []).append((tooth.slot, ci, ti))
+            first = len(self.band)
+            for band, side in row.items():
+                if band in found:
+                    self.keys[(band, side)] = range(len(self.band), len(self.band) + len(found[band]))
+                for _slot, ci, ti in sorted(found.get(band, ())):
+                    combs[ci][ti] = len(self.band)
+                    self.band.append(band)
+                    self.disk.append(disk)
+                    self.comb.append(ci)
+                    self.locs.append((disk, ci, ti))
+            last = len(self.band)
+            self.next.extend([*range(first + 1, last), -1][: last - first])
+            self.prev.extend([-1, *range(first, last - 1)][: last - first])
+            self.head.append(first if last > first else -1)
+            self.comps.append(combs)
+            self.labels.append(list(range(len(combs))))
+            self.loose.append(any(-1 in teeth for teeth in combs))
+        self.mate = [-1] * len(self.band)
+        for band in range(1, graph.host.band_count() + 1):
+            i_side, j_side = self.keys.get((band, "i"), ()), self.keys.get((band, "j"), ())
+            if len(i_side) == len(j_side):
+                for x, y in zip(i_side, reversed(j_side)):
+                    self.mate[x], self.mate[y] = y, x
 
-    def __getitem__(self, loc: Location) -> Location:
-        disk, ci, ti = loc
-        try:
-            tooth = self._disks[disk - 1][ci].teeth[ti] if min(disk - 1, ci, ti) >= 0 else None
-            far = self._index[(tooth.band, _FAR_SIDE[self._incidence[disk - 1][tooth.band]])]
-        except (IndexError, AttributeError, KeyError):  # no tooth there, a free end, or no arc
-            raise KeyError(loc) from None
-        if not 0 <= tooth.slot < len(far):
-            raise KeyError(loc)
-        return far[len(far) - 1 - tooth.slot]
+    def node(self, x: int) -> tuple[int, int]:
+        return self.disk[x], self.comb[x]
 
-    def __iter__(self):
-        for locs in self._index.values():
-            yield from locs
+    def steps(self, teeth, at=None) -> dict[int, int]:
+        """The face-tracing step at the arc ends of a comb at positions `at` (default: all of them).
 
-    def __len__(self) -> int:
-        return sum(len(locs) for locs in self._index.values())
+        It takes arc end x to the mate of the arc end before x in its comb,
+        cyclically.
+        """
+        at = [k for k, x in enumerate(teeth) if x >= 0] if at is None else at
+        return {teeth[k]: self.mate[_pred_at(teeth, k)] for k in at}
+
+    def is_site(self, teeth, ti: int) -> bool:
+        """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
+        if not 0 <= ti < len(teeth) - 1:
+            return False
+        x, y = teeth[ti], teeth[ti + 1]
+        return x >= 0 and y >= 0 and self.next[x] == y and self.band[x] == self.band[y]
+
+    def sites(self) -> list[Site]:
+        return [
+            Site(disk, rank, ti)
+            for disk, (combs, labels) in enumerate(zip(self.comps, self.labels), start=1)
+            for rank, label in enumerate(labels)
+            for ti in range(len(combs[label]) - 1) if self.is_site(combs[label], ti)
+        ]
+
+    def unreached(self, disk: int, teeth):
+        """Each gap (k, m) of a comb on `disk` that holds a free end out of reach of host boundary.
+
+        The gap between consecutive arc ends teeth[k] and teeth[m] holds the
+        free ends between them, and those around the combs nested in it
+        directly.  It meets host boundary where two arc ends next to each
+        other on its stretch of boundary, stepping over the combs nested in
+        it, enter different bands.  This is the one gap walk of free-end
+        reach: `validate` runs it on every comb, a Whitehead move on the
+        comb it merges.
+        """
+        ends = [k for k, x in enumerate(teeth) if x >= 0]
+        for k, m in zip(ends, ends[1:]):
+            reach, nested = self._gap(disk, teeth[k], teeth[m])
+            if not reach and (m > k + 1 or nested):
+                yield k, m
+
+    def _gap(self, disk: int, x: int, y: int) -> tuple[bool, bool]:
+        """Of the gap between consecutive arc ends x < y of a comb: whether it meets host boundary, and
+        (as far as the walk went) whether a comb nested in it has a free end around it."""
+        comps, nxt, band, comb = self.comps[disk - 1], self.next, self.band, self.comb
+        nested = False
+        p = x
+        while True:
+            q = nxt[p]
+            if q < 0:
+                raise InternalError("a gap of a comb runs past the last arc end of its disk")
+            if band[q] != band[p]:
+                return True, nested
+            if q == y:
+                return False, nested
+            inner = comps[comb[q]]
+            nested = nested or inner[0] < 0 or inner[-1] < 0
+            p = _pred_at(inner, 0)
 
 
 def validate(graph: CombedGraph) -> list[str]:
@@ -355,14 +440,15 @@ def _find_problems(graph: CombedGraph) -> list[str]:
     problems = [p for disk in disks for p in _tooth_problems(host, disk, enumerate(graph.disks[disk - 1]))]
     if problems:
         return problems
-    index = graph.arc_ends
+    keys = graph._ends.keys
     for band in range(1, host.band_count() + 1):
-        i_side, j_side = index.get((band, "i"), ()), index.get((band, "j"), ())
+        i_side, j_side = keys.get((band, "i"), ()), keys.get((band, "j"), ())
         if len(i_side) != len(j_side):
             problems.append(
                 f"1-handle {band} has {len(i_side)} arc ends on the i side, {len(j_side)} on the j side"
             )
     found = [problem for disk in disks if (problem := _drawing_problem(graph, disk))]
+    found = found or [problem for disk in disks if (problem := _reach_problem(graph, disk))]
     if found:
         problems.append(min(found)[-1])
     return problems
@@ -399,10 +485,9 @@ def _tooth_problems(host: BraidedSurface, disk: int, components) -> list[str]:
 
 
 def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
-    """Why the combs of one disk cannot be drawn, or None if they can.
+    """Why the combs of one disk cannot be drawn, free ends aside, or None if they can.
 
-    Returns (rank, band, side rank, message): rank 0 for a drawing fault,
-    1 for a free end out of reach, and the (band, side) where the walk
+    Returns (band, side rank, message), the (band, side) where the walk
     found it.  The arc ends entering one attaching arc must hold slots
     0..r-1, each once.  On a disk's boundary the arc ends lie in (band
     height, slot) order.  A comb must meet its arc ends in that order,
@@ -410,71 +495,70 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     non-crossing partition of the boundary points, so one comb may nest
     between two teeth of another.  One walk along the boundary keeps a stack
     of the combs met but not finished.
-
-    Free ends take no position, so a free end can reach any host boundary
-    of its face, and only its face matters.  The face of a free end between
-    two arc ends of a comb is the gap between them: the boundary stretches
-    from one neighboring arc end to the next that the walk passes while the
-    comb is on top of the stack.  A free end below a comb's first arc end
-    or above its last lies in the face around the comb: the gap of the comb
-    below it on the stack, or the face that holds the first and last
-    boundary points, which always meets host boundary.  A comb with no arc
-    end sits in that face too.  A stretch meets host boundary when its two
-    arc ends enter different bands.
     """
-    comps = graph.disks[disk - 1]
-    index = graph.arc_ends
+    comps, ends = graph.disks[disk - 1], graph._ends
     stack: list[int] = []  # combs met but not finished
-    # comb -> [tooth after its last arc end met, its last arc end,
-    #          its open gap meets host boundary, a nested comb's free end lies in that gap]
-    gaps: dict[int, list] = {}
-    previous = None  # band of the last arc end met
-    out_of_reach = None
+    gaps: dict[int, list] = {}  # comb -> [tooth after its last arc end met, its last arc end]
     for key in graph.host.incidence[disk - 1].items():
         band, side = key
-        locs = index.get(key)
-        if not locs:
-            continue
         where = (band, 0 if side == "i" else 1)
-        for slot, (_disk, ci, ti) in enumerate(locs):
+        for slot, x in enumerate(ends.keys.get(key, ())):
+            _disk, ci, ti = ends.locs[x]
             teeth = comps[ci].teeth
             if teeth[ti].slot != slot:
-                slots = [graph.disks[d - 1][c].teeth[t].slot for d, c, t in locs]
-                want = f"expected 0..{len(locs) - 1} each once"
-                return (0, *where, f"1-handle {band} {side}-side slots are {slots}, {want}")
-            if stack and previous != band:
-                gaps[stack[-1]][2] = True
-            previous = band
+                slots = [comps[c].teeth[t].slot for _d, c, t in map(ends.locs.__getitem__, ends.keys[key])]
+                want = f"expected 0..{len(slots) - 1} each once"
+                return (*where, f"1-handle {band} {side}-side slots are {slots}, {want}")
             gap = gaps.get(ci)
             first = gap[0] if gap else 0
             if ti != first:
                 if first and teeth[first - 1].band == band:
-                    return (0, *where, f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive")
+                    return (*where, f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive")
                 expected = first
                 while not isinstance(teeth[expected], ArcEnd):
                     expected += 1
                 if ti != expected:
-                    return (0, *where, f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order")
+                    return (*where, f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order")
             if gap is None:
                 end = len(teeth) - 1
                 while not isinstance(teeth[end], ArcEnd):
                     end -= 1
-                if stack and (ti > 0 or end < len(teeth) - 1):  # free ends in the gap around it
-                    gaps[stack[-1]][3] = True
-                gap = gaps[ci] = [0, end, False, False]
+                gap = gaps[ci] = [0, end]
                 stack.append(ci)
             elif stack[-1] != ci:
-                return (0, *where, f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary")
-            else:
-                if (ti > first or gap[3]) and not gap[2] and out_of_reach is None:
-                    out_of_reach = (1, *where, f"disk {disk}: a free end between arc ends {first - 1} and {ti} "
-                                               f"of component {ci}, or of a comb they enclose, cannot reach "
-                                               f"the host boundary")
-                gap[2] = gap[3] = False
+                return (*where, f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary")
             gap[0] = ti + 1
             if ti == gap[1]:
                 stack.pop()
-    return out_of_reach
+    return None
+
+
+def _reach_problem(graph: CombedGraph, disk: int) -> tuple | None:
+    """The first free end on a disk that `_drawing_problem` accepts and that cannot reach host boundary.
+
+    Returns (band, side rank, message) at the arc end that closes its gap,
+    the first such in boundary order, or None.  Free ends take no position,
+    so only their face matters (see `_Ends.unreached`).  A free end below a
+    comb's first arc end or above its last lies in the gap the comb is
+    nested in, and is charged to that gap; the face that holds the first
+    and last boundary points, around the outermost combs, always meets host
+    boundary.  Each gap is walked once, stepping over the combs nested in it
+    directly, so the walk is linear in the size of the disk.
+    """
+    ends = graph._ends
+    if not ends.loose[disk - 1]:
+        return None
+    found = [
+        (teeth[m], k, m, ci)
+        for ci, teeth in enumerate(ends.comps[disk - 1])
+        for k, m in ends.unreached(disk, teeth)
+    ]
+    if not found:
+        return None
+    y, k, m, ci = min(found)
+    side = graph.host.incidence[disk - 1][ends.band[y]]
+    return (ends.band[y], 0 if side == "i" else 1, f"disk {disk}: a free end between arc ends {k} and {m} "
+            f"of component {ci}, or of a comb they enclose, cannot reach the host boundary")
 
 
 def _require_valid(graph: CombedGraph):
@@ -489,11 +573,11 @@ def _require_valid(graph: CombedGraph):
 
 def _graph_arcs(graph: CombedGraph) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
     """Every arc as (band, i-side node, j-side node); nodes are (disk, comp)."""
-    index, mate = graph.arc_ends, graph.mate
+    ends = graph._ends
     return [
-        (band, loc[:2], mate[loc][:2])
+        (band, ends.node(x), ends.node(ends.mate[x]))
         for band in range(1, graph.host.band_count() + 1)
-        for loc in index.get((band, "i"), ())
+        for x in ends.keys.get((band, "i"), ())
     ]
 
 
@@ -502,18 +586,8 @@ def neighborhood_summary(graph: CombedGraph) -> SurfaceSummary:
     return graph._summary
 
 
-def _walk(mate, disks, loc: Location) -> Location:
-    """One step of the face-tracing walk: the comb's previous arc end, cyclically, then its mate."""
-    disk, ci, ti = loc
-    teeth = disks[disk - 1][ci].teeth
-    step = ti - 1  # teeth[-1] is the top tooth
-    while not isinstance(teeth[step], ArcEnd):
-        step -= 1
-    return mate[(disk, ci, step % len(teeth))]
-
-
 def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
-    """Boundary circles per component: the orbits of `_walk`, one token per arc end.
+    """Boundary circles per component: the orbits of the face-tracing step, one token per arc end.
 
     Why one token suffices.  Trace the boundary with two tokens per arc end
     x: A(x), about to run along x's arc, and B(x), just arrived by it and
@@ -521,27 +595,28 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     A(pred(y)), where pred(y) is the previous arc end of y's comb,
     cyclically.  The orbits of this map are the boundary circles.  They
     alternate A and B, so each holds a B token, and its B tokens make up
-    one orbit of the return map B(y) -> B(mate[pred(y)]), which is `_walk`.
-    Distinct orbits hold disjoint B tokens, so the boundary circles and the
-    orbits of `_walk` correspond one to one.  (The A tokens' return map
-    pred . mate equals mate . `_walk` . mate, conjugate to `_walk` by the
-    involution mate, so it has as many orbits.)  No step leaves a
-    component, so the count holds per component.
+    one orbit of the return map B(y) -> B(mate[pred(y)]), which is the
+    step (`_Ends.steps`).  Distinct orbits hold disjoint B tokens, so the
+    boundary circles and the orbits of the step correspond one to one.
+    (The A tokens' return map pred . mate equals mate . step . mate,
+    conjugate to the step by the involution mate, so it has as many
+    orbits.)  No step leaves a component, so the count holds per component.
     """
-    mate, disks = graph.mate, graph.disks
+    ends = graph._ends
+    step: dict[int, int] = {}
+    for combs in ends.comps:
+        for teeth in combs:
+            step.update(ends.steps(teeth))
     orbits = []
-    seen: set[Location] = set()
-    for start in mate:
-        if start in seen:
-            continue
+    for start in list(step):
         orbit = []
-        loc = start
-        while loc not in seen:
-            seen.add(loc)
-            orbit.append(loc[:2])
-            loc = _walk(mate, disks, loc)
-        orbits.append(orbit)
-    nodes = [(disk, ci) for disk, comps in enumerate(disks, start=1) for ci in range(len(comps))]
+        x = start
+        while x in step:
+            orbit.append(ends.node(x))
+            x = step.pop(x)
+        if orbit:
+            orbits.append(orbit)
+    nodes = [(disk, ci) for disk, comps in enumerate(graph.disks, start=1) for ci in range(len(comps))]
     return SurfaceSummary.of_complex(nodes, [(tail, head) for _band, tail, head in _graph_arcs(graph)], orbits)
 
 
@@ -653,8 +728,8 @@ class Site:
         return [self.disk, self.component, self.tooth]
 
 
-def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
-    """The comb that far combs A (kept end at ta) and B (removed end at tb) become.
+def _merge_far_combs(a: list, ta: int, b: list, tb: int) -> list:
+    """The comb that far combs A (kept end at ta) and B (removed end at tb) become, as arc-end numbers.
 
     The move slides B's tooth at the removed end along the attaching arc
     onto A's tooth at the kept end, just above it.  So going around the
@@ -667,16 +742,13 @@ def _merge_far_combs(a: tuple, ta: int, b: tuple, tb: int) -> Comb:
     else with B's teeth below the removed end.  Without free ends this is A
     up to the kept end, B up to the removed end, then the rest of A and of B.
     """
-    if ta and not any(isinstance(tooth, ArcEnd) for tooth in b[tb + 1 :]):
-        return Comb(a[:ta] + b[tb + 1 :] + b[:tb] + a[ta:])
-    return Comb(b[:tb] + a[ta:] + a[:ta] + b[tb + 1 :])
-
-
-_FREE = FreeEnd()
+    if ta and max(b[tb + 1 :], default=-1) < 0:
+        return a[:ta] + b[tb + 1 :] + b[:tb] + a[ta:]
+    return b[:tb] + a[ta:] + a[:ta] + b[tb + 1 :]
 
 
 def _pred_at(teeth, pos: int) -> int:
-    """The arc end before position `pos` of a comb, cyclically, as `_walk` steps; at 0, its last arc end."""
+    """The arc end before position `pos` of a comb, cyclically; at 0, its last arc end."""
     k = pos - 1
     while teeth[k] < 0:
         k -= 1
@@ -689,12 +761,6 @@ def _next_at(teeth, pos: int) -> tuple[int, int]:
     while teeth[k] < 0:
         k = (k + 1) % len(teeth)
     return teeth[k], k
-
-
-def _cyclic_preds(teeth) -> dict[int, int]:
-    """Each arc end of a comb to the one before it, cyclically."""
-    ends = [x for x in teeth if x >= 0]
-    return dict(zip(ends, ends[-1:] + ends[:-1]))
 
 
 def _routes(step: Mapping) -> tuple[dict, int]:
@@ -724,15 +790,13 @@ def _routes(step: Mapping) -> tuple[dict, int]:
     return routes, closed
 
 
-class _Working:
-    """A mutable copy of a valid combed graph, on which Whitehead moves are made.
+class _Working(_Ends):
+    """A mutable copy of a valid graph's numbering (`_Ends`), on which Whitehead moves are made.
 
-    Each disk numbers its arc ends in boundary order, (band height, slot), in
-    one block of consecutive numbers.  A reduction deletes arcs, two ends at
-    a time, and never inserts one, so the numbers serve as fixed order
-    labels for the whole run:
+    A reduction deletes arcs, two ends at a time, and never inserts one, so
+    the numbers serve as fixed order labels for the whole run:
     - boundary order on a disk is number order;
-    - `mate` is a fixed table: the input's order-reversing pairing stays
+    - `mate` stays a fixed table: the input's order-reversing pairing stays
       order-reversing on the arcs that survive;
     - two arc ends are adjacent slots when they are neighbours, on one band,
       in the disk's doubly linked list of live arc ends (`next`, `prev`);
@@ -740,52 +804,19 @@ class _Working:
       (band, side), computed once, by `freeze`.
 
     A component's label is its input index, so listing order is label order
-    (`labels` holds the live ones per disk).  A comb is a list of arc-end
-    numbers, -1 for a free end; a point is ().  `freeze` rebuilds the disks a
-    change touched and reuses the others.
+    (`labels` holds the live ones per disk), and `comps` maps each live
+    label to its comb.  `freeze` rebuilds the disks a change touched and
+    reuses the others.
     """
 
     def __init__(self, graph: CombedGraph):
         _require_valid(graph)
+        ends = graph._ends
         self.graph = graph
-        index = graph.arc_ends
-        self.band: list[int] = []
-        self.disk: list[int] = []
-        self.comb: list[int] = []        # the label of the comb holding the arc end
-        self.tooth: list[ArcEnd] = []    # the input's tooth: its slot is its number less its band's base
-        self.next: list[int] = []
-        self.prev: list[int] = []
-        self.head: list[int] = []        # per disk, its first live arc end, or -1
-        self.base: list[dict] = []       # per disk, band -> the number of its slot 0 there
-        self.comps: list[dict] = []      # per disk, label -> comb or point
-        self.labels: list[list[int]] = []
-        self.loose: list[bool] = []      # per disk, whether it holds a free end
-        for disk, (row, comps) in enumerate(zip(graph.host.incidence, graph.disks), start=1):
-            first = len(self.band)
-            combs = {ci: [-1] * len(comp.teeth) if isinstance(comp, Comb) else () for ci, comp in enumerate(comps)}
-            bases = {}
-            for key in row.items():
-                bases[key[0]] = len(self.band)
-                for _disk, ci, ti in index.get(key, ()):
-                    combs[ci][ti] = len(self.band)
-                    self.band.append(key[0])
-                    self.disk.append(disk)
-                    self.comb.append(ci)
-                    self.tooth.append(comps[ci].teeth[ti])
-            last = len(self.band)
-            self.next.extend([*range(first + 1, last), -1][: last - first])
-            self.prev.extend([-1, *range(first, last - 1)][: last - first])
-            self.head.append(first if last > first else -1)
-            self.base.append(bases)
-            self.comps.append(combs)
-            self.labels.append(list(combs))
-            self.loose.append(any(-1 in teeth for teeth in combs.values()))
-        self.mate = [0] * len(self.band)
-        for t, hostband in enumerate(graph.host.bands, start=1):
-            r = len(index.get((t, "i"), ()))
-            i_base, j_base = self.base[hostband.i - 1][t], self.base[hostband.j - 1][t]
-            for p in range(r):
-                self.mate[i_base + p], self.mate[j_base + r - 1 - p] = j_base + r - 1 - p, i_base + p
+        self.band, self.disk, self.mate, self.loose = ends.band, ends.disk, ends.mate, ends.loose
+        self.comb, self.next, self.prev, self.head = list(ends.comb), list(ends.next), list(ends.prev), list(ends.head)
+        self.comps = [dict(enumerate(map(list, combs))) for combs in ends.comps]
+        self.labels = [list(labels) for labels in ends.labels]
         self.touched: set[int] = set()
         self.queue = [  # sorted, so a heap
             (disk, ci)
@@ -795,21 +826,6 @@ class _Working:
         self.queued = set(self.queue)
 
     # -- sites --------------------------------------------------------------
-
-    def is_site(self, teeth, ti: int) -> bool:
-        """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
-        if not 0 <= ti < len(teeth) - 1:
-            return False
-        x, y = teeth[ti], teeth[ti + 1]
-        return x >= 0 and y >= 0 and self.next[x] == y and self.band[x] == self.band[y]
-
-    def sites(self) -> list[Site]:
-        return [
-            Site(disk, rank, ti)
-            for disk, (combs, labels) in enumerate(zip(self.comps, self.labels), start=1)
-            for rank, label in enumerate(labels)
-            for ti in range(len(combs[label]) - 1) if self.is_site(combs[label], ti)
-        ]
 
     def _enqueue(self, disk: int, label: int) -> None:
         key = (disk, label)
@@ -858,7 +874,7 @@ class _Working:
             self.prev[q] = p
 
     def replace(self, disk: int, items: Mapping) -> None:
-        """Put each item at its label on `disk`: a comb's list, () for a point, or None to remove it."""
+        """Put each item at its label on `disk`: a comb's list, [] for a point, or None to remove it."""
         comps, labels, comb = self.comps[disk - 1], self.labels[disk - 1], self.comb
         for label, teeth in items.items():
             if teeth is None:
@@ -872,19 +888,6 @@ class _Working:
                 if x >= 0:
                     comb[x] = label
         self.touched.add(disk)
-
-    def _merged(self, far: int, a_comb: list, ta: int, b_comb: list, tb: int) -> list:
-        """`_merge_far_combs` on two far combs, as a list of arc-end numbers."""
-        tooth = self.tooth
-        merged = _merge_far_combs(
-            tuple(tooth[x] if x >= 0 else _FREE for x in a_comb), ta,
-            tuple(tooth[x] if x >= 0 else _FREE for x in b_comb), tb,
-        )
-        bases = self.base[far - 1]
-        try:
-            return [bases[x.band] + x.slot if isinstance(x, ArcEnd) else -1 for x in merged.teeth]
-        except KeyError:
-            raise InternalError("Whitehead move merged an arc end of another disk") from None
 
     def move(self, disk: int, label: int, ti: int) -> None:
         """One Whitehead move at the site (ti, ti+1) of comb `label` on `disk`.
@@ -919,7 +922,7 @@ class _Working:
         # near comb.
         if nxt[b] != a:
             raise InternalError("far ends of a site are not adjacent on the disk boundary")
-        merged = self._merged(far, a_comb, a_comb.index(a), b_comb, b_comb.index(b))
+        merged = _merge_far_combs(a_comb, a_comb.index(a), b_comb, b_comb.index(b))
         # (3) and (6) M holds the teeth of A and B but b, its arc ends in
         # boundary order (number order).  The near comb loses u by
         # construction, and keeps its order: a subsequence of an ordered one.
@@ -929,19 +932,18 @@ class _Working:
             raise InternalError("Whitehead move did not drop the arc count by one")
         if ends != kept:
             raise InternalError("Whitehead move made a comb that meets its arc ends out of boundary order")
-        # (4) Face tracing steps W(x) = mate[pred(x)], pred the arc end before
-        # x in its comb, cyclically.  The move changes pred only at w (the arc
-        # end after u in the near comb: pred u, then t), at a and at the arc
-        # end after b in B, and drops u and b.  So every step outside the
-        # region R = {t, u, w} + A + B is kept, and the boundary circles are
-        # kept exactly when the walk crosses R as before: each entry to the
-        # same exit, as many walks closed inside, with R less u and b after.
-        # Before, w -> b -> W(b) and (after b) -> u -> a -> W(a); after,
-        # w -> a -> W(b) and (after b) -> W(a): the same routes.
+        # (4) The face-tracing step (`steps`) maps x to mate[pred(x)], pred
+        # the arc end before x in its comb, cyclically.  The move changes
+        # pred only at w (the arc end after u in the near comb: pred u, then
+        # t), at a and at the arc end after b in B, and drops u and b.  So
+        # every step outside the region R = {t, u, w} + A + B is kept, and the
+        # boundary circles are kept exactly when the walk crosses R as
+        # before: each entry to the same exit, as many walks closed inside,
+        # with R less u and b after.  Before, w -> b -> W(b) and (after b)
+        # -> u -> a -> W(a); after, w -> a -> W(b) and (after b) -> W(a):
+        # the same routes.
         w, at = _next_at(near, ti + 1)
-        preds = _cyclic_preds(a_comb) | _cyclic_preds(b_comb)
-        preds.update({t: _pred_at(near, ti), u: t, w: u})
-        before = _routes({x: mate[p] for x, p in preds.items()})
+        before = _routes(self.steps(a_comb) | self.steps(b_comb) | self.steps(near, (ti, ti + 1, at)))
         count = len(self.labels[far - 1])
         del near[ti + 1]
         self._unlink(u)
@@ -950,11 +952,10 @@ class _Working:
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")
-        preds = {}
+        region = self.steps(near, (ti, at - (at > ti + 1)))
         for k in {comb[x] for x in a_comb + b_comb if x >= 0 and x != b}:
-            preds |= _cyclic_preds(comps.get(k, ()))
-        preds.update({t: _pred_at(near, ti), w: _pred_at(near, at - (at > ti + 1))})
-        if _routes({x: mate[p] for x, p in preds.items()}) != before:
+            region |= self.steps(comps.get(k, ()))
+        if _routes(region) != before:
             raise InternalError("Whitehead move changed the neighborhood summary")
         # (5) The region was one piece; it stays one if the kept arc joins the
         # near comb to M.  With one arc and one comb gone, chi is kept.
@@ -981,46 +982,16 @@ class _Working:
     def _free_end_problem(self, disk: int, label: int) -> str | None:
         """Why a free end of comb `label`, or around a comb nested in it, cannot be drawn; None if none.
 
-        `_drawing_problem`'s rules for one comb: no free end between two arc
-        ends into one band; a free end in a gap, or around a comb nested in
-        it, reaches host boundary there; a free end around the comb reaches
-        it in the face around the comb.
+        A free end in a gap, or around a comb nested in it, reaches host
+        boundary there (`unreached`); a free end around the comb reaches it
+        in the face around the comb.
         """
         teeth = self.comps[disk - 1][label]
-        band = self.band
-        ends = [k for k, x in enumerate(teeth) if x >= 0]
-        for k, m in zip(ends, ends[1:]):
-            if m > k + 1 and band[teeth[k]] == band[teeth[m]]:
-                return "a free end lies between two arc ends into one 1-handle"
-            reach, nested = self._gap(disk, teeth[k], teeth[m])
-            if not reach and (m > k + 1 or nested):
-                return "a free end in a gap of the comb cannot reach the host boundary"
-        if (teeth[0] < 0 or teeth[-1] < 0) and not self._around(disk, teeth[ends[0]]):
+        for k, m in self.unreached(disk, teeth):
+            return f"a free end between arc ends {k} and {m} of the comb cannot reach the host boundary"
+        if (teeth[0] < 0 or teeth[-1] < 0) and not self._around(disk, _next_at(teeth, -1)[0]):
             return "a free end around the comb cannot reach the host boundary"
         return None
-
-    def _gap(self, disk: int, x: int, y: int) -> tuple[bool, bool]:
-        """Of the gap between consecutive arc ends x < y of a comb: whether it meets host boundary, and
-        (as far as the walk went) whether a comb nested in it has a free end around it.
-
-        The gap meets host boundary where two arc ends next to each other on
-        its stretch of boundary, stepping over the combs nested in it, enter
-        different bands, as in `_drawing_problem`.
-        """
-        comps, nxt, band, comb = self.comps[disk - 1], self.next, self.band, self.comb
-        nested = False
-        p = x
-        while True:
-            q = nxt[p]
-            if q < 0:
-                raise InternalError("a gap of a comb runs past the last arc end of its disk")
-            if band[q] != band[p]:
-                return True, nested
-            if q == y:
-                return False, nested
-            inner = comps[comb[q]]
-            nested = nested or inner[0] < 0 or inner[-1] < 0
-            p = _pred_at(inner, 0)
 
     def _around(self, disk: int, first: int) -> bool:
         """Whether the face around the comb whose first arc end is `first` meets host boundary."""
@@ -1056,7 +1027,7 @@ class _Working:
                 f_comb = self.comps[far - 1][f_label]
                 del f_comb[f_comb.index(f)]
                 self.replace(disk, {label: None})
-                self.replace(far, {} if f_comb else {f_label: ()})
+                self.replace(far, {})  # emptied, f_comb is a point
                 for x in (e, f):  # its neighbours become adjacent
                     p = self.prev[x]
                     self._unlink(x)
@@ -1079,7 +1050,7 @@ class _Working:
                 x = self.next[x]
             comps = self.comps[disk - 1]
             disks[disk - 1] = tuple(
-                Comb(tuple(ArcEnd(self.band[x], slot[x]) if x >= 0 else _FREE for x in teeth))
+                Comb(tuple(ArcEnd(self.band[x], slot[x]) if x >= 0 else FreeEnd() for x in teeth))
                 if teeth else IsolatedPoint()
                 for teeth in map(comps.__getitem__, self.labels[disk - 1])
             )
@@ -1090,7 +1061,8 @@ class _Working:
 
 def eligible_sites(graph: CombedGraph) -> list[Site]:
     """Sites where consecutive teeth of a comb hold adjacent slots of one attaching arc."""
-    return _Working(graph).sites()
+    _require_valid(graph)
+    return graph._ends.sites()
 
 
 def whitehead_step(graph: CombedGraph, site: Site) -> CombedGraph:

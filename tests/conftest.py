@@ -5,7 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand
-from qpfiber.graphcalc import CombedGraph
+from qpfiber.constructions import q_rep
+from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph, FreeEnd, IsolatedPoint
+from qpfiber.surface import BraidedSurface
 
 
 @st.composite
@@ -58,7 +60,6 @@ def free_end_reaches_boundary(comps, ci, k):
     cyclic boundary order and no two combs cross.  Other free ends are left
     out: they take no position.
     """
-    from qpfiber.graphcalc import ArcEnd, Comb
 
     def points(teeth):
         return [(t.band, t.slot) for t in teeth if isinstance(t, ArcEnd)]
@@ -92,3 +93,51 @@ def _blocks_cross(blocks):
         if not left[b]:
             stack.pop()
     return False
+
+
+def with_free_ends(graph, rng):
+    """The same graph with a free end in about half its combs.
+
+    A free end goes only where it can reach host boundary
+    (`free_end_reaches_boundary`), as `validate` requires.
+    """
+    disks = []
+    for comps in graph.disks:
+        row = list(comps)
+        for ci, comp in enumerate(comps):
+            if isinstance(comp, Comb) and rng.random() < 0.5:
+                teeth = comp.teeth
+                spots = [k for k in range(len(teeth) + 1) if free_end_reaches_boundary(
+                    row[:ci] + [Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])] + row[ci + 1 :], ci, k)]
+                if spots:
+                    k = rng.choice(spots)
+                    row[ci] = Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])
+        disks.append(tuple(row))
+    return CombedGraph(graph.host, tuple(disks))
+
+
+def nested_partition_graph(rng, n):
+    """A combed graph on S(q_n) whose combs on each disk are a random non-crossing partition of its arc ends.
+
+    One walk along each disk's boundary keeps a stack of open combs: at each
+    arc end it may close the top comb, then adds the end to the top comb or
+    to a new one.  So combs nest, around dead ends among others.
+    """
+    host = BraidedSurface(q_rep(n))
+    arcs = [0] * host.band_count()
+    for _ in range(rng.randint(1, 8)):
+        arcs[rng.randrange(len(arcs))] += 1
+    disks = []
+    for row in host.incidence:
+        stack, combs = [], []
+        for tooth in (ArcEnd(t, slot) for t in row for slot in range(arcs[t - 1])):
+            if stack and rng.random() < 0.3:
+                stack.pop()
+            if not stack or rng.random() < 0.4:
+                stack.append([])
+                combs.append(stack[-1])
+            stack[-1].append(tooth)
+        comps = [Comb(tuple(teeth)) for teeth in combs] or [IsolatedPoint()]
+        rng.shuffle(comps)
+        disks.append(tuple(comps))
+    return CombedGraph(host, tuple(disks))

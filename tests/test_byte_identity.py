@@ -33,6 +33,15 @@ whole generator matrix per letter, before it moved to one column update
 per letter: the `repr` of `reduced_burau` on beta(q_rep(k)) and
 beta(nabla(k)) for k = 2..6 and on 50 seeded signed words on 2-8 strands.
 
+`PINNED_NUMBERING` and `PINNED_GROWN_SPINES` were recorded before each
+combed graph got one arc-end numbering, shared by validation, face tracing
+and the Whitehead working copy: the stdout of `reduce` on ten seeded full
+graphs with free ends, and of `quasipositize` on six graphs whose reduced
+form keeps a middle comb around a nested dead end (`_numbering_cases`); and
+the `quasipositize` JSON of the grown spines of S(q_2..5), seeds 0-39
+(`_grown_q_spine`).  Over seeds 0-399 the same reading hashes to
+bd70602d..., the digest first recorded for that family.
+
 `PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
 the checkout it runs in.
 """
@@ -48,6 +57,7 @@ from qpfiber.braidcore import BraidWord, beta
 from qpfiber.cli import run
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.graphcalc import cycle_words, validate
+from qpfiber.qpize import quasipositize
 from qpfiber.errors import NonExactDivision
 from qpfiber.invariants import (
     LaurentPolynomial,
@@ -65,6 +75,8 @@ from qpfiber.sampling import (
     random_graph_mixed_fullness,
 )
 from qpfiber.surface import BraidedSurface, handle_spine
+
+from conftest import nested_partition_graph, with_free_ends
 
 
 def _cases():
@@ -85,6 +97,44 @@ def _cases():
             graph = inverse_whitehead(graph, band, rng.randrange(graph.arc_count(band)), near)
         yield ["reduce", "--input", "-"], graph
         yield ["quasipositize", "--n", str(n), "--input", "-"], graph
+
+
+# (n, seed) of `nested_partition_graph` graphs that quasipositize drops dead ends from
+NESTED_DEAD_END_SEEDS = [(2, 64), (2, 107), (2, 159), (2, 193), (3, 1711), (3, 1866)]
+
+
+def _numbering_cases():
+    rng = random.Random(20711)
+    for _ in range(10):
+        graph = random_full_graph(rng, max_strands=5, max_bands=6, max_arcs=24, expansions=12)
+        yield ["reduce", "--input", "-"], with_free_ends(graph, rng)
+    for n, seed in NESTED_DEAD_END_SEEDS:
+        yield ["quasipositize", "--n", str(n), "--input", "-"], nested_partition_graph(random.Random(seed), n)
+
+
+def _grown_q_spine(seed):
+    """The grown-spine family: a fine-handle spine of S(q_n), n = 2 + seed % 4, and up to 25 doublings.
+
+    Each doubling draws a band with arcs, a slot, then the near disk.
+    """
+    rng = random.Random(seed)
+    n = 2 + seed % 4
+    graph = handle_spine(BraidedSurface(q_rep(n)), random_fine_handle_subset(rng, 2 * (n - 1) ** 2))
+    for _ in range(rng.randint(0, 25)):
+        bands = [t for t in range(1, graph.host.band_count() + 1) if graph.arc_count(t)]
+        if not bands:
+            break
+        band = rng.choice(bands)
+        slot = rng.randrange(graph.arc_count(band))
+        hostband = graph.host.bands[band - 1]
+        graph = inverse_whitehead(graph, band, slot, rng.choice((hostband.i, hostband.j)))
+    return n, graph
+
+
+def _grown_spines_digest(seeds) -> str:
+    """sha256 of the `quasipositize` JSON, keys sorted, of each grown spine, joined."""
+    docs = (json.dumps(quasipositize(*_grown_q_spine(seed)).to_json(), sort_keys=True) for seed in seeds)
+    return hashlib.sha256("".join(docs).encode()).hexdigest()
 
 
 def _document_cases():
@@ -309,6 +359,36 @@ PINNED_BURAU = {
 PINNED_CYCLE_WORDS = "0b2c6974e0c4d21280b9381d9c23fbe15035b9324c09358826c0adc26c4ffe48"
 
 
+PINNED_NUMBERING = [
+    "8fa3b8321cf342c56130bb4d0efd0acb880216d101f0416f203b6600b8282d92",  # reduce
+    "8693661005983223d4f24bee60db25fad789c133fc1f540fe859a0d85497be0c",  # reduce
+    "359e9527a9979ae907a566d63479a3ffd35cf4619eb6275a3358e20a707436cd",  # reduce
+    "4983177608d9f21b1eefb6dc0347f91c7ba4118d279f0605582e30e925b0a515",  # reduce
+    "5ae8ca2560fa32bb86fd5095aa1a40753495a3b21cab3c7fab0c382e1b9421c1",  # reduce
+    "6ab5e10558b61663d5ab213535853f5cdf39c2eeef4f9a203c3e138dc97ec611",  # reduce
+    "b971ba7f56fc2b22e1be42c74840ef3e5b782cad29e7a08000d7cfadeb3d95b1",  # reduce
+    "9ceb6ab664cf2cc156d67a93b0d0fcf22be1c6812f71e83f270a81740738e68a",  # reduce
+    "a25c3ca8b59ec5c187397fa4448d38d326aba448151c95d747cf05d9c13725b4",  # reduce
+    "af85eecb8e266573d3acd5521dcc904cf9fc11af776cf6853b7ad01dc27aed3e",  # reduce
+    "763ab517d57ba9e3e5df8bf21dc4fed17d0596862c9edd44a93655f762b76e2c",  # quasipositize
+    "a8e779aec99b43725c71130fa19aa2f091c7d790adcfcc3eddaaff55f7e4d386",  # quasipositize
+    "c1c9dd9932e378e71d1c41b8bf15e9bb972a495c11569cfe5d6ce38b59407cfd",  # quasipositize
+    "dab3f6a7c29240ddb6cad4c461ea11bedc3e587d6e8261775f9992a6007bd64a",  # quasipositize
+    "2456a4cf7131adaebecd47bbf45201be3794349a504fdb19a788fd292847e6d0",  # quasipositize
+    "780e13f37b35511f79041030ac07c3bb9de97ac4456bd05d112ac3ea8227df1b",  # quasipositize
+]
+
+PINNED_GROWN_SPINES = "4e08e4951726068f85dd2b695b2176a15c2937b3c4e06f4fbab5d97be2f96807"
+
+
+def test_free_end_and_nested_dead_end_output_is_pinned():
+    assert [_stdout_digest(argv, graph) for argv, graph in _numbering_cases()] == PINNED_NUMBERING
+
+
+def test_grown_spines_are_quasipositized_as_pinned():
+    assert _grown_spines_digest(range(40)) == PINNED_GROWN_SPINES
+
+
 def test_invariants_pad_and_expand_output_is_pinned():
     assert [_stdout_digest(argv, doc) for argv, doc in _document_cases()] == PINNED_DOCUMENTS
 
@@ -338,6 +418,10 @@ def test_burau_matrices_are_pinned():
 if __name__ == "__main__":
     for argv, graph in _cases():
         print(argv[0], _stdout_digest(argv, graph))
+    for argv, graph in _numbering_cases():
+        print(argv[0], _stdout_digest(argv, graph))
+    print("grown spines 0-39", _grown_spines_digest(range(40)))
+    print("grown spines 0-399", _grown_spines_digest(range(400)))
     for argv, doc in _document_cases():
         print(argv[0], _stdout_digest(argv, doc))
     for name, reps in _seifert_cases():

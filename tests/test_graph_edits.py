@@ -3,9 +3,12 @@
 The references below rebuild each graph edit by hand: they rescan the graph
 for its arc ends and renumber every tooth of every disk through a per-edit
 `renumber` closure.  They share no code with `graphcalc.edit_band`, the
-Whitehead moves of `graphcalc._Working` or `CombedGraph.arc_ends`.  Further
-tests check every move of a reduction against a fresh graph, and that the
-local checks of a move catch deliberately faulty moves.
+arc-end numbering `graphcalc._Ends` and its views (`CombedGraph.arc_ends`,
+`mate`, `arcs`), or the Whitehead moves of its working copy
+`graphcalc._Working`.  Further tests check every move of a reduction
+against a fresh graph, and that the local checks of a move catch
+deliberately faulty moves; the faulty merges act on the comb lists of arc-end
+numbers that `graphcalc._merge_far_combs` takes and returns.
 """
 
 import random
@@ -45,7 +48,7 @@ from qpfiber.sampling import (
 )
 from qpfiber.surface import BraidedSurface, handle_spine
 
-from conftest import free_end_reaches_boundary, relisted
+from conftest import free_end_reaches_boundary, relisted, with_free_ends
 
 
 def naive_arc_end_locations(graph):
@@ -261,27 +264,6 @@ def sampled_graph(seed):
     if seed % 2:
         return rng, random_full_graph(rng, max_strands=5, max_bands=6, max_arcs=20, expansions=8)
     return rng, grown_spine(rng, 3 + seed % 4 // 2, rng.randint(0, 10))
-
-
-def with_free_ends(graph, rng):
-    """The same graph with a free end in about half its combs.
-
-    A free end goes only where it can reach host boundary
-    (`free_end_reaches_boundary`), as `validate` requires.
-    """
-    disks = []
-    for comps in graph.disks:
-        row = list(comps)
-        for ci, comp in enumerate(comps):
-            if isinstance(comp, Comb) and rng.random() < 0.5:
-                teeth = comp.teeth
-                spots = [k for k in range(len(teeth) + 1) if free_end_reaches_boundary(
-                    row[:ci] + [Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])] + row[ci + 1 :], ci, k)]
-                if spots:
-                    k = rng.choice(spots)
-                    row[ci] = Comb(teeth[:k] + (FreeEnd(),) + teeth[k:])
-        disks.append(tuple(row))
-    return CombedGraph(graph.host, tuple(disks))
 
 
 def nested_double(rng, graph):
@@ -613,20 +595,21 @@ def merged_comb_graph():
     ))
 
 
-def arc_end_indices(comb):
-    return [k for k, tooth in enumerate(comb.teeth) if isinstance(tooth, ArcEnd)]
+def arc_end_indices(teeth):
+    """Positions of the arc ends in a comb given as arc-end numbers, -1 for a free end."""
+    return [k for k, x in enumerate(teeth) if x >= 0]
 
 
-def swap_two_arc_ends(comb):
-    k, m = arc_end_indices(comb)[:2]
-    teeth = list(comb.teeth)
+def swap_two_arc_ends(teeth):
+    k, m = arc_end_indices(teeth)[:2]
+    teeth = list(teeth)
     teeth[k], teeth[m] = teeth[m], teeth[k]
-    return Comb(tuple(teeth))
+    return teeth
 
 
-def drop_an_arc_end(comb):
-    k = arc_end_indices(comb)[-1]
-    return Comb(comb.teeth[:k] + comb.teeth[k + 1 :])
+def drop_an_arc_end(teeth):
+    k = arc_end_indices(teeth)[-1]
+    return teeth[:k] + teeth[k + 1 :]
 
 
 @pytest.mark.parametrize("mutate", [swap_two_arc_ends, drop_an_arc_end])
@@ -656,8 +639,7 @@ def test_a_merge_that_moves_a_free_end_out_of_its_face_is_caught(monkeypatch):
     merge = graphcalc._merge_far_combs
 
     def free_ends_on_top(*args):
-        teeth = merge(*args).teeth
-        return Comb(tuple(sorted(teeth, key=lambda x: isinstance(x, FreeEnd))))
+        return sorted(merge(*args), key=lambda x: x < 0)
 
     monkeypatch.setattr(graphcalc, "_merge_far_combs", free_ends_on_top)
     with pytest.raises(InternalError, match="cannot be drawn"):
@@ -665,11 +647,13 @@ def test_a_merge_that_moves_a_free_end_out_of_its_face_is_caught(monkeypatch):
 
 
 def far_combs(graph, site):
-    """The arguments of `_merge_far_combs` at a site: A's teeth and kept end, B's and removed end."""
-    far_disk, a_ci, ta = graph.mate[(site.disk, site.component, site.tooth)]
-    _, b_ci, tb = graph.mate[(site.disk, site.component, site.tooth + 1)]
-    comps = graph.disks[far_disk - 1]
-    return comps[a_ci].teeth, ta, comps[b_ci].teeth, tb
+    """The arguments of `_merge_far_combs` at a site, as arc-end numbers: A's comb and kept end, B's and removed end."""
+    ends = graph._ends
+    t, u = ends.comps[site.disk - 1][site.component][site.tooth : site.tooth + 2]
+    a, b = ends.mate[t], ends.mate[u]
+    combs = ends.comps[ends.disk[a] - 1]
+    a_comb, b_comb = combs[ends.comb[a]], combs[ends.comb[b]]
+    return a_comb, a_comb.index(a), b_comb, b_comb.index(b)
 
 
 def test_a_move_that_splits_the_graph_is_caught_by_the_face_routing(monkeypatch):

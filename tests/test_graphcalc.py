@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -430,6 +431,36 @@ class TestNestedCombs:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(g.to_json())))
         assert run(["reduce", "--input", "-"]) == 1
         assert json.loads(capsys.readouterr().out)["kind"] == "malformed-input"
+
+    def test_free_end_reach_is_checked_in_linear_time(self):
+        # k bands from disk 1 to disk 2, each with two arcs: 3,000 arcs.  On disk 1 one-tooth combs
+        # [free, (t,s)] sit side by side in the gap of [(1,0), (k,1)].  On disk 2 the combs
+        # [free, (d,0), (k+1-d,1), free] nest d deep, the gap of each also holding [free, (d,1)] and
+        # [(k+1-d,0), free]; the innermost gap holds the other arc ends, one-tooth combs side by side.
+        # Each free end lies around its comb, in a gap that meets host boundary.  A walk over the
+        # siblings of each comb, as a Whitehead move's `_around` makes for one comb, takes seconds here.
+        k, depth = 1500, 10
+
+        def comb(*teeth):  # None for a free end
+            return {"comb": [{"free_end": True} if end is None else {"arc_end": list(end)} for end in teeth]}
+
+        ends = [(t, s) for t in range(1, k + 1) for s in (0, 1)]
+        side_by_side = [comb(ends[0], ends[-1])] + [comb(None, end) for end in ends[1:-1]]
+        nested = []
+        for d in range(1, depth + 1):
+            nested += [comb(None, (d, 0), (k + 1 - d, 1), None), comb(None, (d, 1)), comb((k + 1 - d, 0), None)]
+        nested += [comb(None, end) for end in ends[2 * depth : -2 * depth]]
+        doc = {"host": {"strands": 2, "bands": [[1, 2, 1]] * k}, "disks": [side_by_side, nested]}
+        start = time.perf_counter()
+        graph = CombedGraph.from_json(doc)
+        assert time.perf_counter() - start < 1
+        assert graph.total_arcs() == 2 * k and graph.has_free_ends()
+        # with the second comb of the nest merged with the two one-tooth combs beside it, the gap of the
+        # first meets no host boundary, and the free end around the merged comb is refused there
+        nested[1:4] = [comb(None, (1, 1), (2, 0), (k - 1, 1), (k, 0))]
+        refusal = "disk 2: a free end between arc ends 1 and 2 of component 0, .* cannot reach the host boundary"
+        with pytest.raises(InvalidGraph, match=refusal):
+            CombedGraph.from_json(doc)
 
     @pytest.mark.parametrize(
         "bands, disks, site, merged",

@@ -21,7 +21,7 @@ from qpfiber import sampling
 from qpfiber.sampling import inverse_whitehead, random_fine_handle_subset
 from qpfiber.surface import BraidedSurface, handle_spine
 
-from conftest import relisted
+from conftest import nested_partition_graph, relisted
 
 
 def q_host(n):
@@ -187,33 +187,6 @@ class TestReductionInsideQuasipositize:
         result = quasipositize(5, graph)
         assert len(result.steps) == 150 - 32
         assert result.input_summary == want == result.output_summary
-
-
-def nested_partition_graph(rng, n):
-    """A combed graph on S(q_n) whose combs on each disk are a random non-crossing partition of its arc ends.
-
-    One walk along each disk's boundary keeps a stack of open combs: at each
-    arc end it may close the top comb, then adds the end to the top comb or
-    to a new one.  So combs nest, around dead ends among others.
-    """
-    host = q_host(n)
-    arcs = [0] * host.band_count()
-    for _ in range(rng.randint(1, 8)):
-        arcs[rng.randrange(len(arcs))] += 1
-    disks = []
-    for row in host.incidence:
-        stack, combs = [], []
-        for tooth in (ArcEnd(t, slot) for t in row for slot in range(arcs[t - 1])):
-            if stack and rng.random() < 0.3:
-                stack.pop()
-            if not stack or rng.random() < 0.4:
-                stack.append([])
-                combs.append(stack[-1])
-            stack[-1].append(tooth)
-        comps = [Comb(tuple(teeth)) for teeth in combs] or [IsolatedPoint()]
-        rng.shuffle(comps)
-        disks.append(tuple(comps))
-    return CombedGraph(host, tuple(disks))
 
 
 @pytest.mark.parametrize("n", [2, 3])
