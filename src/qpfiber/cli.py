@@ -205,6 +205,17 @@ def _dispatch(args, inputs: dict) -> dict:
     raise InvalidInput(f"unknown verb {args.verb!r}")
 
 
+# Each failure's exit code and report kind (None: the error's type name); the first row that matches.
+_FAILURES = (
+    (InvalidInput, 1, "malformed-input"),
+    (PreconditionError, 2, None),
+    (InternalError, 3, None),
+    (FileNotFoundError, 1, "missing-input"),
+    (OSError, 1, "unreadable-input"),
+    (QpfiberError, 1, None),
+)
+
+
 def run(argv: list[str]) -> int:
     started = time.monotonic()
     inputs: dict[str, str] = {}
@@ -214,22 +225,10 @@ def run(argv: list[str]) -> int:
         except SystemExit:  # -h: the parser printed its help and asked to exit
             return 0
         result = _dispatch(args, inputs)
-    except InvalidInput as exc:
-        _emit({"command": argv, "error": str(exc), "kind": "malformed-input", "ok": False})
-        return 1
-    except PreconditionError as exc:
-        _emit({"command": argv, "error": str(exc), "kind": type(exc).__name__, "ok": False})
-        return 2
-    except InternalError as exc:
-        _emit({"command": argv, "error": str(exc), "kind": type(exc).__name__, "ok": False})
-        return 3
-    except OSError as exc:
-        kind = "missing-input" if isinstance(exc, FileNotFoundError) else "unreadable-input"
-        _emit({"command": argv, "error": str(exc), "kind": kind, "ok": False})
-        return 1
-    except QpfiberError as exc:
-        _emit({"command": argv, "error": str(exc), "kind": type(exc).__name__, "ok": False})
-        return 1
+    except (QpfiberError, OSError) as exc:
+        code, kind = next((code, kind) for error, code, kind in _FAILURES if isinstance(exc, error))
+        _emit({"command": argv, "error": str(exc), "kind": kind or type(exc).__name__, "ok": False})
+        return code
     _emit({"command": argv, "inputs": inputs, "result": result, "ok": True})
     sys.stderr.write(f"duration: {time.monotonic() - started:.3f}s\n")
     return 0

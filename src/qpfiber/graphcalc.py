@@ -77,12 +77,14 @@ neighbours in the linked list of a disk's live arc ends, and an output slot
 is a rank, taken once, when the copy is frozen into a `CombedGraph`.  A
 move unlinks one arc and merges the two far combs, re-tests sites only in
 the two combs it changes, and checks itself over the teeth it changes
-(`_Working.move` says why that suffices).  Face tracing changes only at
-three arc ends of the comb of the site and the two far combs, so the
-boundary circles are kept when the tracing walk routes every arc end
-entering that region to the same leaving one before and after the move,
-and closes as many walks inside.  With one arc and one comb gone, each
-component keeps its chi, and a move keeps fullness too.  `whitehead_step`
+(`_Working.move` says why that suffices).  The face-tracing step changes
+at three arc ends, so the boundary circles are kept when the tracing walk
+routes every arc end entering those, the site's kept end and the two
+removed ends to the same leaving one before and after the move, and closes
+as many walks inside.  The free ends around the merged comb must be those
+around the far comb not nested in the other, whose face the move keeps, so
+only its gaps are walked.  With one arc and one comb gone, each component
+keeps its chi, and a move keeps fullness too.  `whitehead_step`
 is one move on a fresh copy, frozen, and its child takes the parent's
 summary and fullness.  `reduce` makes all its moves on one copy, freezes it
 once, and still validates, summarises and checks fullness of a fresh copy
@@ -394,29 +396,18 @@ class _Ends:
         reach: `validate` runs it on every comb, a Whitehead move on the
         comb it merges.
         """
+        comps, nxt, band, comb = self.comps[disk - 1], self.next, self.band, self.comb
         ends = [k for k, x in enumerate(teeth) if x >= 0]
         for k, m in zip(ends, ends[1:]):
-            reach, nested = self._gap(disk, teeth[k], teeth[m])
-            if not reach and (m > k + 1 or nested):
-                yield k, m
-
-    def _gap(self, disk: int, x: int, y: int) -> tuple[bool, bool]:
-        """Of the gap between consecutive arc ends x < y of a comb: whether it meets host boundary, and
-        (as far as the walk went) whether a comb nested in it has a free end around it."""
-        comps, nxt, band, comb = self.comps[disk - 1], self.next, self.band, self.comb
-        nested = False
-        p = x
-        while True:
-            q = nxt[p]
+            p, loose = teeth[k], m > k + 1  # whether the gap holds a free end, so far
+            while (q := nxt[p]) >= 0 and band[q] == band[p] and q != teeth[m]:
+                inner = comps[comb[q]]  # nested in the gap: step over it
+                loose = loose or inner[0] < 0 or inner[-1] < 0
+                p = _pred_at(inner, 0)
             if q < 0:
                 raise InternalError("a gap of a comb runs past the last arc end of its disk")
-            if band[q] != band[p]:
-                return True, nested
-            if q == y:
-                return False, nested
-            inner = comps[comb[q]]
-            nested = nested or inner[0] < 0 or inner[-1] < 0
-            p = _pred_at(inner, 0)
+            if loose and band[q] == band[p]:
+                yield k, m
 
 
 def validate(graph: CombedGraph) -> list[str]:
@@ -763,6 +754,12 @@ def _next_at(teeth, pos: int) -> tuple[int, int]:
     return teeth[k], k
 
 
+def _free_around(teeth) -> int:
+    """How many free ends lie around a comb: below its first arc end and above its last."""
+    ends = [k for k, x in enumerate(teeth) if x >= 0]
+    return ends[0] + len(teeth) - 1 - ends[-1]
+
+
 def _routes(step: Mapping) -> tuple[dict, int]:
     """How the walk `step` crosses its key set: each entry to its exit, and the walks closed inside.
 
@@ -898,8 +895,9 @@ class _Working(_Ends):
         of their two labels.  Each per-step check is stated over the teeth
         the move changes, and the comments say why that suffices:
         (1) the site test (`is_site`, by the caller); (2) distinct far combs;
-        (3) arcs and components each one fewer; (4) face routing; (5) the
-        kept arc still joins the merged comb; (6) drawing and free-end reach.
+        (3) arcs and components each one fewer; (4) face routing where the
+        step changes; (5) the kept arc still joins the merged comb; (6)
+        drawing, and free-end reach in M's gaps and around M.
         """
         mate, comb, nxt = self.mate, self.comb, self.next
         near = self.comps[disk - 1][label]
@@ -922,7 +920,8 @@ class _Working(_Ends):
         # near comb.
         if nxt[b] != a:
             raise InternalError("far ends of a site are not adjacent on the disk boundary")
-        merged = _merge_far_combs(a_comb, a_comb.index(a), b_comb, b_comb.index(b))
+        ta, tb = a_comb.index(a), b_comb.index(b)
+        merged = _merge_far_combs(a_comb, ta, b_comb, tb)
         # (3) and (6) M holds the teeth of A and B but b, its arc ends in
         # boundary order (number order).  The near comb loses u by
         # construction, and keeps its order: a subsequence of an ordered one.
@@ -933,17 +932,18 @@ class _Working(_Ends):
         if ends != kept:
             raise InternalError("Whitehead move made a comb that meets its arc ends out of boundary order")
         # (4) The face-tracing step (`steps`) maps x to mate[pred(x)], pred
-        # the arc end before x in its comb, cyclically.  The move changes
-        # pred only at w (the arc end after u in the near comb: pred u, then
-        # t), at a and at the arc end after b in B, and drops u and b.  So
-        # every step outside the region R = {t, u, w} + A + B is kept, and the
-        # boundary circles are kept exactly when the walk crosses R as
-        # before: each entry to the same exit, as many walks closed inside,
-        # with R less u and b after.  Before, w -> b -> W(b) and (after b)
-        # -> u -> a -> W(a); after, w -> a -> W(b) and (after b) -> W(a):
-        # the same routes.
-        w, at = _next_at(near, ti + 1)
-        before = _routes(self.steps(a_comb) | self.steps(b_comb) | self.steps(near, (ti, ti + 1, at)))
+        # the arc end before x in its comb, cyclically.  The move drops u and
+        # b, and changes pred only at w, the arc end after u in the near comb
+        # (pred u, then t), at a (pred_A(a), then pred_B(b)) and at nb, the
+        # arc end after b in B (pred b, then pred_A(a)).  So the boundary
+        # circles are kept when the walk crosses {t, u, w, a, b, nb} before,
+        # and {t, w, a, nb} less b after, alike: each entry to the same exit,
+        # as many walks closed inside.  Before, w -> b -> W(b) and nb -> u ->
+        # a -> W(a); after, w -> a -> W(b) and nb -> W(a), with W(x) =
+        # mate[pred(x)] before.  Read from the stored combs, a stale label fails.
+        w = _next_at(near, ti + 1)[0]
+        nb, kb = _next_at(b_comb, tb)
+        before = _routes(self._stored_steps((t, u, w, a, b, nb)))
         count = len(self.labels[far - 1])
         del near[ti + 1]
         self._unlink(u)
@@ -952,10 +952,7 @@ class _Working(_Ends):
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")
-        region = self.steps(near, (ti, at - (at > ti + 1)))
-        for k in {comb[x] for x in a_comb + b_comb if x >= 0 and x != b}:
-            region |= self.steps(comps.get(k, ()))
-        if _routes(region) != before:
+        if _routes(self._stored_steps(x for x in (t, w, a, nb) if x != b)) != before:
             raise InternalError("Whitehead move changed the neighborhood summary")
         # (5) The region was one piece; it stays one if the kept arc joins the
         # near comb to M.  With one arc and one comb gone, chi is kept.
@@ -969,9 +966,15 @@ class _Working(_Ends):
         # that stretch change: the sliver between the join and the stretch
         # leaves its face for the face beyond b's tooth, taking no host
         # boundary and no comb along.  Every face keeps its host boundary and
-        # every comb but M its face, so only M's free ends are checked again.
-        if self.loose[far - 1] and (problem := self._free_end_problem(far, low)):
-            raise InternalError(f"Whitehead move made a comb that cannot be drawn: {problem}")
+        # every comb but M its face, so only M's free ends are checked again:
+        # in its gaps by the gap walk; around it by count, as the face around
+        # M is that around A if b is B's last arc end, around B if a is A's
+        # first (one face if both), and the reach of its free ends was settled.
+        if self.loose[far - 1]:
+            teeth = comps[low]
+            around = _free_around(a_comb) * (kb <= tb) + _free_around(b_comb) * (_next_at(a_comb, -1)[1] == ta)
+            if any(self.unreached(far, teeth)) or _free_around(teeth) != around:
+                raise InternalError("Whitehead move made a comb that cannot be drawn: a free end left its face")
         self.touched.add(disk)
         # a new site needs a new pair of neighbours in a comb or on the
         # boundary: (t, the tooth after u) in the near comb, (the arc end below
@@ -979,32 +982,18 @@ class _Working(_Ends):
         self._enqueue(disk, label)
         self._enqueue(far, low)
 
-    def _free_end_problem(self, disk: int, label: int) -> str | None:
-        """Why a free end of comb `label`, or around a comb nested in it, cannot be drawn; None if none.
-
-        A free end in a gap, or around a comb nested in it, reaches host
-        boundary there (`unreached`); a free end around the comb reaches it
-        in the face around the comb.
-        """
-        teeth = self.comps[disk - 1][label]
-        for k, m in self.unreached(disk, teeth):
-            return f"a free end between arc ends {k} and {m} of the comb cannot reach the host boundary"
-        if (teeth[0] < 0 or teeth[-1] < 0) and not self._around(disk, _next_at(teeth, -1)[0]):
-            return "a free end around the comb cannot reach the host boundary"
-        return None
-
-    def _around(self, disk: int, first: int) -> bool:
-        """Whether the face around the comb whose first arc end is `first` meets host boundary."""
-        comps, comb = self.comps[disk - 1], self.comb
-        p = self.prev[first]
-        while p >= 0:
-            teeth = comps[comb[p]]
-            if p == _pred_at(teeth, 0):  # p is the last arc end of a comb beside this one: step over it
-                p = self.prev[_next_at(teeth, -1)[0]]
-                continue
-            y, _k = _next_at(teeth, teeth.index(p))  # p's comb holds this one in the gap above p
-            return self._gap(disk, p, y)[0]
-        return True  # the face that holds the first and last boundary points
+    def _stored_steps(self, ends) -> dict[int, int]:
+        """The face-tracing step at each arc end of `ends`, read from the comb its label names."""
+        step = {}
+        for x in ends:
+            teeth = self.comps[self.disk[x] - 1].get(self.comb[x], [])
+            try:
+                k = teeth.index(x)
+            except ValueError:
+                raise InternalError("Whitehead move changed the neighborhood summary: "
+                                    "an arc end is not in the comb its label names") from None
+            step |= self.steps(teeth, (k,))
+        return step
 
     def drop_leaves(self, disks) -> bool:
         """Drop each one-tooth comb on `disks`, with its arc and the tooth at its far end.

@@ -85,6 +85,17 @@ def inverse_whitehead(graph: CombedGraph, band: int, slot: int, near_disk: int) 
     return _double_arc(graph, band, slot, near_disk, split=True)
 
 
+def _double_random_arc(rng: random.Random, graph: CombedGraph, edit) -> CombedGraph | None:
+    """`edit` (a doubling) at a random arc, drawn as its band, its slot, then the near disk; None without arcs."""
+    bands = [t for t in range(1, graph.host.band_count() + 1) if graph.arc_count(t)]
+    if not bands:
+        return None
+    band = rng.choice(bands)
+    slot = rng.randrange(graph.arc_count(band))
+    hostband = graph.host.bands[band - 1]
+    return edit(graph, band, slot, rng.choice((hostband.i, hostband.j)))
+
+
 def random_full_graph(
     rng: random.Random,
     max_strands: int = 4,
@@ -96,21 +107,12 @@ def random_full_graph(
     rep = random_band_representation(
         rng, max_strands, max_bands, min_strands=2, min_bands=1
     )
-    surface = BraidedSurface(rep)
-    k = len(rep.bands)
-    selected = [t for t in range(1, k + 1) if rng.random() < 0.8]
-    graph = handle_spine(surface, selected)
+    selected = [t for t in range(1, len(rep.bands) + 1) if rng.random() < 0.8]
+    graph = handle_spine(BraidedSurface(rep), selected)
     for _ in range(rng.randint(0, expansions)):
         if graph.total_arcs() >= max_arcs:
             break
-        bands_with_arcs = [t for t in range(1, k + 1) if graph.arc_count(t)]
-        if not bands_with_arcs:
-            break
-        band = rng.choice(bands_with_arcs)
-        slot = rng.randrange(graph.arc_count(band))
-        hostband = graph.host.bands[band - 1]
-        near = rng.choice((hostband.i, hostband.j))
-        graph = inverse_whitehead(graph, band, slot, near)
+        graph = _double_random_arc(rng, graph, inverse_whitehead) or graph
     return graph
 
 
@@ -131,15 +133,7 @@ def random_graph_mixed_fullness(rng: random.Random) -> CombedGraph:
     """A combed graph that may or may not be full."""
     graph = random_full_graph(rng, max_arcs=10, expansions=3)
     if rng.random() < 0.5:
-        bands_with_arcs = [
-            t for t in range(1, graph.host.band_count() + 1) if graph.arc_count(t)
-        ]
-        if bands_with_arcs:
-            band = rng.choice(bands_with_arcs)
-            slot = rng.randrange(graph.arc_count(band))
-            hostband = graph.host.bands[band - 1]
-            near = rng.choice((hostband.i, hostband.j))
-            graph = double_arc_bigon(graph, band, slot, near)
+        graph = _double_random_arc(rng, graph, double_arc_bigon) or graph
     return graph
 
 

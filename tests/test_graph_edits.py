@@ -646,6 +646,61 @@ def test_a_merge_that_moves_a_free_end_out_of_its_face_is_caught(monkeypatch):
         whitehead_step(graph, Site(1, 0, 1))
 
 
+def test_a_merge_that_moves_a_free_end_into_a_closed_gap_is_caught(monkeypatch):
+    # B = [(2,0)] nests in the gap of A = [(1,0), free end, (2,1), (2,2)] that holds the free end;
+    # moved one arc end up, the free end would lie between (2,1) and (2,2), adjacent slots of band 2
+    host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
+    graph = CombedGraph(host, (
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 0))), Comb((ArcEnd(2, 1), ArcEnd(2, 2)))),
+        (Comb((ArcEnd(1, 0), FreeEnd(), ArcEnd(2, 1), ArcEnd(2, 2))), Comb((ArcEnd(2, 0),))),
+    ))
+    assert validate(graph) == [] and is_full(graph)
+    merged = Comb((ArcEnd(1, 0), FreeEnd(), ArcEnd(2, 0), ArcEnd(2, 1)))
+    assert whitehead_step(graph, Site(1, 1, 0)).disks[1] == (merged,)
+    merge = graphcalc._merge_far_combs
+
+    def free_end_one_up(*args):
+        teeth = merge(*args)
+        k = teeth.index(-1)
+        return teeth[:k] + teeth[k + 1 : k + 2] + [-1] + teeth[k + 2 :]
+
+    monkeypatch.setattr(graphcalc, "_merge_far_combs", free_end_one_up)
+    with pytest.raises(InternalError, match="cannot be drawn"):
+        whitehead_step(graph, Site(1, 1, 0))
+
+
+def test_stale_comb_labels_are_caught_at_the_step(monkeypatch):
+    # the mutant stores the combs of a move but puts every arc end's comb label back, so the arc
+    # ends of the higher-labelled far comb name a comb that is gone.  In a grown spine that is the
+    # kept far end's comb; relisted, it is often the removed far end's, and then only the arc ends
+    # after the removed one are stale, which only the face routing reads.  Where that comb held
+    # the removed far end alone, no label goes stale and the move stands.
+    replace = graphcalc._Working.replace
+    changed = []
+
+    def stale(work, disk, items):
+        labels = list(work.comb)
+        replace(work, disk, items)
+        changed.append(work.comb != labels)
+        work.comb[:] = labels
+
+    monkeypatch.setattr(graphcalc._Working, "replace", stale)
+    caught = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        grown = grown_spine(rng, 3 + seed % 3, 6)
+        for graph in (grown, relisted(grown, rng)):
+            for site in eligible_sites(graph):
+                changed.clear()
+                try:
+                    whitehead_step(graph, site)
+                except InternalError:
+                    caught += 1
+                else:
+                    assert changed == [False]
+    assert caught
+
+
 def far_combs(graph, site):
     """The arguments of `_merge_far_combs` at a site, as arc-end numbers: A's comb and kept end, B's and removed end."""
     ends = graph._ends

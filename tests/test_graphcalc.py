@@ -462,6 +462,37 @@ class TestNestedCombs:
         with pytest.raises(InvalidGraph, match=refusal):
             CombedGraph.from_json(doc)
 
+    def test_a_moves_free_end_check_walks_no_siblings(self):
+        # k bands from disk 1 to disk 2, band k with m arcs: 1,999 arcs.  Disk 1 holds one-tooth combs
+        # [(t,0)], t < k, and the comb [(k,0), ..., (k,m-1)]; disk 2 holds one-tooth combs [(t,0)] and
+        # [(k,j)], j < m-1, and [free end, (k,m-1)].  Each of the m-1 moves merges a one-tooth comb into
+        # the comb with the free end around it, beside k-1 sibling combs; a free-end check that walked
+        # back over the siblings made the reduction quadratic (8x the time without the free end).
+        k = m = 1000
+
+        def document(free_end):
+            def comb(*ends):
+                return {"comb": [{"free_end": True} if end is None else {"arc_end": list(end)} for end in ends]}
+
+            ones = [comb((t, 0)) for t in range(1, k)]
+            near = ones + [comb(*[(k, j) for j in range(m)])]
+            far = ones + [comb((k, j)) for j in range(m - 1)] + [comb(*[None] * free_end, (k, m - 1))]
+            return {"host": {"strands": 2, "bands": [[1, 2, 1]] * k}, "disks": [near, far]}
+
+        def best_time(free_end):
+            graph = CombedGraph.from_json(document(free_end))
+            times = []
+            for _ in range(3):
+                fresh = CombedGraph(graph.host, graph.disks)
+                assert is_full(fresh)  # folded outside the timing
+                start = time.perf_counter()
+                reduced, trace = reduce_with_trace(fresh)
+                times.append(time.perf_counter() - start)
+            assert len(trace) == m - 1 and reduced.total_arcs() == k and reduced.has_free_ends() == free_end
+            return min(times)
+
+        assert best_time(True) <= 3 * best_time(False)
+
     @pytest.mark.parametrize(
         "bands, disks, site, merged",
         [
