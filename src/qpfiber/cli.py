@@ -14,6 +14,7 @@ above ``MAX_ARCS``), 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -109,7 +110,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing leaves it unchanged, so `run` reuses it."""
     parser = _Parser(
         prog="qpfiber",
         description="braided Seifert surfaces, fiber models, and quasipositive band representations",

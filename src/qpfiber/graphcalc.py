@@ -1115,5 +1115,6 @@ def _reduced(graph: CombedGraph, leaves) -> tuple[CombedGraph, list[Site]]:
     fresh = CombedGraph(result.host, result.disks)
     if validate(fresh) or neighborhood_summary(fresh) != summary or not is_full(fresh):
         raise InternalError("Whitehead reduction lost validity, the neighborhood summary or fullness")
-    _inherit(result, _problems=(), _summary=summary, _full=True)
+    # the fresh copy holds the same host and disks, so its arc-end numbering is the result's
+    _inherit(result, _ends=fresh._ends, _problems=(), _summary=summary, _full=True)
     return result, trace

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -83,6 +84,23 @@ def test_argument_errors_give_one_malformed_input_report(capsys, argv):
 def test_help_is_argparse_help(capsys):
     assert run(["-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: qpfiber")
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    # a refused argument, a valid verb and -h in turn on the one cached parser
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["verify-fiber", "--n", "abc"]) == 1
+    capsys.readouterr()
+    assert run(["verify-fiber", "--n", "3"]) == 0
+    reused = capsys.readouterr().out
+    assert run(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qpfiber")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qpfiber.cli", "verify-fiber", "--n", "3"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert reused.encode() == fresh
 
 
 def test_invariants_verb(tmp_path, capsys):

@@ -314,6 +314,22 @@ class TestReduce:
             assert is_full(reduced)
             assert not eligible_sites(reduced)
 
+    def test_reduction_takes_over_the_fresh_copys_numbering(self, rng):
+        changed = 0
+        for _ in range(40):
+            g = with_free_ends(random_full_graph(rng), rng)
+            if validate(g):
+                continue
+            reduced = reduce(g)
+            if reduced is g:
+                continue
+            changed += 1
+            assert "_ends" in vars(reduced)  # numbered before the read-out asks
+            parsed = CombedGraph.from_json(reduced.to_json())
+            assert reduced.arc_ends == parsed.arc_ends
+            assert reduced.mate == parsed.mate
+        assert changed > 10
+
 
 def with_free_ends(graph, rng):
     """The same graph with free ends put into some combs at random teeth."""

@@ -203,6 +203,32 @@ class TestLaurentAgainstReference:
             assert got == L(want)
             assert hash(got) == hash(L(want))
 
+    @given(st.integers(-6, 6), st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool))
+    @settings(max_examples=100)
+    @example(-3, 2, -2)  # cancels
+    @example(-3, 2, 2)
+    def test_monomials_at_one_exponent(self, j, c, d):
+        for got, want in (
+            (L({j: c}) + L({j: d}), ref_add({j: c}, {j: d})),
+            (L({j: c}) - L({j: d}), ref_add({j: c}, {j: d}, -1)),
+        ):
+            assert_trimmed(got)
+            assert as_dict(got) == want
+            assert got == L(want)
+
+    @given(term_dicts.filter(lambda d: any(c for e, c in d.items() if e < 0)), st.integers(-6, 6))
+    @settings(max_examples=100)
+    @example({-2: 1, 0: 0, 1: -3}, 0)  # x1 is the polynomial itself, not its lowest monomial
+    @example({-1: 1}, 2)
+    def test_unit_factors_of_polynomials_below_zero(self, p, j):
+        # times 1 and by the shifts +-t^j, on either side
+        for m in ({0: 1}, {j: 1}, {j: -1}):
+            want = ref_mul(p, m)
+            for got in (L(p) * L(m), L(m) * L(p)):
+                assert_trimmed(got)
+                assert as_dict(got) == want
+                assert got == L(want)
+
     @given(term_dicts, nonzero_dicts)
     @settings(max_examples=100)
     def test_exact_division_undoes_product(self, p, q):
@@ -275,6 +301,18 @@ class TestMatMul:
         column = ((L({0: 2}),), (L({0: 3}),))
         assert mat_mul(row, column) == ((L({0: 2, 1: 3}),),)
         assert mat_mul(column, row) == ((L({0: 2}), L({1: 2})), (L({0: 3}), L({1: 3})))
+
+    def test_fresh_zero_objects_in_both_operands(self):
+        zero = LaurentPolynomial
+        a = ((zero(), L({-1: 2})), (L({0: 1, 2: -1}), zero([0, 0], 3)))
+        b = ((L({1: -1}), zero()), (zero(), L({0: 1})))
+        want = naive_product(as_dicts(a), as_dicts(b))
+        product = mat_mul(a, b)
+        assert as_dicts(product) == want
+        for row in product:
+            for entry in row:
+                assert_trimmed(entry)
+        assert mat_mul(((zero(),),), ((zero(),),)) == ((L({}),),)
 
     def test_hand_written_generators_are_inverse(self):
         for strands in (2, 3, 5):
