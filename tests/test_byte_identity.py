@@ -42,6 +42,13 @@ the `quasipositize` JSON of the grown spines of S(q_2..5), seeds 0-39
 (`_grown_q_spine`).  Over seeds 0-399 the same reading hashes to
 bd70602d..., the digest first recorded for that family.
 
+`PINNED_PROBLEMS` was recorded while `validate` still checked the teeth of
+a graph in a walk of its own, before that walk was folded into the arc-end
+numbering: the `validate` problem lists, in order, of the 400 mutated
+documents of `test_graph_fuzz` (refused or not) and of the
+`random_direct_graph` graphs that `validate` refuses among 200 seeded
+draws (`_problem_lists`).
+
 `PYTHONPATH=src python tests/test_byte_identity.py` prints the digests of
 the checkout it runs in.
 """
@@ -77,6 +84,7 @@ from qpfiber.sampling import (
 from qpfiber.surface import BraidedSurface, handle_spine
 
 from conftest import nested_partition_graph, with_free_ends
+from test_graph_fuzz import mutant, unchecked
 
 
 def _cases():
@@ -240,6 +248,12 @@ def _arithmetic_reprs():
     return out
 
 
+def _problem_lists():
+    lists = [validate(unchecked(mutant(random.Random(seed), seed)[0])) for seed in range(400)]
+    rng = random.Random(20721)
+    return lists + [problems for _ in range(200) if (problems := validate(random_direct_graph(rng)))]
+
+
 def _json_digest(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
@@ -381,6 +395,13 @@ PINNED_NUMBERING = [
 PINNED_GROWN_SPINES = "4e08e4951726068f85dd2b695b2176a15c2937b3c4e06f4fbab5d97be2f96807"
 
 
+PINNED_PROBLEMS = "c5f9467bce7c3d182792e067ffbcde7c9035f65a79bad7b6127467885288ca69"
+
+
+def test_validate_problem_lists_are_pinned():
+    assert _json_digest(_problem_lists()) == PINNED_PROBLEMS
+
+
 def test_free_end_and_nested_dead_end_output_is_pinned():
     assert [_stdout_digest(argv, graph) for argv, graph in _numbering_cases()] == PINNED_NUMBERING
 
@@ -420,6 +441,7 @@ if __name__ == "__main__":
         print(argv[0], _stdout_digest(argv, graph))
     for argv, graph in _numbering_cases():
         print(argv[0], _stdout_digest(argv, graph))
+    print("problems", _json_digest(_problem_lists()))
     print("grown spines 0-39", _grown_spines_digest(range(40)))
     print("grown spines 0-399", _grown_spines_digest(range(400)))
     for argv, doc in _document_cases():

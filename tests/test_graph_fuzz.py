@@ -16,9 +16,10 @@ import random
 import sys
 from collections import Counter
 
+from qpfiber.braidcore import BandRepresentation
 from qpfiber.cli import run
 from qpfiber.constructions import q_rep
-from qpfiber.graphcalc import CombedGraph, validate
+from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph, FreeEnd, IsolatedPoint, validate
 from qpfiber.sampling import inverse_whitehead, random_fine_handle_subset, random_full_graph
 from qpfiber.surface import BraidedSurface, handle_spine
 
@@ -117,6 +118,16 @@ def mutant(rng, seed):
     for _ in range(rng.randint(1, 3)):
         rng.choice(MUTATIONS)(rng, doc["disks"])
     return doc, n
+
+
+def unchecked(doc):
+    """The graph a mutated document lists, built without validation."""
+    def component(item):
+        if item.get("point"):
+            return IsolatedPoint()
+        return Comb(tuple(FreeEnd() if tooth.get("free_end") else ArcEnd(*tooth["arc_end"]) for tooth in item["comb"]))
+    host = BraidedSurface(BandRepresentation.from_json(doc["host"]))
+    return CombedGraph(host, tuple(tuple(map(component, comps)) for comps in doc["disks"]))
 
 
 def cli(argv, doc):
