@@ -119,8 +119,10 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise InvalidParameter(f"strand count must be >= 1, got {self.strands}")
-        object.__setattr__(self, "letters", tuple((int(i), int(s)) for i, s in self.letters))
+        object.__setattr__(self, "letters", tuple((i, s) for i, s in self.letters))
         for i, s in self.letters:
+            if type(i) is not int or type(s) is not int:  # not isinstance: True is an int
+                raise InvalidWord(f"letter ({i!r}, {s!r}) must hold two integers")
             if not 1 <= i <= self.strands - 1:
                 raise InvalidWord(f"letter index {i} out of range for B_{self.strands}")
             if s not in (1, -1):
@@ -168,6 +170,8 @@ class EmbeddedBand:
     sign: int
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.i, self.j, self.sign)):
+            raise InvalidBand(f"band ({self.i!r}, {self.j!r}, {self.sign!r}) must hold three integers")
         if self.sign not in (1, -1):
             raise InvalidBand(f"band sign must be +1 or -1, got {self.sign}")
         if not 1 <= self.i < self.j:

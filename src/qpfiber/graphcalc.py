@@ -9,20 +9,25 @@ components means nothing.
 
 Each graph numbers its arc ends once (`_Ends`): every disk takes one block
 of consecutive numbers, in boundary order (band height, slot).  The table
-holds each end's band and node, each comb as a list of numbers (-1 for a
-free end), each end's neighbours on the boundary, and the pairing: arcs
-through a band pair slot p on the i side with slot r-1-p on the j side,
-since the half-twist reverses the transverse order.  Each rule is stated
-once over these numbers, and read both by the graph and by the working
-copy of the Whitehead moves: the pairing, the face-tracing step
+holds each end's band, slot and node, each comb as a list of numbers (-1
+for a free end), each end's neighbours on the boundary, and the pairing:
+arcs through a band pair slot p on the i side with slot r-1-p on the j
+side, since the half-twist reverses the transverse order.  Each rule is
+stated once over these numbers, and read both by the graph and by the
+working copy of the Whitehead moves: the pairing, the face-tracing step
 (`_Ends.steps`), the site test (`_Ends.is_site`) and the gap walk of
 free-end reach (`_Ends.unreached`).  `CombedGraph.arc_ends`, `mate` and
 `arcs` are views of the table by location and by slot.  The face-tracing
 conventions below are validated against the independent permutation-cycle
 boundary count by the self-calibration suite, not assumed.
 
-`validate` accepts only graphs that can be drawn in the disks.  On a
-disk's boundary the arc ends lie in (band height, slot) order; each comb
+`validate` accepts only graphs that can be drawn in the disks.  It walks
+the tooth objects once, in the walk that numbers the arc ends: that walk
+records each component that is not a comb or a point, each empty comb and
+each tooth that is neither a free end nor an arc end into a 1-handle
+meeting its disk, and marks the disks that hold a free end (`loose`, which
+`has_free_ends` reads).  Every later rule reads the numbers.  On a disk's
+boundary the arc ends lie in (band height, slot) order; each comb
 meets its arc ends in that order, and the arc ends of different combs form
 a non-crossing partition of the boundary points (combs may nest).  Host
 boundary lies between two neighboring arc ends into different bands, and
@@ -51,10 +56,12 @@ Face tracing walks the boundary of a regular neighborhood one step per
 arc end: from x to the mate of the arc end before x in its comb,
 cyclically (skipping teeth that end on the surface boundary).  Orbits of
 this step are the boundary circles of components containing at least one
-arc; arc-free components are disks.  `SurfaceSummary.of_complex`, the one
-per-component count, reads the orbits as the circles of the complex of
-nodes and arcs.  The face-routing check of a Whitehead move is the same
-step restricted to a region.
+arc; arc-free components are disks.  One walker follows the step
+(`_routes`): over the whole graph every walk closes, and
+`SurfaceSummary.of_complex`, the one per-component count, reads the closed
+walks as the circles of the complex of nodes and arcs.  The face-routing
+check of a Whitehead move is the same walker over the arc ends whose step
+the move changes: where each entry leaves, and how many walks close inside.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
@@ -95,10 +102,11 @@ would show there.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from types import MappingProxyType
 
 from .braidcore import BandRepresentation, UnionFind, fundamental_cycles, json_int
@@ -227,8 +235,7 @@ class CombedGraph:
         return sum(len(ends) for (_band, side), ends in self._ends.keys.items() if side == "i")
 
     def has_free_ends(self) -> bool:
-        teeth = (x for comps in self.disks for comp in comps if isinstance(comp, Comb) for x in comp.teeth)
-        return any(isinstance(x, FreeEnd) for x in teeth)
+        return any(self._ends.loose)
 
     def arcs(self) -> list[tuple[int, int, int]]:
         """All arcs as (band, i-slot, j-slot), sorted; read off `_ends.mate`."""
@@ -302,7 +309,9 @@ class _Ends:
     in one block of consecutive numbers; equal slots, which `validate`
     refuses, keep listing order, and teeth into a 1-handle that does not
     meet their disk take none.  Per arc end x:
-    - `band[x]`, and its node: `disk[x]` and `comb[x]`, its comb's label;
+    - `band[x]`, `slot[x]`, the slot its tooth states (`validate` checks
+      it against x's rank), and its node: `disk[x]` and `comb[x]`, its
+      comb's label;
     - `next[x]` and `prev[x]`, its neighbours on the disk's boundary, or -1;
     - `mate[x]`, the other end of its arc: of the r arc ends through a band,
       slot p on the i side pairs with slot r-1-p on the j side (-1 where
@@ -312,11 +321,17 @@ class _Ends:
     by label, and a point as []; `labels`, the labels in listing order
     (here the component indices); `head`, its first arc end or -1; and
     `loose`, whether it holds a free end.  `keys` maps (band, side) to the
-    range of its numbers, by slot.  `_Working` is a mutable copy.
+    range of its numbers, by slot.  `problems` lists, disk by disk, each
+    component that is neither a comb nor a point, each empty comb, and each
+    tooth that is neither a free end nor an arc end into a 1-handle meeting
+    its disk: the one walk over the tooth objects.  Disks past the host's
+    strand count get no numbers; `validate` refuses their graph first.
+    `_Working` is a mutable copy.
     """
 
     def __init__(self, graph: CombedGraph):
         self.band: list[int] = []
+        self.slot: list[int] = []
         self.disk: list[int] = []
         self.comb: list[int] = []
         self.locs: list[Location] = []
@@ -327,20 +342,42 @@ class _Ends:
         self.labels: list[list[int]] = []
         self.loose: list[bool] = []
         self.keys: dict[tuple[int, str], range] = {}
-        for disk, (comps, row) in enumerate(zip(graph.disks, graph.host.incidence), start=1):
-            combs = [[-1] * len(comp.teeth) if isinstance(comp, Comb) else [] for comp in comps]
+        self.problems: list[str] = []
+        host, k = graph.host, graph.host.band_count()
+        for disk, (comps, row) in enumerate(zip_longest(graph.disks, host.incidence, fillvalue={}), start=1):
+            combs, loose = [], False
             found: dict[int, list] = {}  # band -> (slot, component, tooth) of each of its arc ends here
             for ci, comp in enumerate(comps):
-                for ti, tooth in enumerate(comp.teeth if isinstance(comp, Comb) else ()):
-                    if isinstance(tooth, ArcEnd) and tooth.band in row:
+                teeth = comp.teeth if isinstance(comp, Comb) else ()
+                combs.append([-1] * len(teeth))
+                if isinstance(comp, IsolatedPoint):
+                    continue
+                if not isinstance(comp, Comb):
+                    self.problems.append(f"disk {disk} component {ci} is not a comb or point")
+                    continue
+                if not teeth:
+                    self.problems.append(f"disk {disk} component {ci} is an empty comb")
+                for ti, tooth in enumerate(teeth):
+                    if isinstance(tooth, FreeEnd):
+                        loose = True
+                    elif not isinstance(tooth, ArcEnd):
+                        self.problems.append(f"disk {disk} component {ci} tooth {ti} has unknown type")
+                    elif not 1 <= tooth.band <= k:
+                        self.problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
+                    elif tooth.band not in row:
+                        band = host.bands[tooth.band - 1]
+                        self.problems.append(f"disk {disk} tooth enters 1-handle {tooth.band} "
+                                             f"joining {band.i},{band.j}")
+                    else:
                         found.setdefault(tooth.band, []).append((tooth.slot, ci, ti))
             first = len(self.band)
             for band, side in row.items():
                 if band in found:
                     self.keys[(band, side)] = range(len(self.band), len(self.band) + len(found[band]))
-                for _slot, ci, ti in sorted(found.get(band, ())):
+                for slot, ci, ti in sorted(found.get(band, ())):
                     combs[ci][ti] = len(self.band)
                     self.band.append(band)
+                    self.slot.append(slot)
                     self.disk.append(disk)
                     self.comb.append(ci)
                     self.locs.append((disk, ci, ti))
@@ -350,9 +387,9 @@ class _Ends:
             self.head.append(first if last > first else -1)
             self.comps.append(combs)
             self.labels.append(list(range(len(combs))))
-            self.loose.append(any(-1 in teeth for teeth in combs))
+            self.loose.append(loose)
         self.mate = [-1] * len(self.band)
-        for band in range(1, graph.host.band_count() + 1):
+        for band in range(1, k + 1):
             i_side, j_side = self.keys.get((band, "i"), ()), self.keys.get((band, "j"), ())
             if len(i_side) == len(j_side):
                 for x, y in zip(i_side, reversed(j_side)):
@@ -416,7 +453,7 @@ def validate(graph: CombedGraph) -> list[str]:
 
 
 def _find_problems(graph: CombedGraph) -> list[str]:
-    """Tooth problems; else the arc-end count problems of each band, then the first drawing problem.
+    """The disk count; else the tooth problems; else each band's arc-end count problems, then the first drawing problem.
 
     Of the drawing problems, the first in the order of one pass over the
     bands, i side before j side, is reported: each disk's walk keeps its
@@ -427,10 +464,10 @@ def _find_problems(graph: CombedGraph) -> list[str]:
     host = graph.host
     if len(graph.disks) != host.strands:
         return [f"graph lists {len(graph.disks)} disks for a {host.strands}-strand host"]
-    disks = range(1, host.strands + 1)
-    problems = [p for disk in disks for p in _tooth_problems(host, disk, enumerate(graph.disks[disk - 1]))]
+    problems = list(graph._ends.problems)
     if problems:
         return problems
+    disks = range(1, host.strands + 1)
     keys = graph._ends.keys
     for band in range(1, host.band_count() + 1):
         i_side, j_side = keys.get((band, "i"), ()), keys.get((band, "j"), ())
@@ -442,36 +479,6 @@ def _find_problems(graph: CombedGraph) -> list[str]:
     found = found or [problem for disk in disks if (problem := _reach_problem(graph, disk))]
     if found:
         problems.append(min(found)[-1])
-    return problems
-
-
-def _tooth_problems(host: BraidedSurface, disk: int, components) -> list[str]:
-    """Of (index, component) pairs on one disk, those not combs or points, and teeth off the disk."""
-    problems = []
-    k = host.band_count()
-    row = host.incidence[disk - 1]
-    for ci, comp in components:
-        if isinstance(comp, IsolatedPoint):
-            continue
-        if not isinstance(comp, Comb):
-            problems.append(f"disk {disk} component {ci} is not a comb or point")
-            continue
-        if not comp.teeth:
-            problems.append(f"disk {disk} component {ci} is an empty comb")
-        for ti, tooth in enumerate(comp.teeth):
-            if isinstance(tooth, FreeEnd):
-                continue
-            if not isinstance(tooth, ArcEnd):
-                problems.append(f"disk {disk} component {ci} tooth {ti} has unknown type")
-                continue
-            if not 1 <= tooth.band <= k:
-                problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
-                continue
-            if tooth.band not in row:
-                band = host.bands[tooth.band - 1]
-                problems.append(
-                    f"disk {disk} tooth enters 1-handle {tooth.band} joining {band.i},{band.j}"
-                )
     return problems
 
 
@@ -487,39 +494,34 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     between two teeth of another.  One walk along the boundary keeps a stack
     of the combs met but not finished.
     """
-    comps, ends = graph.disks[disk - 1], graph._ends
+    ends = graph._ends
+    comps = ends.comps[disk - 1]
     stack: list[int] = []  # combs met but not finished
-    gaps: dict[int, list] = {}  # comb -> [tooth after its last arc end met, its last arc end]
+    gaps: dict[int, list] = {}  # comb -> [tooth after its last arc end met, its last arc end's number]
     for key in graph.host.incidence[disk - 1].items():
         band, side = key
         where = (band, 0 if side == "i" else 1)
         for slot, x in enumerate(ends.keys.get(key, ())):
             _disk, ci, ti = ends.locs[x]
-            teeth = comps[ci].teeth
-            if teeth[ti].slot != slot:
-                slots = [comps[c].teeth[t].slot for _d, c, t in map(ends.locs.__getitem__, ends.keys[key])]
+            teeth = comps[ci]
+            if ends.slot[x] != slot:
+                slots = [ends.slot[y] for y in ends.keys[key]]
                 want = f"expected 0..{len(slots) - 1} each once"
                 return (*where, f"1-handle {band} {side}-side slots are {slots}, {want}")
             gap = gaps.get(ci)
             first = gap[0] if gap else 0
             if ti != first:
-                if first and teeth[first - 1].band == band:
+                if first and ends.band[teeth[first - 1]] == band:
                     return (*where, f"disk {disk} component {ci}: teeth into 1-handle {band} are not consecutive")
-                expected = first
-                while not isinstance(teeth[expected], ArcEnd):
-                    expected += 1
-                if ti != expected:
+                if ti != _next_at(teeth, first - 1)[1]:
                     return (*where, f"disk {disk} component {ci}: teeth are out of (1-handle, slot) order")
             if gap is None:
-                end = len(teeth) - 1
-                while not isinstance(teeth[end], ArcEnd):
-                    end -= 1
-                gap = gaps[ci] = [0, end]
+                gap = gaps[ci] = [0, _pred_at(teeth, 0)]
                 stack.append(ci)
             elif stack[-1] != ci:
                 return (*where, f"disk {disk}: components {stack[-1]} and {ci} cross on the disk boundary")
             gap[0] = ti + 1
-            if ti == gap[1]:
+            if x == gap[1]:
                 stack.pop()
     return None
 
@@ -598,15 +600,7 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     for combs in ends.comps:
         for teeth in combs:
             step.update(ends.steps(teeth))
-    orbits = []
-    for start in list(step):
-        orbit = []
-        x = start
-        while x in step:
-            orbit.append(ends.node(x))
-            x = step.pop(x)
-        if orbit:
-            orbits.append(orbit)
+    orbits = [[ends.node(x) for x in walk] for walk in _routes(step)[1]]
     nodes = [(disk, ci) for disk, comps in enumerate(graph.disks, start=1) for ci in range(len(comps))]
     return SurfaceSummary.of_complex(nodes, [(tail, head) for _band, tail, head in _graph_arcs(graph)], orbits)
 
@@ -760,12 +754,15 @@ def _free_around(teeth) -> int:
     return ends[0] + len(teeth) - 1 - ends[-1]
 
 
-def _routes(step: Mapping) -> tuple[dict, int]:
+def _routes(step: Mapping) -> tuple[dict, list[list[int]]]:
     """How the walk `step` crosses its key set: each entry to its exit, and the walks closed inside.
 
     An entry is a key that no key steps to, so the walk reaches it from
     outside; `step` is one-to-one, so every other key lies on a walk from an
-    entry or on a closed walk.
+    entry or on a closed walk.  Each closed walk lists its keys, from the
+    first in `step`'s order.  The one orbit walker: a Whitehead move routes
+    the step over the arc ends it changes, and the face tracing of a whole
+    graph, where every walk closes, reads the closed walks as its orbits.
     """
     hit = set(step.values())
     routes, seen = {}, set()
@@ -777,13 +774,15 @@ def _routes(step: Mapping) -> tuple[dict, int]:
             seen.add(x)
             x = step[x]
         routes[start] = x
-    closed = 0
+    closed = []
     for x in step:
         if x not in seen:
-            closed += 1
+            walk = []
             while x not in seen:
                 seen.add(x)
+                walk.append(x)
                 x = step[x]
+            closed.append(walk)
     return routes, closed
 
 
@@ -871,15 +870,17 @@ class _Working(_Ends):
             self.prev[q] = p
 
     def replace(self, disk: int, items: Mapping) -> None:
-        """Put each item at its label on `disk`: a comb's list, [] for a point, or None to remove it."""
+        """Put each item at its live label on `disk`: a comb's list, or None to remove it.
+
+        A reduction never adds a label: a move puts the merged comb at a far
+        comb's label, and dropping a leaf only removes one.
+        """
         comps, labels, comb = self.comps[disk - 1], self.labels[disk - 1], self.comb
         for label, teeth in items.items():
             if teeth is None:
                 del comps[label]
                 del labels[bisect_left(labels, label)]
                 continue
-            if label not in comps:
-                insort(labels, label)
             comps[label] = teeth
             for x in teeth:
                 if x >= 0:
@@ -943,7 +944,7 @@ class _Working(_Ends):
         # mate[pred(x)] before.  Read from the stored combs, a stale label fails.
         w = _next_at(near, ti + 1)[0]
         nb, kb = _next_at(b_comb, tb)
-        before = _routes(self._stored_steps((t, u, w, a, b, nb)))
+        routes, closed = _routes(self._stored_steps((t, u, w, a, b, nb)))
         count = len(self.labels[far - 1])
         del near[ti + 1]
         self._unlink(u)
@@ -952,7 +953,8 @@ class _Working(_Ends):
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")
-        if _routes(self._stored_steps(x for x in (t, w, a, nb) if x != b)) != before:
+        after, closed_after = _routes(self._stored_steps(x for x in (t, w, a, nb) if x != b))
+        if after != routes or len(closed_after) != len(closed):
             raise InternalError("Whitehead move changed the neighborhood summary")
         # (5) The region was one piece; it stays one if the kept arc joins the
         # near comb to M.  With one arc and one comb gone, chi is kept.

@@ -12,7 +12,8 @@ each of its disk's two attaching arcs at most once, so the graph decomposes
 over the coarse handles into crossings (two-tooth combs carried from
 strand 1 out and back), dead ends, and stray isolated points.  The
 read-out skips dead ends and their disk-1 teeth, and edits nothing.  It
-reads off a braided surface directly:
+reads off a braided surface directly, from the reduced graph's arc-end
+numbering, in which disk 1's arc ends come first, in boundary order:
 
 * every live tooth of a disk-1 comb becomes a 0-handle of the output, in
   the order of its arc end on the disk's boundary, and so does every
@@ -43,9 +44,7 @@ from .errors import (
     SummaryMismatch,
 )
 from .graphcalc import (
-    Comb,
     CombedGraph,
-    IsolatedPoint,
     Site,
     _reduced,
     _require_valid,
@@ -87,51 +86,44 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
     nu = coarse.nu
     handles = [coarse.coarse_one_handle(s) for s in range(1, nu)]
 
-    def middle_combs():  # (coarse handle, index, the bands of its teeth) of each middle-disk comb
-        for handle in handles:
-            for ci, comp in enumerate(reduced.disks[handle[1] - 1]):
-                if isinstance(comp, Comb):
-                    yield handle, ci, [tooth.band for tooth in comp.teeth]
+    def misfits(ends):  # (middle disk, the bands of its teeth) of each comb neither a dead end nor a crossing
+        return [
+            (disk, bands)
+            for first_band, disk, second_band in handles
+            for teeth in ends.comps[disk - 1]
+            if len(bands := [ends.band[x] for x in teeth]) > 1 and bands != [first_band, second_band]
+        ]
 
-    def misfit(handle, bands) -> bool:  # neither a dead end nor a crossing
-        return len(bands) > 1 and bands != [handle[0], handle[2]]
-
-    if any(misfit(handle, bands) for handle, _ci, bands in middle_combs()):
+    if misfits(reduced._ends):
         # a comb around a nested dead end: drop the dead ends and reduce on
         reduced, more = _reduced(reduced, range(2, nu + 1))
         steps += more
-    mate = reduced.mate
+        if found := misfits(reduced._ends):
+            disk, bands = found[0]
+            raise InternalError(f"disk {disk} comb into 1-handles {bands} after reduction")
+    ends = reduced._ends
+    comb, comps, mate = ends.comb, ends.comps, ends.mate
 
     # middle disks now carry only isolated points, two-tooth crossings and
     # one-tooth dead ends; the disk-1 tooth a dead end hangs from is dead too
-    dead = set()
-    for handle, ci, bands in middle_combs():
-        if misfit(handle, bands):
-            raise InternalError(f"disk {handle[1]} comb into 1-handles {bands} after reduction")
-        if len(bands) == 1:
-            dead.add(mate[(handle[1], ci, 0)])
+    dead = {mate[teeth[0]] for _first, disk, _second in handles for teeth in comps[disk - 1] if len(teeth) == 1}
 
-    # 0-handles: live disk-1 teeth in boundary order, then disk-1 isolated
-    # points and combs with no live tooth, then stray points from the middle
-    # disks; output indices run top to bottom.  So the listing order of
-    # components means nothing.
-    teeth = [
-        loc
-        for key in reduced.host.incidence[0].items()
-        for loc in reduced.arc_ends.get(key, ()) if loc not in dead
-    ]
+    # 0-handles: live disk-1 teeth in boundary order (disk 1's block of
+    # arc-end numbers comes first), then disk-1 isolated points and combs
+    # with no live tooth, then stray points from the middle disks; output
+    # indices run top to bottom.  So the listing order of components means
+    # nothing.
+    teeth = [x for x in range(ends.disk.count(1)) if x not in dead]
     combs: dict[int, list] = {}  # disk-1 comb -> its live teeth, bottom to top
-    for loc in teeth:
-        combs.setdefault(loc[1], []).append(loc)
-    points = len(reduced.disks[0]) - len(combs)  # isolated points, and combs with no live tooth
-    stray = sum(
-        isinstance(comp, IsolatedPoint) for disk in range(2, nu + 1) for comp in reduced.disks[disk - 1]
-    )
+    for x in teeth:
+        combs.setdefault(comb[x], []).append(x)
+    points = len(comps[0]) - len(combs)  # isolated points, and combs with no live tooth
+    stray = sum(not comp for disk in range(2, nu + 1) for comp in comps[disk - 1])
     total = len(teeth) + points + stray
     if total == 0:
         raise InvalidGraph("graph has no material to present")
 
-    strand_of = {loc: len(teeth) + points - rank for rank, loc in enumerate(teeth)}
+    strand_of = {x: len(teeth) + points - rank for rank, x in enumerate(teeth)}
 
     # necks: consecutive live teeth of each disk-1 comb.  Around a fattened
     # tooth the attachments run (crossing, neck below, neck above) in the
@@ -146,13 +138,12 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
 
     # crossings: per coarse 1-handle, per slot of its first fine band
     strips = []
-    for first_band, middle_disk, _second_band in handles:
-        for near1 in reduced.arc_ends.get((first_band, "i"), ()):  # disk-1 ends, by slot
+    for first_band, disk, _second_band in handles:
+        for near1 in ends.keys.get((first_band, "i"), ()):  # disk-1 ends, by slot
             if near1 in dead:
                 continue
-            _disk, far_ci, _ti = mate[near1]
             # the disk-1 end of the crossing's arc through its second band
-            a, b = strand_of[near1], strand_of[mate[(middle_disk, far_ci, 1)]]
+            a, b = strand_of[near1], strand_of[mate[comps[disk - 1][comb[mate[near1]]][1]]]
             if a == b:
                 raise InternalError("crossing returned to a single 0-handle")
             strips.append(EmbeddedBand(min(a, b), max(a, b), 1))

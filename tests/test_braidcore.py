@@ -53,6 +53,14 @@ def test_expand_band_rejects_overflow():
         EmbeddedBand(1, 2, 2)
 
 
+def test_band_fields_must_be_integers():
+    for fields in ((1.5, 2, 1), (1, 2.5, 1), (1, 2, 1.0), (True, 2, 1), (1, 2, True), ("1", 2, 1)):
+        with pytest.raises(InvalidBand):
+            EmbeddedBand(*fields)
+    with pytest.raises(InvalidBand):
+        BandRepresentation(3, ((1, 2.5, 1),))
+
+
 def test_beta_examples():
     assert letters(beta(BandRepresentation(3, ()))) == []
     rep = BandRepresentation(3, (EmbeddedBand(1, 2, 1), EmbeddedBand(2, 3, -1), EmbeddedBand(1, 3, 1)))
@@ -88,6 +96,10 @@ def test_word_validation():
         BraidWord(2, ((2, 1),))
     with pytest.raises(InvalidWord):
         word_from_letters(3, [0])
+    for letter in ((1.7, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
+        with pytest.raises(InvalidWord):
+            BraidWord(3, (letter,))
+    assert BraidWord(3, ([2, -1],)).letters == ((2, -1),)
 
 
 def test_retag_is_explicit():

@@ -6,7 +6,9 @@ edits in `MUTATIONS` and sent to `reduce`, and to `quasipositize` when the
 host is S(q_n).  The mutants are inputs the samplers would not produce:
 many are refused, some are accepted.  Every run prints exactly one JSON
 document and exits 0, 1 or 2 (never 3, never a traceback), and every
-accepted `reduce` result validates again from its JSON.
+accepted `reduce` result validates again from its JSON.  On every mutant,
+refused or not, `has_free_ends` agrees with its tooth objects.
+`test_byte_identity` pins the `validate` problem lists of these mutants.
 """
 
 import contextlib
@@ -159,3 +161,16 @@ def test_mutated_graphs_get_one_json_document_and_a_documented_exit_code():
             codes["quasipositize", code] += 1
     # the mutants reach both sides of validation, and the refusals of quasipositize
     assert codes["reduce", 0] and codes["reduce", 1] and codes["quasipositize", 0] and codes["quasipositize", 2]
+
+
+def test_has_free_ends_matches_the_teeth_of_accepted_and_refused_graphs():
+    seen = set()
+    for seed in range(400):
+        graph = unchecked(mutant(random.Random(seed), seed)[0])
+        teeth = [tooth for comps in graph.disks for comp in comps if isinstance(comp, Comb) for tooth in comp.teeth]
+        free = any(isinstance(tooth, FreeEnd) for tooth in teeth)
+        assert graph.has_free_ends() == free
+        seen.add((free, not validate(graph)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    extra = CombedGraph(graph.host, graph.disks + ((Comb((FreeEnd(),)),),))  # one disk more than the host has
+    assert extra.has_free_ends() and validate(extra)
