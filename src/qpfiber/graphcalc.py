@@ -350,12 +350,9 @@ class _Ends:
             for ci, comp in enumerate(comps):
                 teeth = comp.teeth if isinstance(comp, Comb) else ()
                 combs.append([-1] * len(teeth))
-                if isinstance(comp, IsolatedPoint):
-                    continue
-                if not isinstance(comp, Comb):
+                if not isinstance(comp, (Comb, IsolatedPoint)):
                     self.problems.append(f"disk {disk} component {ci} is not a comb or point")
-                    continue
-                if not teeth:
+                elif isinstance(comp, Comb) and not teeth:
                     self.problems.append(f"disk {disk} component {ci} is an empty comb")
                 for ti, tooth in enumerate(teeth):
                     if isinstance(tooth, FreeEnd):

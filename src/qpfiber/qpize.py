@@ -142,8 +142,8 @@ def quasipositize(n: int, graph: CombedGraph) -> QuasipositizationResult:
         for near1 in ends.keys.get((first_band, "i"), ()):  # disk-1 ends, by slot
             if near1 in dead:
                 continue
-            # the disk-1 end of the crossing's arc through its second band
-            a, b = strand_of[near1], strand_of[mate[comps[disk - 1][comb[mate[near1]]][1]]]
+            crossing = comps[disk - 1][comb[mate[near1]]]  # near1's far end, then the end into the second band
+            a, b = strand_of[near1], strand_of[mate[crossing[1]]]
             if a == b:
                 raise InternalError("crossing returned to a single 0-handle")
             strips.append(EmbeddedBand(min(a, b), max(a, b), 1))

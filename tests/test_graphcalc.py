@@ -102,6 +102,25 @@ class TestValidate:
         )
         assert any("joining" in p for p in validate(g))
 
+    def test_tooth_problems_in_listing_order(self):
+        host = BraidedSurface(BandRepresentation(3, (EmbeddedBand(1, 2, 1),)))
+        disks = (
+            (Comb((ArcEnd(1, 0), "tooth", ArcEnd(5, 0))), "blob"),
+            (Comb(()), IsolatedPoint()),
+            (Comb((ArcEnd(1, 0), FreeEnd())),),
+        )
+        g = CombedGraph(host, disks)
+        assert validate(g) == [
+            "disk 1 component 0 tooth 1 has unknown type",
+            "tooth references 1-handle 5 outside 1..1",
+            "disk 1 component 1 is not a comb or point",
+            "disk 2 component 0 is an empty comb",
+            "disk 3 tooth enters 1-handle 1 joining 1,2",
+        ]
+        assert g.has_free_ends()
+        short = CombedGraph(host, disks[:2])
+        assert validate(short) == ["graph lists 2 disks for a 3-strand host"] and not short.has_free_ends()
+
     def test_split_tooth_run(self):
         host = BraidedSurface(
             BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1)))
