@@ -324,9 +324,9 @@ class _Ends:
     range of its numbers, by slot.  `problems` lists, disk by disk, each
     component that is neither a comb nor a point, each empty comb, and each
     tooth that is neither a free end nor an arc end into a 1-handle meeting
-    its disk: the one walk over the tooth objects.  Disks past the host's
-    strand count get no numbers; `validate` refuses their graph first.
-    `_Working` is a mutable copy.
+    its disk: validation's one walk over the tooth objects.  Disks past the
+    host's strand count get no numbers; `validate` refuses their graph
+    first.  `_Working` is a mutable copy.
     """
 
     def __init__(self, graph: CombedGraph):
