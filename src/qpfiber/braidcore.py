@@ -117,8 +117,8 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise InvalidParameter(f"strand count must be >= 1, got {self.strands}")
+        if type(self.strands) is not int or self.strands < 1:  # not isinstance: True is an int
+            raise InvalidParameter(f"strand count must be an integer >= 1, got {self.strands!r}")
         object.__setattr__(self, "letters", tuple((i, s) for i, s in self.letters))
         for i, s in self.letters:
             if type(i) is not int or type(s) is not int:  # not isinstance: True is an int
@@ -186,8 +186,8 @@ class BandRepresentation:
     bands: tuple[EmbeddedBand, ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise InvalidParameter(f"strand count must be >= 1, got {self.strands}")
+        if type(self.strands) is not int or self.strands < 1:  # not isinstance: True is an int
+            raise InvalidParameter(f"strand count must be an integer >= 1, got {self.strands!r}")
         bands = tuple(
             b if isinstance(b, EmbeddedBand) else EmbeddedBand(*b) for b in self.bands
         )

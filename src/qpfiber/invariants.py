@@ -10,10 +10,10 @@ they can cross-check each other:
 Both reduce to arithmetic in Z[t, t^-1].  A `LaurentPolynomial` is stored
 as its lowest exponent and the tuple of coefficients from there up, with no
 zero at either end, so equal polynomials store equal pairs; sums align two
-lists and products convolve them.  The cases a Burau letter meets cost
-what their monomials cost: a monomial factor c t^j is a shift and a scale,
-two monomials at one exponent add as two integers, and neither result
-goes back through the trimming constructor.
+lists and products convolve them.  Monomials cost what they are: a
+monomial factor c t^j is a shift and a scale, two monomials at one
+exponent add as two integers, and neither result goes back through the
+trimming constructor.
 
 The Seifert matrix is a sum of integer terms read off band positions,
 slots, traversal directions and band signs; no point is laid out.  The
@@ -84,10 +84,12 @@ sigma_i mapping to the identity apart from column i, which reads
 sigma_i^-1 apart from its column (1, -t^-1, t^-1), so det(rho(sigma_i)) =
 -t.  Right multiplication by a generator therefore changes one column of
 the running product: the new column is the slab of its at most three
-neighbouring columns times the generator's column.  Every generator entry
-is a monomial, so a letter costs one shift and scale per nonzero slab
-entry and an integer sum where two monomial products meet at one exponent
-(see ``mat_mul`` and ``reduced_burau``).
+neighbouring columns times the generator's column.  The running product
+is kept by integer columns, each a map {(row, exponent): coefficient}
+that stores no zero, so a letter is one integer product and sum per term
+of the slab and builds no polynomial; the matrix of LaurentPolynomial
+entries is built once, after the last letter (see ``mat_mul`` and
+``reduced_burau``).
 """
 
 from __future__ import annotations
@@ -242,45 +244,31 @@ _ZERO = LaurentPolynomial()
 _ONE = LaurentPolynomial([1])
 
 
-def identity_matrix(n: int) -> Matrix:
-    rows = [[_ZERO] * n for _ in range(n)]
-    for d in range(n):
-        rows[d][d] = _ONE
-    return tuple(tuple(row) for row in rows)
+# A matrix by integer columns: column j as {(row, exponent): coefficient}, storing no zero.
+Columns = list[dict[tuple[int, int], int]]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, computed column by column of b over its nonzero pairs.
+def mat_mul(a: Columns, b: Columns) -> Columns:
+    """The product a b of two matrices given by integer columns.
 
-    Column k of a is paired with entry k of a column of b, and the zero
-    factors on both sides are dropped, so a column of b costs one
-    polynomial product per nonzero pair (a_ik, b_kj) and one sum per
-    further product into an entry; an entry starts from its first product.
-    `reduced_burau` multiplies an (n-1) x (at most 3) slab by one generator
-    column per letter, whose entries are monomials: each product is a
-    shift and a scale of a slab entry, and a sum of two monomials at one
-    exponent is one integer sum.  So a letter costs one such product per
-    nonzero slab entry (on beta(q_rep(6)), about 12 of 73, with 1.14
-    coefficients on average) plus one attribute test per zero entry.
-    Entries may be shared between a, b and the result; no
-    LaurentPolynomial is ever mutated, so sharing is safe.
+    Column j of a b is the sum, over the terms c t^e at row k of column j
+    of b, of c t^e times column k of a: each term of column k moves up by
+    e in exponent, with its coefficient times c.  A term that cancels to 0
+    is deleted, so the product stores no zero either.  `reduced_burau`
+    multiplies the slab of at most three neighbouring columns by one
+    generator column per letter, whose three terms are t, -t, 1 or 1,
+    -t^-1, t^-1: a letter costs one integer product and sum per term of
+    the slab, and makes no polynomial.  The inputs are not mutated.
     """
-    rows, cols = len(a), len(b[0]) if b else 0
-    if not a or not cols:
-        return ((),) * rows
-    a_columns = tuple(zip(*a))
-    columns = []
-    for b_column in zip(*b):
-        column = [_ZERO] * rows
-        for i, product in [
-            (i, factor * entry)
-            for a_column, entry in zip(a_columns, b_column) if entry.coeffs
-            for i, factor in enumerate(a_column) if factor.coeffs
-        ]:
-            total = column[i]
-            column[i] = product if total is _ZERO else total + product
-        columns.append(column)
-    return tuple(zip(*columns))
+    product = []
+    for b_column in b:
+        column: dict[tuple[int, int], int] = {}
+        for (k, shift), c in b_column.items():
+            for (row, e), x in a[k].items():
+                key = row, e + shift
+                column[key] = column.get(key, 0) + c * x
+        product.append({key: x for key, x in column.items() if x})
+    return product
 
 
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
@@ -368,30 +356,41 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
 # Reduced Burau and the braid route to Alexander
 
 
-# column r of sigma_i and of sigma_i^-1 on rows r-1, r, r+1, for r = i-1, as 3 x 1 matrices
-_SIGMA = ((LaurentPolynomial([1], 1),), (LaurentPolynomial([-1], 1),), (_ONE,))
-_SIGMA_INVERSE = ((_ONE,), (LaurentPolynomial([-1], -1),), (LaurentPolynomial([1], -1),))
+# column r = i-1 of sigma_i and of sigma_i^-1 on rows r-1, r, r+1, as (row, exponent, coefficient)
+_GENERATOR_TERMS = {1: ((0, 1, 1), (1, 1, -1), (2, 0, 1)), -1: ((0, 0, 1), (1, -1, -1), (2, -1, 1))}
+# (sign, start, stop) -> that column on rows start..stop-1 of the three, renumbered from 0, as one integer column
+_GENERATOR = {
+    (sign, start, stop): [{(row - start, e): c for row, e, c in terms if start <= row < stop}]
+    for sign, terms in _GENERATOR_TERMS.items() for start in (0, 1) for stop in (2, 3)
+}
 
 
 def reduced_burau(word: BraidWord) -> Matrix:
     """Image of the word under the reduced Burau representation.
 
     Letters multiply left to right: rho(w1 w2) = rho(w1) rho(w2).  The
-    running product is kept as a list of columns; sigma_i^+-1 replaces
-    column r = i-1 by the slab of columns r-1, r, r+1 times the generator's
-    column, both truncated at the matrix edge.
+    running product is kept by integer columns (see `mat_mul`);
+    sigma_i^+-1 replaces column r = i-1 by the slab of columns r-1, r, r+1
+    times the generator's column, both truncated at the matrix edge, in one
+    `mat_mul` call.  The LaurentPolynomial matrix is built once, at the end.
     """
     if word.strands < 2:
         raise InvalidParameter("reduced Burau needs at least 2 strands")
     size = word.strands - 1
-    columns = list(identity_matrix(size))  # the identity is symmetric: its rows are its columns
+    columns = [{(d, 0): 1} for d in range(size)]
     for i, sign in word.letters:
         r = i - 1
         lo, hi = max(r - 1, 0), min(r + 2, size)
-        generator_column = (_SIGMA if sign == 1 else _SIGMA_INVERSE)[lo - r + 1:hi - r + 1]
-        columns[r] = next(zip(*mat_mul(tuple(zip(*columns[lo:hi])), generator_column)))
-    return tuple(zip(*columns))
-
+        columns[r] = mat_mul(columns[lo:hi], _GENERATOR[sign, lo - r + 1, hi - r + 1])[0]
+    matrix = [[_ZERO] * size for _ in range(size)]
+    for j, column in enumerate(columns):
+        entries: dict[int, dict[int, int]] = {}
+        for (i, e), c in column.items():
+            entries.setdefault(i, {})[e] = c
+        for i, terms in entries.items():
+            low = min(terms)
+            matrix[i][j] = LaurentPolynomial([terms.get(e, 0) for e in range(low, max(terms) + 1)], low)
+    return tuple(map(tuple, matrix))
 
 def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     """Alexander polynomial of the closure, canonical up to units."""

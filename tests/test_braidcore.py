@@ -17,7 +17,7 @@ from qpfiber.braidcore import (
     word_from_letters,
 )
 from qpfiber.constructions import nabla, q_rep
-from qpfiber.errors import InvalidBand, InvalidWord
+from qpfiber.errors import InvalidBand, InvalidParameter, InvalidWord
 
 from conftest import band_representations, braid_words
 
@@ -61,6 +61,13 @@ def test_band_fields_must_be_integers():
         BandRepresentation(3, ((1, 2.5, 1),))
 
 
+def test_representation_strands_must_be_an_integer():
+    for strands in (3.5, 3.0, True, "3", None):
+        with pytest.raises(InvalidParameter):
+            BandRepresentation(strands, ((1, 2, 1),))
+    assert BandRepresentation(3, ((1, 2, 1),)).strands == 3
+
+
 def test_beta_examples():
     assert letters(beta(BandRepresentation(3, ()))) == []
     rep = BandRepresentation(3, (EmbeddedBand(1, 2, 1), EmbeddedBand(2, 3, -1), EmbeddedBand(1, 3, 1)))
@@ -100,6 +107,13 @@ def test_word_validation():
         with pytest.raises(InvalidWord):
             BraidWord(3, (letter,))
     assert BraidWord(3, ([2, -1],)).letters == ((2, -1),)
+
+
+def test_word_strands_must_be_an_integer():
+    for strands in (True, False, 2.0, 2.5, "2", None):
+        with pytest.raises(InvalidParameter):
+            BraidWord(strands, ())
+    assert BraidWord(1, ()).strands == 1
 
 
 def test_retag_is_explicit():

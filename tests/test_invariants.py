@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from operator import mul
@@ -15,7 +16,6 @@ from qpfiber.invariants import (
     alexander_from_braid,
     alexander_from_seifert,
     eq_up_to_units,
-    identity_matrix,
     mat_det,
     mat_mul,
     reduced_burau,
@@ -61,8 +61,22 @@ def as_polys(matrix):
     return tuple(tuple(L(p) for p in row) for row in matrix)
 
 
+def as_columns(matrix, cols):
+    """The integer columns {(row, exponent): coefficient} of a matrix of dicts with `cols` columns."""
+    return [{(i, e): c for i, row in enumerate(matrix) for e, c in row[j].items() if c} for j in range(cols)]
+
+
+def from_columns(columns, rows):
+    """The matrix of dicts, with `rows` rows, of integer columns."""
+    return [[{e: c for (i, e), c in column.items() if i == r} for column in columns] for r in range(rows)]
+
+
 def dict_identity(size):
     return [[{0: 1} if r == c else {} for c in range(size)] for r in range(size)]
+
+
+def dense_identity(size):
+    return as_polys(dict_identity(size))
 
 
 def dict_generator(strands, i, sign):
@@ -96,12 +110,15 @@ polys = st.one_of(
 
 @st.composite
 def matrix_pairs(draw):
-    """(a, b) of shapes rows x inner and inner x cols, dense or mostly zero/one."""
-    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    """(a, b, (rows, inner, cols)): a is rows x inner, b inner x cols, dense or mostly zero/one.
+
+    inner >= 1, so the shape of b survives as rows of dicts; `test_edge_shapes` covers inner = 0.
+    """
+    rows, inner, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
     entries = draw(st.sampled_from([polys, st.sampled_from([{}, {}, {}, {0: 1}, {1: -1}])]))
     a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
     b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
-    return a, b
+    return a, b, (rows, inner, cols)
 
 
 HOPF = BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1)))
@@ -282,37 +299,57 @@ class TestLaurentAgainstReference:
             assert hash(other) == hash(a)
 
 
+def assert_no_stored_zero(columns):
+    for column in columns:
+        assert all(column.values()), column
+
+
 class TestMatMul:
     @given(matrix_pairs())
     @settings(max_examples=100)
     def test_matches_naive_product(self, pair):
-        a, b = pair
-        pa, pb = as_polys(a), as_polys(b)
-        before = as_dicts(pa), as_dicts(pb)
-        assert as_dicts(mat_mul(pa, pb)) == naive_product(a, b)
-        # inputs are never mutated, so entries may be shared with the result
-        assert (as_dicts(pa), as_dicts(pb)) == before
+        a, b, (rows, inner, cols) = pair
+        ca, cb = as_columns(a, inner), as_columns(b, cols)
+        before = copy.deepcopy((ca, cb))
+        product = mat_mul(ca, cb)
+        assert from_columns(product, rows) == naive_product(a, b)
+        assert_no_stored_zero(product)
+        # inputs are never mutated
+        assert (ca, cb) == before
 
     def test_edge_shapes(self):
-        assert mat_mul((), ()) == ()
-        assert mat_mul(((), ()), ()) == ((), ())
-        assert mat_mul(((L({1: 2}),),), ((L({-1: 3}),),)) == ((L({0: 6}),),)
-        row = ((L({0: 1}), L({1: 1})),)
-        column = ((L({0: 2}),), (L({0: 3}),))
-        assert mat_mul(row, column) == ((L({0: 2, 1: 3}),),)
-        assert mat_mul(column, row) == ((L({0: 2}), L({1: 2})), (L({0: 3}), L({1: 3})))
+        assert mat_mul([], []) == []
+        assert mat_mul([{}, {}], []) == []
+        assert mat_mul([], [{}, {}]) == [{}, {}]  # inner size 0: zero columns
+        assert mat_mul([{(0, 1): 2}], [{(0, -1): 3}]) == [{(0, 0): 6}]
+        row = [{(0, 0): 1}, {(0, 1): 1}]  # (1  t)
+        column = [{(0, 0): 2, (1, 0): 3}]  # (2  3)^T
+        assert mat_mul(row, column) == [{(0, 0): 2, (0, 1): 3}]
+        assert mat_mul(column, row) == [{(0, 0): 2, (1, 0): 3}, {(0, 1): 2, (1, 1): 3}]
 
     def test_fresh_zero_objects_in_both_operands(self):
-        zero = LaurentPolynomial
-        a = ((zero(), L({-1: 2})), (L({0: 1, 2: -1}), zero([0, 0], 3)))
-        b = ((L({1: -1}), zero()), (zero(), L({0: 1})))
-        want = naive_product(as_dicts(a), as_dicts(b))
+        # zero columns and absent rows on both sides, and a sum that cancels to an empty column
+        a = [{}, {(0, -1): 2, (1, 0): 1, (1, 2): -1}]
+        b = [{(0, 1): -1}, {(1, 0): 1}, {}]
         product = mat_mul(a, b)
-        assert as_dicts(product) == want
-        for row in product:
-            for entry in row:
-                assert_trimmed(entry)
-        assert mat_mul(((zero(),),), ((zero(),),)) == ((L({}),),)
+        assert from_columns(product, 2) == naive_product(from_columns(a, 2), from_columns(b, 2))
+        assert product == [{}, {(0, -1): 2, (1, 0): 1, (1, 2): -1}, {}]
+        assert mat_mul([{(0, 0): 1}, {(0, 0): 1}], [{(0, 0): 1, (1, 0): -1}]) == [{}]
+
+    def test_cancelling_terms_leave_no_stored_zero(self):
+        # sigma_i sigma_i^-1 at either edge: the terms of sigma_i's column cancel against its
+        # neighbours, and the product is the identity column for column, with no zero stored
+        for strands in (2, 3, 5, 7):
+            size = strands - 1
+            identity = as_columns(dict_identity(size), size)
+            for i in {1, strands - 1}:
+                sigma, inverse = (as_columns(dict_generator(strands, i, sign), size) for sign in (1, -1))
+                twisted = mat_mul(identity, sigma)
+                product = mat_mul(twisted, inverse)
+                assert product == identity, (strands, i)
+                assert_no_stored_zero(twisted)
+                assert_no_stored_zero(product)
+                assert mat_mul(mat_mul(identity, inverse), sigma) == identity
 
     def test_hand_written_generators_are_inverse(self):
         for strands in (2, 3, 5):
@@ -423,11 +460,11 @@ class TestBurau:
                     assert as_dicts(reduced_burau(word)) == naive_fold(word), (n, letters)
 
     def test_empty_word_is_identity(self):
-        assert reduced_burau(BraidWord(2, ())) == identity_matrix(1)
+        assert reduced_burau(BraidWord(2, ())) == dense_identity(1)
 
     def test_inverse_pair(self):
-        assert reduced_burau(word_from_letters(3, [1, -1])) == identity_matrix(2)
-        assert reduced_burau(word_from_letters(4, [-2, 2])) == identity_matrix(3)
+        assert reduced_burau(word_from_letters(3, [1, -1])) == dense_identity(2)
+        assert reduced_burau(word_from_letters(4, [-2, 2])) == dense_identity(3)
 
     def test_braid_relations(self):
         for n in (3, 4, 5):
@@ -444,7 +481,8 @@ class TestBurau:
     def test_homomorphism(self, w1, w2):
         n = max(w1.strands, w2.strands)
         w1, w2 = w1.retag(n), w2.retag(n)
-        assert reduced_burau(w1 * w2) == mat_mul(reduced_burau(w1), reduced_burau(w2))
+        want = naive_product(as_dicts(reduced_burau(w1)), as_dicts(reduced_burau(w2)))
+        assert as_dicts(reduced_burau(w1 * w2)) == want
 
     @given(braid_words(max_strands=4, max_length=6))
     @settings(max_examples=40)
