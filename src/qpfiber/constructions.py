@@ -51,13 +51,20 @@ Raising the limit would also raise ``cli.MAX_STRANDS`` and
 """
 
 
+def _require_n(what: str, n) -> None:
+    """Refuse an n that is not an integer >= 2."""
+    if type(n) is not int:  # not isinstance: True is an int
+        raise InvalidParameter(f"{what} needs an integer n, got {n!r}")
+    if n < 2:
+        raise InvalidParameter(f"{what} needs n >= 2, got {n}")
+
+
 def nabla(n: int) -> BandRepresentation:
     """The positive word (s_1 s_2 ... s_{n-1})^n, as bands (d, d+1, +1).
 
     Position s = (n-1)c + d with 1 <= d <= n-1 carries the band (d, d+1).
     """
-    if n < 2:
-        raise InvalidParameter(f"nabla needs n >= 2, got {n}")
+    _require_n("nabla", n)
     bands = []
     for s in range(1, n * (n - 1) + 1):
         d = (s - 1) % (n - 1) + 1
@@ -75,8 +82,7 @@ def q_rep(n: int) -> BandRepresentation:
     First half: band s is (1, nu-s+1).  Second half: s - nu = (n-1)c + d
     with 0 <= c, d <= n-2 gives the band (1, nu - c - (n-1)d).
     """
-    if n < 2:
-        raise InvalidParameter(f"q_rep needs n >= 2, got {n}")
+    _require_n("q_rep", n)
     nu = nu_of(n)
     bands = []
     for s in range(1, nu):
@@ -100,8 +106,7 @@ class CoarseDecomposition:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidParameter(f"coarse decomposition needs n >= 2, got {self.n}")
+        _require_n("coarse decomposition", self.n)
 
     @property
     def nu(self) -> int:

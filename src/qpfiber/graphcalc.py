@@ -16,10 +16,10 @@ side, since the half-twist reverses the transverse order.  Each rule is
 stated once over these numbers, and read both by the graph and by the
 working copy of the Whitehead moves: the pairing, the face-tracing step
 (`_Ends.steps`), the site test (`_Ends.is_site`) and the gap walk of
-free-end reach (`_Ends.unreached`).  `CombedGraph.arc_ends`, `mate` and
-`arcs` are views of the table by location and by slot.  The face-tracing
-conventions below are validated against the independent permutation-cycle
-boundary count by the self-calibration suite, not assumed.
+free-end reach (`_Ends.unreached`).  `CombedGraph.arcs` lists the pairing
+by slot.  The face-tracing conventions below are validated against the
+independent permutation-cycle boundary count by the self-calibration suite,
+not assumed.
 
 `validate` accepts only graphs that can be drawn in the disks.  It walks
 the tooth objects once, in the walk that numbers the arc ends: that walk
@@ -66,15 +66,8 @@ the move changes: where each entry leaves, and how many walks close inside.
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
 once per instance, when first asked for, and kept on the instance: the
-numbering (`_ends`), its views `arc_ends` and `mate`, the `validate`
-problems, the `neighborhood_summary` and fullness (`_full`, so `is_full`
-folds a graph at most once).
-
-The samplers double arcs with `edit_band`: it replaces components on the
-two disks one band joins, reusing every other disk's row, renumbers that
-band's arc ends by one rule, by old slot on each disk, and validates the
-result.  Each disk reads only its own row, so validation is linear in the
-size of the document.
+numbering (`_ends`), the `validate` problems, the `neighborhood_summary`
+and fullness (`_full`, so `is_full` folds a graph at most once).
 
 Whitehead moves are made on a private working copy (`_Working`), a mutable
 copy of the numbering.  A reduction deletes arcs in pairs and never inserts
@@ -107,7 +100,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from types import MappingProxyType
 
 from .braidcore import BandRepresentation, UnionFind, fundamental_cycles, json_int
 from .errors import InternalError, InvalidGraph, NotFull, SiteNotEligible
@@ -157,27 +149,6 @@ class CombedGraph:
     @cached_property
     def _ends(self) -> "_Ends":
         return _Ends(self)
-
-    @cached_property
-    def arc_ends(self) -> MappingProxyType:
-        """Per (band, side) the arc-end locations in slot order (bottom to top): a view of `_ends`.
-
-        Equal slots, which `validate` refuses, keep listing order.  Teeth
-        naming a 1-handle that does not meet their disk in the host's
-        `incidence` table are left out; `validate` reports them.  So each
-        key (band, side) lives on the one disk whose incidence row holds it.
-        """
-        locs = self._ends.locs
-        return MappingProxyType({key: tuple(map(locs.__getitem__, ends)) for key, ends in self._ends.keys.items()})
-
-    @cached_property
-    def mate(self) -> Mapping[Location, Location]:
-        """Each arc-end location to the location at the other end of its arc: a view of `_ends.mate`.
-
-        Meaningful only on a graph that `validate` accepts.
-        """
-        locs = self._ends.locs
-        return MappingProxyType({locs[x]: locs[y] for x, y in enumerate(self._ends.mate) if y >= 0})
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -649,53 +620,12 @@ def is_full(graph: CombedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The doubling edit
+# Whitehead moves
 
 
 def _inherit(graph: CombedGraph, **cached) -> None:
     """Store values of a new graph's cached properties, as their first use would."""
     graph.__dict__.update(cached)
-
-
-def edit_band(graph: CombedGraph, band: int, replace: dict) -> CombedGraph:
-    """Replace components on the disks `band` joins; renumber its arc ends.
-
-    `replace` maps (disk, component index) of the parent graph to the
-    components that take its place: none removes it, two split it.  The one
-    renumbering rule: on each of its two disks the arc ends of `band` take
-    slots 0, 1, ... in order of (old slot, listing position), so the copies
-    of a doubled end, listed bottom to top, stay in that order.  Rows of
-    other disks are reused as they are.  The samplers double arcs with it.
-    An edit whose result fails `validate` is a bug in the caller, so it
-    raises InternalError.
-    """
-    _require_valid(graph)
-    hostband = graph.host.bands[band - 1]
-    disks = list(graph.disks)
-    for disk in (hostband.i, hostband.j):
-        row = []
-        for ci, comp in enumerate(graph.disks[disk - 1]):
-            row.extend(replace.get((disk, ci), (comp,)))
-        ends = sorted(
-            (tooth.slot, ci, ti)
-            for ci, item in enumerate(row) if isinstance(item, Comb)
-            for ti, tooth in enumerate(item.teeth) if isinstance(tooth, ArcEnd) and tooth.band == band
-        )
-        renumbered: dict[int, list] = {}
-        for slot, (_old, ci, ti) in enumerate(ends):
-            renumbered.setdefault(ci, list(row[ci].teeth))[ti] = ArcEnd(band, slot)
-        for ci, teeth in renumbered.items():
-            row[ci] = Comb(tuple(teeth))
-        disks[disk - 1] = tuple(row)
-    result = CombedGraph(graph.host, tuple(disks))
-    problems = validate(result)
-    if problems:
-        raise InternalError(f"edit of band {band} produced an invalid graph: {problems}")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Whitehead moves
 
 
 @dataclass(frozen=True)

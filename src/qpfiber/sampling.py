@@ -6,6 +6,14 @@ far comb is split between them.  Whitehead equivalence preserves both the
 regular-neighborhood summary and fullness, so the output is a full combed
 graph with multi-arc bands, suitable for exercising the reduction.
 
+A doubling edits the teeth of the band's two disks directly, finding the
+arc end, its mate and their locations in the graph's arc-end numbering.
+Of the r arcs through the band, the old one holds slot p on the near side
+and q = r-1-p on the far side.  On the near side the slots above p move up
+one and the copy takes p+1, just above the old end; on the far side the
+slots from q up move up one and the copy takes q, just below the old end.
+Rows of other disks are reused as they are.
+
 `random_direct_graph` samples combed graphs without any move, so it also
 yields graphs that are not full, and graphs that `validate` rejects.
 """
@@ -15,8 +23,8 @@ from __future__ import annotations
 import random
 
 from .braidcore import BandRepresentation, EmbeddedBand
-from .errors import InternalError
-from .graphcalc import ArcEnd, Comb, CombedGraph, IsolatedPoint, edit_band
+from .errors import InternalError, InvalidParameter
+from .graphcalc import ArcEnd, Comb, CombedGraph, IsolatedPoint, _require_valid, validate
 from .surface import BraidedSurface, handle_spine, summary
 
 
@@ -51,28 +59,49 @@ def random_connected_representation(
 
 
 def _double_arc(graph: CombedGraph, band: int, slot: int, near_disk: int, split: bool) -> CombedGraph:
-    """Double the arc at (band, near-side slot).
+    """Double the arc at (band, near-side slot) by the doubling rule (see the module docstring).
 
-    The copy sits just above the old arc end on the near side and just below
-    it on the far side; with `split` the far comb is cut between the two.
+    With `split` the far comb is cut between the copy and the old end.  A
+    band outside 1..k, a near disk that is not one of the band's two disks
+    or a slot outside 0..r-1 is refused (InvalidParameter) before any edit.
+    A result that fails `validate` is a bug here, so it raises InternalError.
     """
-    side = graph.host.incidence[near_disk - 1].get(band)
-    if side is None:
-        raise InternalError("near disk is not an end of the band")
-    near_loc = graph.arc_ends[(band, side)][slot]
-    _, near_ci, near_ti = near_loc
-    far_disk, far_ci, far_ti = graph.mate[near_loc]
-    near = graph.disks[near_disk - 1][near_ci].teeth
-    far = graph.disks[far_disk - 1][far_ci].teeth
+    host = graph.host
+    if type(band) is not int or not 1 <= band <= host.band_count():  # not isinstance: True is an int
+        raise InvalidParameter(f"1-handle {band!r} is not an integer in 1..{host.band_count()}")
+    hostband = host.bands[band - 1]
+    if near_disk not in (hostband.i, hostband.j):
+        raise InvalidParameter(f"disk {near_disk!r} is not an end of 1-handle {band} ({hostband.i}, {hostband.j})")
+    _require_valid(graph)
+    ends = graph._ends
+    sides = ("i", "j") if near_disk == hostband.i else ("j", "i")
+    near, far = (ends.keys.get((band, side), ()) for side in sides)
+    r = len(near)
+    if type(slot) is not int or not 0 <= slot < r:
+        raise InvalidParameter(f"slot {slot!r} is not an integer in 0..{r - 1}: 1-handle {band} carries {r} arcs")
+    q = r - 1 - slot
+    rows = {  # the band's two disks, each comb as a list of teeth to edit
+        disk: [list(comp.teeth) if isinstance(comp, Comb) else comp for comp in graph.disks[disk - 1]]
+        for disk in (hostband.i, hostband.j)
+    }
+    for numbers, first in ((near, slot + 1), (far, q)):
+        for s in range(first, r):
+            disk, ci, ti = ends.locs[numbers[s]]
+            rows[disk][ci][ti] = ArcEnd(band, s + 1)
+    disk, ci, ti = ends.locs[near[slot]]
+    rows[disk][ci].insert(ti + 1, ArcEnd(band, slot + 1))
+    disk, ci, ti = ends.locs[ends.mate[near[slot]]]
+    rows[disk][ci].insert(ti, ArcEnd(band, q))
     if split:
-        far_combs = (Comb(far[: far_ti + 1]), Comb(far[far_ti:]))
-    else:
-        far_combs = (Comb(far[: far_ti + 1] + far[far_ti:]),)
-    # the doubled teeth repeat the old ones; edit_band gives them their slots
-    return edit_band(graph, band, {
-        (near_disk, near_ci): (Comb(near[: near_ti + 1] + near[near_ti:]),),
-        (far_disk, far_ci): far_combs,
-    })
+        rows[disk][ci : ci + 1] = rows[disk][ci][: ti + 1], rows[disk][ci][ti + 1 :]
+    disks = list(graph.disks)
+    for disk, row in rows.items():
+        disks[disk - 1] = tuple(Comb(comp) if isinstance(comp, list) else comp for comp in row)
+    result = CombedGraph(host, tuple(disks))
+    problems = validate(result)
+    if problems:
+        raise InternalError(f"doubling an arc of 1-handle {band} produced an invalid graph: {problems}")
+    return result
 
 
 def inverse_whitehead(graph: CombedGraph, band: int, slot: int, near_disk: int) -> CombedGraph:

@@ -238,63 +238,43 @@ def _bruteforce_is_full(graph) -> bool:
 
     Full here means that no vertex-simple cycle has a word that reduces to
     the identity.  That matches pi_1-injectivity only for graphs that can be
-    drawn in the disks, the ones `validate` accepts.
+    drawn in the disks, the ones `validate` accepts.  The arcs are read off
+    the teeth here, not off the graph's arc-end numbering, which folding
+    reads: slot p on the i side pairs with slot r-1-p on the j side.
     """
-    index = graph.arc_ends
     tree = graphcalc._host_spanning_tree(graph.host)
+    teeth: dict = {}  # (band, side) -> [(slot, node)]
+    for disk, comps in enumerate(graph.disks, start=1):
+        for ci, comp in enumerate(comps):
+            for tooth in comp.teeth if isinstance(comp, graphcalc.Comb) else ():
+                if isinstance(tooth, graphcalc.ArcEnd):
+                    side = "i" if disk == graph.host.bands[tooth.band - 1].i else "j"
+                    teeth.setdefault((tooth.band, side), []).append((tooth.slot, (disk, ci)))
     edges = []
     for band in range(1, graph.host.band_count() + 1):
-        i_side = index.get((band, "i"), [])
-        j_side = index.get((band, "j"), [])
-        r = len(i_side)
-        for p in range(r):
-            ni = (i_side[p][0], i_side[p][1])
-            nj = (j_side[r - 1 - p][0], j_side[r - 1 - p][1])
-            edges.append((band, ni, nj))
+        i_side, j_side = (sorted(teeth.get((band, side), [])) for side in ("i", "j"))
+        edges += [(band, i_side[p][1], j_side[len(i_side) - 1 - p][1]) for p in range(len(i_side))]
     m = len(edges)
     for mask in range(1, 1 << m):
         chosen = [edges[e] for e in range(m) if mask >> e & 1]
-        degree: dict = {}
-        for band, ni, nj in chosen:
-            degree[ni] = degree.get(ni, 0) + 1
-            degree[nj] = degree.get(nj, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            continue
-        # connected?
-        nodes = sorted(degree)
-        reached = {nodes[0]}
-        frontier = [nodes[0]]
         adj: dict = {}
-        for eidx, (band, ni, nj) in enumerate(chosen):
+        for eidx, (_band, ni, nj) in enumerate(chosen):
             adj.setdefault(ni, []).append((eidx, nj))
             adj.setdefault(nj, []).append((eidx, ni))
-        while frontier:
-            node = frontier.pop()
-            for _, other in adj[node]:
-                if other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
-        if reached != set(nodes):
+        if any(len(links) != 2 for links in adj.values()):
             continue
-        # walk the cycle, collect the word
-        start = nodes[0]
-        word = []
-        node = start
-        used = set()
+        # every node has degree 2: one cycle exactly when the walk from the least node uses every arc
+        start = node = min(adj)
+        word, used = [], set()
         while True:
-            eidx, other = next(
-                (e, o) for e, o in adj[node] if e not in used
-            )
+            eidx, other = next((e, o) for e, o in adj[node] if e not in used)
             used.add(eidx)
-            band, ni, nj = chosen[eidx]
-            direction = 1 if node == ni else -1
+            band, ni, _nj = chosen[eidx]
             if band not in tree:
-                word.append((band, direction))
+                word.append((band, 1 if node == ni else -1))
             node = other
-            if node == start and len(used) == len(chosen):
+            if node == start:
                 break
-            if node == start and len(used) < len(chosen):
-                break  # not a single cycle after all
         if len(used) < len(chosen):
             continue
         stack = []

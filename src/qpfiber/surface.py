@@ -129,7 +129,11 @@ def handle_spine(surface: BraidedSurface, selected: Iterable[int]):
     """
     from . import graphcalc
 
-    chosen = {int(t) for t in selected}
+    selected = list(selected)
+    for t in selected:
+        if type(t) is not int:  # not isinstance: True is an int
+            raise InvalidParameter(f"selected 1-handle {t!r} is not an integer")
+    chosen = set(selected)
     k = surface.band_count()
     for t in sorted(chosen):
         if not 1 <= t <= k:

@@ -10,7 +10,7 @@ trace, a graph or an output band shows here.  The report echoes the digest
 of the input, so a change in the samplers shows too.
 
 `PINNED_DOCUMENTS`, `PINNED_SEIFERT` and `PINNED_CYCLE_WORDS` were recorded
-before the arc pairing (`CombedGraph.mate`) and the spanning forest
+before the arc pairing (now `_Ends.mate`) and the spanning forest
 (`braidcore.fundamental_cycles`) each got one implementation: the stdout of
 `invariants`, `pad` and `expand` on seeded documents, the entries of
 `seifert_matrix` on 100 seeded representations and on q_rep(n) and

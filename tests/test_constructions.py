@@ -42,6 +42,11 @@ class TestNabla:
         with pytest.raises(InvalidParameter):
             nabla(1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_rejects_an_n_that_is_not_an_int(self, n):
+        with pytest.raises(InvalidParameter, match="needs an integer n"):
+            nabla(n)
+
 
 class TestQRep:
     def test_n2(self):
@@ -68,6 +73,11 @@ class TestQRep:
         with pytest.raises(InvalidParameter):
             q_rep(1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_rejects_an_n_that_is_not_an_int(self, n):
+        with pytest.raises(InvalidParameter, match="needs an integer n"):
+            q_rep(n)
+
 
 class TestCoarseDecomposition:
     def test_partition(self):
@@ -86,6 +96,11 @@ class TestCoarseDecomposition:
     def test_out_of_range(self):
         with pytest.raises(InvalidParameter):
             CoarseDecomposition(3).coarse_one_handle(5)
+
+    @pytest.mark.parametrize("n", [1, 2.5, 3.0, "3", True])
+    def test_rejects_an_n_that_is_not_an_int_at_least_2(self, n):
+        with pytest.raises(InvalidParameter):
+            CoarseDecomposition(n)
 
 
 class TestPadIntoNabla:
@@ -179,6 +194,11 @@ class TestVerifyFiber:
             report = verify_fiber(n)
             assert report.ok()
             assert report.components_q == n
+
+    @pytest.mark.parametrize("n", [1, 2.5, 3.0, "3", True])
+    def test_rejects_an_n_that_is_not_an_int_at_least_2(self, n):
+        with pytest.raises(InvalidParameter):
+            verify_fiber(n)
 
     def test_fiber_model_alexander_is_closed_form(self):
         for n in range(2, 8):

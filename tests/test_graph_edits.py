@@ -1,14 +1,17 @@
-"""The edit primitive and the once-per-graph caches, against naive references.
+"""The graph edits and the once-per-graph caches, against naive references.
 
 The references below rebuild each graph edit by hand: they rescan the graph
 for its arc ends and renumber every tooth of every disk through a per-edit
-`renumber` closure.  They share no code with `graphcalc.edit_band`, the
-arc-end numbering `graphcalc._Ends` and its views (`CombedGraph.arc_ends`,
-`mate`, `arcs`), or the Whitehead moves of its working copy
-`graphcalc._Working`.  Further tests check every move of a reduction
-against a fresh graph, and that the local checks of a move catch
-deliberately faulty moves; the faulty merges act on the comb lists of arc-end
-numbers that `graphcalc._merge_far_combs` takes and returns.
+`renumber` closure.  They share no code with the samplers' doubling
+(`sampling._double_arc`), the arc-end numbering `graphcalc._Ends` and
+`CombedGraph.arcs`, or the Whitehead moves of its working copy
+`graphcalc._Working`.  The caches are compared by location, read off the
+numbering here (`located_ends`, `located_pairing`).  Further tests check
+every move of a reduction against a fresh graph, that the local checks of a
+move catch deliberately faulty moves (the faulty merges act on the comb
+lists of arc-end numbers that `graphcalc._merge_far_combs` takes and
+returns), and that a doubling refuses arguments off the graph and checks
+its result.
 """
 
 import random
@@ -19,10 +22,10 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qpfiber import graphcalc
+from qpfiber import graphcalc, sampling
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand
 from qpfiber.constructions import q_rep
-from qpfiber.errors import InternalError, SiteNotEligible
+from qpfiber.errors import InternalError, InvalidParameter, SiteNotEligible
 from qpfiber.graphcalc import (
     ArcEnd,
     Comb,
@@ -428,10 +431,22 @@ def test_free_end_rule_matches_a_brute_force_placement(seed):
     assert (problems == []) == reach
 
 
+def located_ends(graph):
+    """Per (band, side) the arc-end locations by slot, read off the graph's numbering."""
+    ends = graph._ends
+    return {key: [ends.locs[x] for x in numbers] for key, numbers in ends.keys.items()}
+
+
+def located_pairing(graph):
+    """Each arc-end location to the location at the other end of its arc, read off the graph's numbering."""
+    ends = graph._ends
+    return {ends.locs[x]: ends.locs[ends.mate[x]] for x in range(len(ends.mate))}
+
+
 def cached_views(graph):
     return (
-        dict(graph.arc_ends),
-        dict(graph.mate),
+        located_ends(graph),
+        located_pairing(graph),
         validate(graph),
         [graph.arc_count(t) for t in range(1, graph.host.band_count() + 1)],
         graph.total_arcs(),
@@ -452,14 +467,14 @@ def test_caches_equal_a_fresh_rescan(seed):
         fresh = CombedGraph(current.host, current.disks)
         twice = cached_views(current), cached_views(current)
         assert twice[0] == twice[1] == cached_views(fresh)
-        assert {key: list(locs) for key, locs in current.arc_ends.items()} == index
+        assert located_ends(current) == index
         counts = [naive_arc_count(current, t) for t in bands]
         assert twice[0][3] == counts
         assert current.total_arcs() == sum(counts)
         assert current.arcs() == [(t, p, counts[t - 1] - 1 - p) for t in bands for p in range(counts[t - 1])]
         assert validate(current) is not validate(current)  # a fresh list each call
         # the pairing: a fixed-point-free involution, i side to j side, as `arcs()` lists it
-        mate = current.mate
+        mate = located_pairing(current)
         assert sorted(mate) == sorted(loc for locs in index.values() for loc in locs)
         for loc, far in mate.items():
             assert far != loc and mate[far] == loc
@@ -477,7 +492,7 @@ def test_caching_keeps_equality_hash_and_json(seed):
     graph, twin = CombedGraph(sampled.host, sampled.disks), CombedGraph(sampled.host, sampled.disks)
     before = hash(graph), repr(graph)
     cached_views(graph)
-    assert {"arc_ends", "mate", "_problems", "_summary", "_full"} <= vars(graph).keys()
+    assert {"_ends", "_problems", "_summary", "_full"} <= vars(graph).keys()
     assert graph == twin and twin == graph
     assert (hash(graph), repr(graph)) == before == (hash(twin), repr(twin))
     assert graph.to_json() == twin.to_json()
@@ -716,8 +731,10 @@ def test_a_move_that_splits_the_graph_is_caught_by_the_face_routing(monkeypatch)
     # drops the isolated point: a valid graph with one arc and one component fewer, but
     # with the wrong neighborhood
     graph = merged_comb_graph()
-    mutant = {(2, 0): (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),), (1, 0): (Comb((ArcEnd(1, 0),)),), (1, 2): ()}
-    wrong = graphcalc.edit_band(graph, 2, mutant)
+    wrong = CombedGraph(graph.host, (
+        (Comb((ArcEnd(1, 0),)), Comb((ArcEnd(2, 0),))),
+        (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),),
+    ))
     assert validate(wrong) == [] and wrong.total_arcs() == graph.total_arcs() - 1
     assert sum(map(len, wrong.disks)) == sum(map(len, graph.disks)) - 1
     assert neighborhood_summary(CombedGraph(wrong.host, wrong.disks)) != neighborhood_summary(graph)
@@ -731,15 +748,41 @@ def test_a_move_that_splits_the_graph_is_caught_by_the_face_routing(monkeypatch)
         whitehead_step(graph, Site(2, 0, 1))
 
 
-def test_an_edit_that_makes_two_combs_cross_is_caught():
-    host = BraidedSurface(BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1))))
-    graph = CombedGraph(host, (
-        (Comb((ArcEnd(1, 0), ArcEnd(2, 1))), Comb((ArcEnd(1, 1), ArcEnd(2, 0)))),
-        (Comb((ArcEnd(1, 0), ArcEnd(1, 1), ArcEnd(2, 0), ArcEnd(2, 1))),),
-    ))
-    assert validate(graph) == []
-    with pytest.raises(InternalError, match="cross"):
-        graphcalc.edit_band(graph, 1, {
-            (1, 0): (Comb((ArcEnd(1, 0), ArcEnd(2, 0))),),
-            (1, 1): (Comb((ArcEnd(1, 1), ArcEnd(2, 1))),),
-        })
+def doubling_host_graph():
+    """The handle spine of S(q_3) on fine 1-handles 1, 2, 5 and 6: one arc each through those bands."""
+    return handle_spine(BraidedSurface(q_rep(3)), [1, 2, 5, 6])
+
+
+def refused_before_any_edit(band, slot, near_disk):
+    graph = doubling_host_graph()
+    for edit in (inverse_whitehead, double_arc_bigon):
+        with patch.object(sampling, "validate", side_effect=AssertionError("a result was built")):
+            with pytest.raises(InvalidParameter) as caught:
+                edit(graph, band, slot, near_disk)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("band", [0, 9, -1, 1.0, "1", True])
+def test_a_doubling_refuses_a_band_out_of_range(band):
+    assert f"1-handle {band!r} is not an integer in 1..8" in refused_before_any_edit(band, 0, 1)
+
+
+@pytest.mark.parametrize("near_disk", [0, 6, -1, 2, "1"])
+def test_a_doubling_refuses_a_near_disk_off_the_band(near_disk):
+    # 1-handle 1 of q_rep(3) joins disks 1 and 5; disk 0 used to wrap around to disk 5
+    assert "is not an end of 1-handle 1" in refused_before_any_edit(1, 0, near_disk)
+
+
+@pytest.mark.parametrize("band, slot", [(1, -1), (1, 1), (1, 0.0), (1, False), (3, 0)])
+def test_a_doubling_refuses_a_slot_out_of_range(band, slot):
+    # slot -1 used to double the last arc; 1-handle 3 carries no arc
+    assert f"slot {slot!r} is not an integer in 0.." in refused_before_any_edit(band, slot, 1)
+
+
+def test_a_doubling_whose_result_fails_validation_raises_internal_error():
+    graph = doubling_host_graph()
+    assert inverse_whitehead(graph, 1, 0, 1).total_arcs() == graph.total_arcs() + 1
+    for edit in (inverse_whitehead, double_arc_bigon):
+        with patch.object(sampling, "validate", return_value=["a planted problem"]):
+            with pytest.raises(InternalError, match="produced an invalid graph: .*a planted problem"):
+                edit(graph, 1, 0, 1)

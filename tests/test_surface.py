@@ -82,6 +82,12 @@ def test_handle_spine_rejects_out_of_range():
         handle_spine(surf(nabla(2)), (3,))
 
 
+@pytest.mark.parametrize("selected", [(1.7,), ("2",), (True,), (1, True), (2.0,)])
+def test_handle_spine_rejects_a_handle_that_is_not_an_int(selected):
+    with pytest.raises(InvalidParameter, match="is not an integer"):
+        handle_spine(surf(nabla(2)), selected)
+
+
 @given(band_representations())
 @settings(max_examples=60)
 def test_chi_equals_summary_total(rep):
