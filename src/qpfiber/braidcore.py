@@ -6,7 +6,13 @@ Conventions fixed here and relied on everywhere else:
   ``1 <= i <= n-1``;
 * letters compose left to right: the first letter acts first, both for
   permutations and for the Burau matrices built on top of these words;
-* words are stored fully expanded, no free reduction is ever applied;
+* words are stored fully expanded: `beta` and every word the package
+  builds keep each letter of each band.  Free reduction (`free_reduction`)
+  is applied only where a word is read as a group element: before its
+  reduced Burau product in `invariants.alexander_from_braid`, and to the
+  cycle words of `graphcalc.cycle_words`.  There it is exact, since a
+  letter next to its inverse is the identity in the group, and its Burau
+  matrices are inverse exactly, rho(s_i) rho(s_i^-1) = I;
 * the strand count is explicit on every value.  Re-tagging a word or
   representation into a larger braid group is a deliberate operation
   (`retag`), never an implicit coercion.
@@ -230,6 +236,24 @@ def expand_band(band: EmbeddedBand, n: int) -> BraidWord:
     middle = [(band.j - 1, band.sign)]
     suffix = [(c, -1) for c in reversed(range(band.i, band.j - 1))]
     return BraidWord(n, tuple(prefix + middle + suffix))
+
+
+def free_reduction(letters: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The letters with every adjacent inverse pair cancelled, in one stack pass.
+
+    Each letter (i, s) cancels an inverse letter (i, -s) directly before it
+    in what is kept so far, else is kept.  The result has no adjacent
+    inverse pair and is the same group element; letters are any
+    (generator, +1 or -1) pairs, braid letters or the band-height letters
+    of cycle words.
+    """
+    stack: list[tuple[int, int]] = []
+    for i, s in letters:
+        if stack and stack[-1] == (i, -s):
+            stack.pop()
+        else:
+            stack.append((i, s))
+    return stack
 
 
 def beta(rep: BandRepresentation) -> BraidWord:

@@ -54,7 +54,13 @@ def _read_document(path: str, inputs: dict):
 
 
 def _word_length(rep: BandRepresentation) -> int:
-    """Letters of beta(rep), counted from the bands without expanding them."""
+    """Letters of beta(rep), counted from the bands without expanding them.
+
+    The limit counts the expanded letters, not those left after the free
+    reduction that `alexander_from_braid` applies: `invariants` still
+    builds `beta(rep)` in full and reads its permutation and exponent sum
+    from every letter.
+    """
     return sum(2 * (band.j - band.i) - 1 for band in rep.bands)
 
 

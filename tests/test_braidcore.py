@@ -10,6 +10,7 @@ from qpfiber.braidcore import (
     beta,
     expand_band,
     exponent_sum,
+    free_reduction,
     fundamental_cycles,
     is_quasipositive,
     permutation,
@@ -173,6 +174,34 @@ def test_expand_band_length(rep):
 @given(braid_words())
 def test_inverse_word(word):
     assert permutation(word * word.inverse()) == tuple(range(1, word.strands + 1))
+
+
+def test_free_reduction_examples():
+    assert free_reduction([]) == []
+    assert free_reduction([(1, 1), (1, -1)]) == []
+    assert free_reduction([(1, 1), (1, 1)]) == [(1, 1), (1, 1)]  # only inverse letters cancel
+    assert free_reduction([(1, 1), (2, -1)]) == [(1, 1), (2, -1)]
+    assert free_reduction(word_from_letters(4, [1, 2, 3, -3, -2, 2, 1, -1, 3]).letters) == [(1, 1), (2, 1), (3, 1)]
+    assert free_reduction(word_from_letters(3, [2, 1, -1, -2, -2]).letters) == [(2, -1)]
+
+
+@settings(max_examples=200)
+@given(braid_words(max_strands=4, max_length=24))
+def test_free_reduction_is_a_reduced_form_of_the_same_braid(word):
+    reduced = free_reduction(word.letters)
+    assert all(b != (i, -s) for (i, s), b in zip(reduced, reduced[1:]))
+    assert free_reduction(reduced) == reduced
+    reduced_word = BraidWord(word.strands, tuple(reduced))
+    assert permutation(reduced_word) == permutation(word)
+    assert exponent_sum(reduced_word) == exponent_sum(word)
+    assert free_reduction((word * word.inverse()).letters) == []
+
+
+def test_free_reduction_of_the_fiber_words():
+    # consecutive bands of q_rep(k) cancel most of each other's conjugating letters
+    lengths = [len(free_reduction(beta(q_rep(k)).letters)) for k in range(2, 12)]
+    assert lengths == [2, 12, 42, 104, 210, 372, 602, 912, 1314, 1820]
+    assert [len(beta(q_rep(k))) for k in (6, 11)] == [1250, 20000]
 
 
 @st.composite

@@ -97,6 +97,11 @@ class TestCoarseDecomposition:
         with pytest.raises(InvalidParameter):
             CoarseDecomposition(3).coarse_one_handle(5)
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, "2", True, None])
+    def test_rejects_a_handle_index_that_is_not_an_int(self, s):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            CoarseDecomposition(3).coarse_one_handle(s)
+
     @pytest.mark.parametrize("n", [1, 2.5, 3.0, "3", True])
     def test_rejects_an_n_that_is_not_an_int_at_least_2(self, n):
         with pytest.raises(InvalidParameter):

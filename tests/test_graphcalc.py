@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qpfiber import graphcalc
 from qpfiber.braidcore import BandRepresentation, EmbeddedBand
 from qpfiber.cli import run
-from qpfiber.errors import InvalidGraph, NotFull, SiteNotEligible
+from qpfiber.errors import InvalidGraph, InvalidParameter, NotFull, SiteNotEligible
 from qpfiber.graphcalc import (
     ArcEnd,
     Comb,
@@ -223,6 +223,21 @@ class TestCycleWords:
         words = cycle_words(spine(HOPF_HOST.rep))
         assert len(words) == 1 and words[0]
 
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=16))
+    def test_cyclic_reduction_matches_repeated_cancellation(self, word):
+        # reference: delete the first adjacent inverse pair, else an inverse first and last, until none is left
+        want = list(word)
+        while True:
+            pairs = [(k, k + 1) for k in range(len(want) - 1)]
+            if len(want) >= 2:
+                pairs.append((0, len(want) - 1))
+            hit = next(((a, b) for a, b in pairs if want[a] == (want[b][0], -want[b][1])), None)
+            if hit is None:
+                break
+            del want[hit[1]], want[hit[0]]
+        assert graphcalc._cyclic_reduce(word) == want
+
 
 class TestIsFull:
     def test_spines_are_full(self):
@@ -303,6 +318,13 @@ class TestWhiteheadStep:
     def test_out_of_range_site_rejected(self, site):
         with pytest.raises(SiteNotEligible):
             whitehead_step(three_arc_example(), site)
+
+    @pytest.mark.parametrize(
+        "fields", [(1.0, 0, 0), (1, 0, 0.0), (1, 0.0, 0), (True, 0, 0), (1, False, 0), (1, 0, "0")]
+    )
+    def test_a_site_refuses_a_field_that_is_not_an_int(self, fields):
+        with pytest.raises(InvalidParameter, match="must hold three integers"):
+            Site(*fields)
 
     def test_disk_zero_is_not_the_last_disk(self):
         g = inverse_whitehead(spine(HOPF_HOST.rep), 1, 0, 2)

@@ -7,8 +7,9 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from qpfiber import invariants
 from qpfiber._linking import pl_seifert_matrix
-from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, word_from_letters
+from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, free_reduction, word_from_letters
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.errors import NonExactDivision
 from qpfiber.invariants import (
@@ -119,6 +120,19 @@ def matrix_pairs(draw):
     a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
     b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
     return a, b, (rows, inner, cols)
+
+
+@st.composite
+def cancelling_words(draw):
+    """A signed word with inverse pairs inserted, some of them nested, at drawn places."""
+    word = draw(braid_words(max_strands=5, max_length=10))
+    letters = list(word.letters)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(1, word.strands - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [(i, sign), (i, -sign)]
+    return BraidWord(word.strands, tuple(letters))
 
 
 HOPF = BandRepresentation(2, (EmbeddedBand(1, 2, 1), EmbeddedBand(1, 2, 1)))
@@ -263,6 +277,26 @@ class TestLaurentAgainstReference:
         remainder = LaurentPolynomial(r, data.draw(st.integers(-6, 6)))
         with pytest.raises(NonExactDivision):
             (L(p) * b + remainder).exact_div(b)
+
+    @given(term_dicts, st.sampled_from((1, -1, 2, -2, 3)), st.integers(-6, 6))
+    @settings(max_examples=150)
+    @example({0: 2, 1: -4, 3: 6}, -2, 1)
+    @example({-1: 1, 2: 2}, 2, 0)  # one coefficient is not a multiple of c
+    @example({0: 3, 1: 1}, 3, -2)  # the top coefficient is a multiple of c, the lowest is not
+    def test_division_by_a_monomial(self, p, c, j):
+        # the reference divides each coefficient, or finds one that c does not divide
+        p = {e: x for e, x in p.items() if x}
+        if any(x % c for x in p.values()):
+            with pytest.raises(NonExactDivision, match="^leading coefficient does not divide$"):
+                L(p).exact_div(L({j: c}))
+        else:
+            quotient = L(p).exact_div(L({j: c}))
+            assert_trimmed(quotient)
+            assert as_dict(quotient) == {e - j: x // c for e, x in p.items()}
+        # a product by the monomial divides back
+        quotient = L(ref_mul(p, {j: c})).exact_div(L({j: c}))
+        assert_trimmed(quotient)
+        assert as_dict(quotient) == p
 
     @given(term_dicts)
     def test_division_by_zero_is_refused(self, p):
@@ -458,6 +492,25 @@ class TestBurau:
                 for letters in ([edge], [edge, edge], mixed + [edge], [edge] + mixed + [edge]):
                     word = word_from_letters(n, letters)
                     assert as_dicts(reduced_burau(word)) == naive_fold(word), (n, letters)
+
+    @given(cancelling_words())
+    @settings(max_examples=60, deadline=None)
+    def test_free_reduction_keeps_the_matrix(self, word):
+        reduced = BraidWord(word.strands, free_reduction(word.letters))
+        assert reduced_burau(reduced) == reduced_burau(word)
+        assert as_dicts(reduced_burau(word)) == naive_fold(word)
+
+    def test_the_fiber_word_costs_one_mat_mul_per_reduced_letter(self, monkeypatch):
+        # beta(q_rep(6)) has 1,250 letters, 210 of them left after free reduction
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(invariants, "mat_mul", counting)
+        alexander_from_braid(beta(q_rep(6)))
+        assert len(calls) == 210
 
     def test_empty_word_is_identity(self):
         assert reduced_burau(BraidWord(2, ())) == dense_identity(1)
