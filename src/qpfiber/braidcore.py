@@ -232,10 +232,13 @@ def expand_band(band: EmbeddedBand, n: int) -> BraidWord:
     """
     if band.j > n:
         raise InvalidBand(f"band ({band.i},{band.j}) does not fit in B_{n}")
+    return BraidWord(n, tuple(_band_letters(band)))
+
+
+def _band_letters(band: EmbeddedBand) -> list[tuple[int, int]]:
+    """The letters of `expand_band`, unchecked: the caller validates the word they go into."""
     prefix = [(c, 1) for c in range(band.i, band.j - 1)]
-    middle = [(band.j - 1, band.sign)]
-    suffix = [(c, -1) for c in reversed(range(band.i, band.j - 1))]
-    return BraidWord(n, tuple(prefix + middle + suffix))
+    return prefix + [(band.j - 1, band.sign)] + [(c, -1) for c, _ in reversed(prefix)]
 
 
 def free_reduction(letters: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -257,10 +260,15 @@ def free_reduction(letters: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def beta(rep: BandRepresentation) -> BraidWord:
-    """The braid word b(1)...b(k) of a band representation."""
+    """The braid word b(1)...b(k) of a band representation.
+
+    The representation already holds every band in B_n, so the letters of
+    each band are not checked on their own: the word's constructor checks
+    each letter once.
+    """
     letters: list[tuple[int, int]] = []
     for band in rep.bands:
-        letters.extend(expand_band(band, rep.strands).letters)
+        letters.extend(_band_letters(band))
     return BraidWord(rep.strands, tuple(letters))
 
 

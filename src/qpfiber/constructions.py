@@ -42,10 +42,15 @@ from .surface import BraidedSurface, euler_characteristic, handle_spine
 MAX_N = 11
 """Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
 
-On a 2-core x86-64 machine (Python 3.11, median of five fresh-process runs
-of ``verify_fiber(n)``) n = 9..12 took 0.063, 0.099, 0.15 and 0.23 s.  The
-determinants lead, 0.11 s against 0.020 s for the Burau products at n = 11,
-on freely reduced words (1,820 of the 20,000 letters of beta(q_rep(11))).
+On a 2-core x86-64 machine shared with other jobs (Python 3.11, medians
+of five fresh-process runs of ``verify_fiber(n)``, over three such runs)
+n = 9..12 took 0.025-0.043, 0.041-0.064, 0.064-0.106 and 0.097-0.120 s,
+against 0.049-0.069, 0.062-0.103, 0.112-0.154 and 0.155-0.214 s for the
+Bareiss-only determinant in the same runs.  The determinants still lead,
+0.037-0.050 s against 0.011-0.020 s for the Burau products at n = 11
+(both words, in one process), on freely
+reduced words (1,820 of the 20,000 letters of beta(q_rep(11))); the unit
+phase of ``mat_det`` leaves 11 of the 100 steps of q_rep(11) to Bareiss.
 Raising the limit would also raise ``cli.MAX_STRANDS`` and
 ``cli.MAX_LETTERS``, which are taken from ``q_rep(MAX_N)``.
 """

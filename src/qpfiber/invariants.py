@@ -7,10 +7,15 @@ they can cross-check each other:
   ``det(rho(w) - I) / (1 + t + ... + t^(n-1))``;
 * an integer Seifert matrix of the braided surface, with ``det(V - tV^T)``.
 
-Both reduce to arithmetic in Z[t, t^-1].  A `LaurentPolynomial` is stored
-as its lowest exponent and the tuple of coefficients from there up, with no
-zero at either end, so equal polynomials store equal pairs; sums align two
-lists and products convolve them.  Monomials cost what they are: a
+Both end in one determinant over Z[t, t^-1], `mat_det`: Gaussian steps
+while every pivot is a unit +-t^j, which divide by nothing, then
+fraction-free Bareiss steps on what is left.  On the fiber model
+q_rep(k), whose matrices on either route are (k-1)^2 square, all but the
+last k - 1 (Seifert) or k (Burau) steps are unit steps; on nabla(k) none
+is.  A `LaurentPolynomial` is stored as its lowest exponent and the tuple
+of coefficients from there up, with no zero at either end, so equal
+polynomials store equal pairs; sums align two lists and products convolve
+them.  Monomials cost what they are: a
 monomial factor c t^j is a shift and a scale, two monomials at one
 exponent add as two integers, and neither result goes back through the
 trimming constructor.
@@ -282,35 +287,53 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
 
 
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
-    """Fraction-free Bareiss determinant over Z[t, t^-1], on sparse rows.
+    """Determinant over Z[t, t^-1]: Gaussian steps on unit pivots, then fraction-free Bareiss, on sparse rows.
 
-    Bareiss (Math. Comp. 22, 1968) on the n x n matrix M, steps k = 0..n-1,
-    with p_k the pivot of step k and p_-1 = 1: before step k the rows at
-    positions i >= k hold R^k_i, with R^0 = M, and step k sets, for i > k,
+    Each row is stored as a dict from column to its nonzero entries.  Step
+    k = 0..n-1 on the n x n matrix M picks a pivot row among the rows at
+    positions >= k with an entry in column k, swaps it to position k, which
+    flips the sign, and clears column k below it.  A row's update at step k
+    reads only that row and the pivot row, so it depends on the row of M
+    and the pivot rows of the steps before, in order, not on where the
+    other rows stand: the run is one without swaps on M with its rows put
+    in pivot order, whose determinant is det M times the sign of that
+    permutation, which the swaps count.  If no row has an entry in column
+    k, columns 0..k are nonzero only in rows 0..k-1 after row operations
+    that add multiples of earlier rows and scale rows by nonzero factors,
+    so det M = 0.  The steps run in two phases.
 
-        R^(k+1)_ij = (R^k_ij p_k - R^k_ik R^k_kj) / p_(k-1),    p_k = R^k_kk.
+    1. Unit phase.  While every pivot taken so far is a unit c t^j
+       (c = +-1) of Z[t, t^-1], step k takes, among the rows whose column-k
+       entry is a unit, one with the fewest entries, the lowest position
+       on a tie.  Its pivot p goes into a running unit u, and every row
+       i > k with an entry in column k is cleared by a plain Gaussian step,
 
-    By Sylvester's identity R^k_ij (i, j >= k) is the minor of M on rows
-    0..k-1, i and columns 0..k-1, j; the last pivot p_(n-1) is det M.
-    Each row is stored as a dict from column to its nonzero entries.
+           R_ij -= (R_ik p^-1) R_kj,    p^-1 = c t^-j,
 
-    1. Pivot rows chosen as the run goes.  Step k takes, among the rows at
-       positions >= k with an entry in column k, one with the fewest entries
-       (Markowitz, Management Sci. 3, 1957), the lowest position on a tie,
-       and swaps it to position k, flipping the sign.  A row's update at
-       step k reads only that row and the pivot row, so R^k_i depends on
-       row i of M and the pivot rows of steps 0..k-1 in order, not on where
-       the other rows stand.  The run is therefore Bareiss without swaps on
-       M with its rows put in pivot order, whose determinant is det M times
-       the sign of that permutation, which the swaps count.  If no row has
-       an entry in column k, columns 0..k of R^k are nonzero only in rows
-       0..k-1; R^k comes from M with rows permuted by row operations that
-       add multiples of earlier rows and scale rows by nonzero factors, so
-       det M = 0.
-    2. Deferred scaling.  A row with no entry in column k only gets
+       one product and one difference per entry, with no division.  Once
+       column k has no unit candidate the phase ends for good, at step k0:
+       the later steps are Bareiss steps, whose rows carry scales that a
+       Gaussian step would drop.  This stays exact:
+       * eliminating by a unit of Z[t, t^-1] never leaves Z[t, t^-1];
+       * the rows at positions >= k0 hold the Schur complement C of the
+         unit pivots, and det M = sign u det C;
+       * every Bareiss quotient below is a minor of C (item 4).
+    2. Bareiss (Math. Comp. 22, 1968) on C, steps k >= k0, with p_k the
+       pivot of step k and p_(k0-1) = 1: before step k the rows at
+       positions i >= k hold R^k_i, with R^k0 = C, and step k sets, for
+       i > k,
+
+           R^(k+1)_ij = (R^k_ij p_k - R^k_ik R^k_kj) / p_(k-1),    p_k = R^k_kk.
+
+       By Sylvester's identity R^k_ij (i, j >= k) is the minor of C on its
+       rows and columns k0..k-1 with i and j; the last pivot p_(n-1) is
+       det C, and det M = sign u p_(n-1).  Step k takes, among the rows
+       with an entry in column k, one with the fewest entries (Markowitz,
+       Management Sci. 3, 1957), the lowest position on a tie.
+    3. Deferred scaling.  A row with no entry in column k only gets
        R^(k+1)_i = R^k_i p_k / p_(k-1), which keeps its support.  So a row
        stores S = R^a_i, where a - 1 is the step it was last updated at
-       (a = 0 if never), together with its divisor d = p_(a-1).  The
+       (a = k0 if never), together with its divisor d = p_(a-1).  The
        factors from steps a..k-1 telescope: R^k_i = S p_(k-1) / d.  When
        column k next reaches it, substituting into the step gives
 
@@ -319,9 +342,9 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
        one product and one division per entry with no factor for the
        skipped steps; the row then stores R^(k+1)_i and divisor p_k.  The
        pivot row itself is brought up to R^k_k = S p_(k-1) / d before its
-       entries are read, and at k = n - 1 that gives det M.
-    3. Exact quotients.  Every quotient taken is an entry R^(k+1)_ij or
-       R^k_kj, a minor of M, so it lies in Z[t, t^-1].  The divisor is a
+       entries are read, and at k = n - 1 that gives det C.
+    4. Exact quotients.  Every quotient taken is an entry R^(k+1)_ij or
+       R^k_kj, a minor of C, so it lies in Z[t, t^-1].  The divisor is a
        nonzero pivot and Z[t, t^-1] has no zero divisors, so top-down long
        division meets only leading coefficients that divide and leaves no
        remainder: `exact_div` never raises here.
@@ -330,10 +353,37 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
     update costs the sizes of the two rows, not (n - k)^2.
     """
     n = len(matrix)
+    # position -> nonzero entries by column
+    grid = [{j: entry for j, entry in enumerate(row) if entry} for row in matrix]
+    sign, unit, k = 1, _ONE, 0
+    while k < n:
+        candidates = [r for r in range(k, n) if grid[r].get(k, _ZERO).coeffs in ((1,), (-1,))]  # +-t^j
+        if not candidates:
+            break
+        r = min(candidates, key=lambda c: len(grid[c]))  # the first of the fewest: lowest position
+        if r != k:
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
+        pivot_entries = grid[k].copy()
+        pivot = pivot_entries.pop(k)
+        unit = unit * pivot
+        inverse = _trimmed(pivot.coeffs, -pivot.low)  # c t^-j, as c = +-1 is its own inverse
+        for row in grid[k + 1:]:
+            factor = row.pop(k, None)
+            if factor is None:
+                continue
+            factor = factor * inverse
+            for j, entry in pivot_entries.items():
+                updated = row.get(j, _ZERO) - factor * entry
+                if updated:
+                    row[j] = updated
+                else:
+                    del row[j]
+        k += 1
     # position -> (nonzero entries by column, divisor of the row's next update)
-    rows = [({j: entry for j, entry in enumerate(row) if entry}, _ONE) for row in matrix]
-    sign, previous = 1, _ONE
-    for k in range(n):
+    rows = [(row, _ONE) for row in grid]
+    previous = _ONE
+    for k in range(k, n):
         candidates = [r for r in range(k, n) if k in rows[r][0]]
         if not candidates:
             return _ZERO
@@ -359,7 +409,8 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
                 updated = {j: entry.exact_div(divisor) for j, entry in updated.items()}
             rows[i] = (updated, pivot)
         previous = pivot
-    return previous if sign == 1 else -previous
+    det = unit * previous
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,25 @@ def test_beta_examples():
     assert letters(beta(rep)) == [(1, 1), (1, 1)]
 
 
+@given(band_representations(max_bands=4))
+def test_beta_is_the_bands_expanded_in_order(rep):
+    assert letters(beta(rep)) == [letter for band in rep.bands for letter in letters(expand_band(band, rep.strands))]
+
+
+def test_beta_checks_its_letters_once(monkeypatch):
+    checked = []
+    check = BraidWord.__post_init__
+
+    def counting(self):
+        checked.append(len(self.letters))
+        check(self)
+
+    monkeypatch.setattr(BraidWord, "__post_init__", counting)
+    rep = BandRepresentation(5, (EmbeddedBand(1, 4, 1), EmbeddedBand(2, 5, -1), EmbeddedBand(1, 2, 1)))
+    assert len(beta(rep)) == 11
+    assert checked == [11]
+
+
 def test_is_quasipositive():
     assert is_quasipositive(BandRepresentation(4, (EmbeddedBand(1, 3, 1), EmbeddedBand(2, 4, 1))))
     assert not is_quasipositive(BandRepresentation(3, (EmbeddedBand(1, 2, 1), EmbeddedBand(2, 3, -1))))

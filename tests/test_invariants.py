@@ -419,6 +419,23 @@ def seifert_grid(rep):
     return tuple(tuple(L({0: v[i][j], 1: -v[j][i]}) for j in range(len(v))) for i in range(len(v)))
 
 
+def unit(rng):
+    """+-t^j."""
+    return {rng.randint(-2, 2): rng.choice((1, -1))}
+
+
+def non_unit(rng):
+    """A nonzero entry that is no unit: one term with coefficient +-2 or 3, or two terms."""
+    low = rng.randint(-2, 2)
+    if rng.random() < 0.5:
+        return {low: rng.choice((-2, 2, 3))}
+    return {low: rng.choice((-1, 1, 2)), low + rng.randint(1, 2): rng.choice((-1, 1, 3))}
+
+
+def any_entry(rng):
+    return rng.choice((lambda rng: {}, unit, non_unit))(rng)
+
+
 square_matrices = st.integers(2, 5).flatmap(
     lambda size: st.lists(st.lists(polys, min_size=size, max_size=size), min_size=size, max_size=size)
 )
@@ -454,9 +471,81 @@ class TestDeterminant:
             [{}, {0: 2}, {0: 1}, {}, {}],
             [{}, {0: 1}, {1: 1}, {0: 1}, {}],
             [{}, {}, {}, {0: 3}, {1: 1}],
-            [{0: 1}, {}, {}, {0: 1}, {0: 2}],
+            [{0: 2}, {}, {}, {0: 1}, {0: 2}],
         ]
+        # column 0 holds no unit, so every step is a Bareiss step
         assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix)
+
+    def test_unit_phase_takes_a_negative_pivot_after_a_swap(self):
+        # column 0 holds one unit, -t^j, below row 0: step 0 swaps it up and clears by -t^-j
+        rng = random.Random(2401)
+        for size in range(2, 6):
+            for _ in range(8):
+                matrix = [[any_entry(rng) for _ in range(size)] for _ in range(size)]
+                for row in matrix:
+                    row[0] = non_unit(rng)
+                pivot = rng.randrange(1, size)
+                matrix[pivot][0] = {rng.randint(-2, 2): -1}
+                matrix[pivot][rng.randrange(1, size)] = non_unit(rng)
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_bareiss_takes_over_part_way(self):
+        # after the unit step on column 0 every column-1 entry is still even, so no unit: Bareiss from step 1
+        rng = random.Random(2402)
+        for size in range(3, 6):
+            for _ in range(8):
+                matrix = [[any_entry(rng) for _ in range(size)] for _ in range(size)]
+                matrix[rng.randrange(size)][0] = unit(rng)
+                for row in matrix:
+                    row[1] = {e: 2 * c for e, c in non_unit(rng).items()}
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_no_gaussian_step_after_a_bareiss_step(self):
+        # column 0 holds no unit, so step 0 is a Bareiss step on row 0, with pivot 2.  It stores
+        # row 1 with divisor 2 and the unit 2 * 2 - 3 * 1 = 1 in column 1; every other column-1
+        # entry is no unit.  A unit step there would drop the factor 2 the row's scale carries.
+        rng = random.Random(2403)
+        for size in range(2, 6):
+            for _ in range(8):
+                matrix = [[any_entry(rng) for _ in range(size)] for _ in range(size)]
+                matrix[0] = [{0: 2}, {0: 1}] + [{}] * (size - 2)
+                matrix[1][:2] = [{0: 3}, {0: 2}]
+                for row in matrix[2:]:
+                    row[:2] = [{}, non_unit(rng)]
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_no_unit_pivot(self):
+        rng = random.Random(2404)
+        for size in range(1, 6):
+            for _ in range(8):
+                matrix = [[any_entry(rng) for _ in range(size)] for _ in range(size)]
+                for row in matrix:
+                    row[0] = non_unit(rng) if rng.random() < 0.7 else {}
+                matrix[0][0] = non_unit(rng)
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_singular_found_in_each_phase(self):
+        # the unit step on row 0 clears row 1 = -t row 0, and column 1 is then empty
+        gaussian = [[{0: 1}, {1: 1}, {0: 2}], [{1: -1}, {2: -1}, {1: -2}], [{1: 1}, {2: 1}, {0: 5}]]
+        # no unit in column 0; Bareiss step 0 clears row 1 = 2 row 0, found empty at step 2
+        bareiss = [[{0: 2}, {0: 1, 1: 1}, {0: 4}], [{0: 4}, {0: 2, 1: 2}, {0: 8}], [{0: 1, 1: 1}, {0: 3}, {1: 1}]]
+        for matrix in (gaussian, bareiss):
+            assert leibniz_det(matrix) == {}
+            assert mat_det(as_polys(matrix)) == L({})
+        rng = random.Random(2405)
+        for size in range(2, 6):
+            for _ in range(8):
+                matrix = [[any_entry(rng) for _ in range(size)] for _ in range(size)]
+                for row in matrix:
+                    row[0] = non_unit(rng)
+                source, target = rng.sample(range(size), 2)
+                if rng.random() < 0.5:
+                    matrix[source][0] = unit(rng)
+                    factor = unit(rng)
+                else:
+                    factor = {rng.randint(-1, 1): 2}
+                matrix[target] = [ref_mul(entry, factor) for entry in matrix[source]]
+                assert mat_det(as_polys(matrix)) == L({}), matrix
 
     @given(square_matrices, st.data())
     @settings(max_examples=30, deadline=None)
@@ -511,6 +600,20 @@ class TestBurau:
         monkeypatch.setattr(invariants, "mat_mul", counting)
         alexander_from_braid(beta(q_rep(6)))
         assert len(calls) == 210
+
+    def test_the_fiber_word_costs_few_exact_divisions(self, monkeypatch):
+        # the unit phase clears most columns of rho(beta(q_rep(6))) - I with no division; the last
+        # of these is the division by 1 + t + ... + t^6
+        calls = []
+        divide = LaurentPolynomial.exact_div
+
+        def counting(self, divisor):
+            calls.append(None)
+            return divide(self, divisor)
+
+        monkeypatch.setattr(LaurentPolynomial, "exact_div", counting)
+        alexander_from_braid(beta(q_rep(6)))
+        assert len(calls) == 25
 
     def test_empty_word_is_identity(self):
         assert reduced_burau(BraidWord(2, ())) == dense_identity(1)
