@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .braidcore import BandRepresentation, BraidWord, beta, exponent_sum, permutation_cycles
+from .braidcore import BandRepresentation, BraidWord, band_permutation, beta, cycles
 from .constructions import MAX_N, expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import InternalError, InvalidInput, PreconditionError, QpfiberError, SizeLimitExceeded
 from .graphcalc import CombedGraph, reduce_with_trace
@@ -58,8 +58,7 @@ def _word_length(rep: BandRepresentation) -> int:
 
     The limit counts the expanded letters, not those left after the free
     reduction that `alexander_from_braid` applies: `invariants` still
-    builds `beta(rep)` in full and reads its permutation and exponent sum
-    from every letter.
+    builds `beta(rep)` in full before reducing it.
     """
     return sum(2 * (band.j - band.i) - 1 for band in rep.bands)
 
@@ -177,13 +176,14 @@ def _dispatch(args, inputs: dict) -> dict:
         rep = _band_representation(_read_document(args.input, inputs))
         surface = BraidedSurface(rep)
         surface_summary = summary(surface)
-        word = beta(rep)
+        # beta(rep) is expanded only for the Burau product: each band acts on the strands as the
+        # transposition of its ends, and its letters' exponents sum to its sign
         return {
             "chi": euler_characteristic(surface),
             "components": len(surface_summary.components),
-            "boundary": len(permutation_cycles(word)),
-            "exponent_sum": exponent_sum(word),
-            "alexander": alexander_from_braid(word).coefficient_list(),
+            "boundary": len(cycles(band_permutation(rep))),
+            "exponent_sum": sum(band.sign for band in rep.bands),
+            "alexander": alexander_from_braid(beta(rep)).coefficient_list(),
             "summary": surface_summary.to_json(),
         }
     if args.verb == "verify-fiber":

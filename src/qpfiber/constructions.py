@@ -24,9 +24,10 @@ from .braidcore import (
     BandRepresentation,
     BraidWord,
     EmbeddedBand,
+    band_permutation,
     beta,
+    cycles,
     is_quasipositive,
-    permutation_cycles,
 )
 from .errors import (
     FiberVerificationFailed,
@@ -44,15 +45,16 @@ MAX_N = 11
 
 On a 2-core x86-64 machine shared with other jobs (Python 3.11, medians
 of five fresh-process runs of ``verify_fiber(n)``, over three such runs)
-n = 9..12 took 0.025-0.043, 0.041-0.064, 0.064-0.106 and 0.097-0.120 s,
-against 0.049-0.069, 0.062-0.103, 0.112-0.154 and 0.155-0.214 s for the
-Bareiss-only determinant in the same runs.  The determinants still lead,
-0.037-0.050 s against 0.011-0.020 s for the Burau products at n = 11
-(both words, in one process), on freely
-reduced words (1,820 of the 20,000 letters of beta(q_rep(11))); the unit
-phase of ``mat_det`` leaves 11 of the 100 steps of q_rep(11) to Bareiss.
-Raising the limit would also raise ``cli.MAX_STRANDS`` and
-``cli.MAX_LETTERS``, which are taken from ``q_rep(MAX_N)``.
+n = 9..12 took 0.015-0.025, 0.022-0.033, 0.032-0.034 and 0.048-0.080 s,
+against 0.026-0.038, 0.042-0.065, 0.065-0.069 and 0.099-0.104 s in the
+same runs when the Bareiss steps of ``mat_det`` divided Laurent
+polynomials instead of packed integers.  At n = 11 the Burau products,
+on freely reduced words (1,820 of the 20,000 letters of
+beta(q_rep(11))), now lead: 0.012-0.021 s against 0.007-0.012 s for the
+determinants (both words, medians in one process); the unit phase of
+``mat_det`` leaves 11 of the 100 steps of q_rep(11) to Bareiss.  Raising
+the limit would also raise ``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``,
+which are taken from ``q_rep(MAX_N)``.
 """
 
 
@@ -255,14 +257,13 @@ def verify_fiber(n: int) -> FiberReport:
     """
     q = q_rep(n)
     nab = nabla(n)
-    q_word, nab_word = beta(q), beta(nab)  # each expanded once
     report = FiberReport(
         n=n,
         chi_q=euler_characteristic(BraidedSurface(q)),
         chi_nabla=euler_characteristic(BraidedSurface(nab)),
-        components_q=len(permutation_cycles(q_word)),
-        components_nabla=len(permutation_cycles(nab_word)),
-        alexander_agree=eq_up_to_units(alexander_from_braid(q_word), alexander_from_braid(nab_word)),
+        components_q=len(cycles(band_permutation(q))),
+        components_nabla=len(cycles(band_permutation(nab))),
+        alexander_agree=eq_up_to_units(alexander_from_braid(beta(q)), alexander_from_braid(beta(nab))),
     )
     if not report.ok():
         raise FiberVerificationFailed(f"fiber models disagree: {report.to_json()}")

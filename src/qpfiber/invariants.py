@@ -9,13 +9,16 @@ they can cross-check each other:
 
 Both end in one determinant over Z[t, t^-1], `mat_det`: Gaussian steps
 while every pivot is a unit +-t^j, which divide by nothing, then
-fraction-free Bareiss steps on what is left.  On the fiber model
-q_rep(k), whose matrices on either route are (k-1)^2 square, all but the
-last k - 1 (Seifert) or k (Burau) steps are unit steps; on nabla(k) none
-is.  A `LaurentPolynomial` is stored as its lowest exponent and the tuple
-of coefficients from there up, with no zero at either end, so equal
-polynomials store equal pairs; sums align two lists and products convolve
-them.  Monomials cost what they are: a
+fraction-free Bareiss steps on what is left, on Python integers.  Each
+entry left is packed as its value at t = 2^B (Kronecker substitution),
+with B taken from Hadamard's bound, so that the determinant's
+coefficients are read back as the signed base-2^B digits of the last
+pivot.  On the fiber model q_rep(k), whose matrices on either route are
+(k-1)^2 square, all but the last k - 1 (Seifert) or k (Burau) steps are
+unit steps; on nabla(k) none is.  A `LaurentPolynomial` is stored as
+its lowest exponent and the tuple of coefficients from there up, with no
+zero at either end, so equal polynomials store equal pairs; sums align
+two lists and products convolve them.  Monomials cost what they are: a
 monomial factor c t^j is a shift and a scale, two monomials at one
 exponent add as two integers, and neither result goes back through the
 trimming constructor.
@@ -191,22 +194,12 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.coeffs)
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise.
-
-        A monomial divisor c t^j, as most Bareiss pivots of a Burau matrix
-        are, takes one divisibility check (none for c = +-1), then a shift
-        and a scale, as in `__mul__`; the quotient's ends stay nonzero.
-        """
+        """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise."""
         den = divisor.coeffs
         if not den:
             raise NonExactDivision("division by zero polynomial")
         if not self.coeffs:
             return _ZERO
-        if len(den) == 1:
-            lead, low = den[0], self.low - divisor.low
-            if lead != 1 and lead != -1 and any(c % lead for c in self.coeffs):
-                raise NonExactDivision("leading coefficient does not divide")
-            return _trimmed(self.coeffs if lead == 1 else tuple([c // lead for c in self.coeffs]), low)
         num = list(self.coeffs)
         top, lead = len(den) - 1, den[-1]
         quot = [0] * max(len(num) - top, 0)
@@ -287,7 +280,7 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
 
 
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
-    """Determinant over Z[t, t^-1]: Gaussian steps on unit pivots, then fraction-free Bareiss, on sparse rows.
+    """Determinant over Z[t, t^-1]: Gaussian steps on unit pivots, then fraction-free Bareiss on packed integers.
 
     Each row is stored as a dict from column to its nonzero entries.  Step
     k = 0..n-1 on the n x n matrix M picks a pivot row among the rows at
@@ -313,27 +306,45 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
        one product and one difference per entry, with no division.  Once
        column k has no unit candidate the phase ends for good, at step k0:
        the later steps are Bareiss steps, whose rows carry scales that a
-       Gaussian step would drop.  This stays exact:
-       * eliminating by a unit of Z[t, t^-1] never leaves Z[t, t^-1];
-       * the rows at positions >= k0 hold the Schur complement C of the
-         unit pivots, and det M = sign u det C;
-       * every Bareiss quotient below is a minor of C (item 4).
-    2. Bareiss (Math. Comp. 22, 1968) on C, steps k >= k0, with p_k the
-       pivot of step k and p_(k0-1) = 1: before step k the rows at
-       positions i >= k hold R^k_i, with R^k0 = C, and step k sets, for
+       Gaussian step would drop.  Eliminating by a unit of Z[t, t^-1] never
+       leaves Z[t, t^-1], and the rows at positions >= k0 hold the Schur
+       complement C of the unit pivots, m x m with m = n - k0, so
+       det M = sign u det C.
+    2. Packing.  Row i of C is shifted by t^-s_i, s_i its lowest exponent
+       (0 for a zero row), so C' = diag(t^-s_i) C has entries in Z[t] and
+       det C = t^(s_0 + ... + s_(m-1)) det C'.  Each entry of C' is packed
+       as its value at t = 2^B, where
+
+           H^2 = prod_i max(1, sum_j |C_ij|_1^2),    B = ceil(log2 H) + 2,
+
+       in integer arithmetic, |p|_1 the sum of the absolute values of the
+       coefficients of p.  For |z| = 1 an entry is at most |C_ij|_1 in
+       absolute value, so by Hadamard's inequality, and as a nonzero row
+       has norm at least 1, every minor of C' has |minor(z)| <= H on the
+       unit circle; its coefficients, the Fourier coefficients of
+       minor(e^(i theta)), are at most H < 2^(B-1) in absolute value.
+       Evaluation at 2^B is a ring homomorphism, so the steps below map
+       every numerator and every exact quotient to its integer image, and
+       an integer minor is zero exactly when the polynomial is: its
+       signed base-2^B digits are its coefficients.
+    3. Bareiss (Math. Comp. 22, 1968) on the packed C', steps k = 0..m-1,
+       with p_k the pivot of step k and p_-1 = 1: before step k the rows at
+       positions i >= k hold R^k_i, with R^0 = C', and step k sets, for
        i > k,
 
            R^(k+1)_ij = (R^k_ij p_k - R^k_ik R^k_kj) / p_(k-1),    p_k = R^k_kk.
 
-       By Sylvester's identity R^k_ij (i, j >= k) is the minor of C on its
-       rows and columns k0..k-1 with i and j; the last pivot p_(n-1) is
-       det C, and det M = sign u p_(n-1).  Step k takes, among the rows
-       with an entry in column k, one with the fewest entries (Markowitz,
-       Management Sci. 3, 1957), the lowest position on a tie.
-    3. Deferred scaling.  A row with no entry in column k only gets
+       By Sylvester's identity R^k_ij (i, j >= k) is the minor of C' on its
+       rows and columns 0..k-1 with i and j; the last pivot p_(m-1) is
+       det C'(2^B), whose signed base-2^B digits are the coefficients of
+       det C'.  Step k takes, among the rows with an entry in column k, one
+       with the fewest entries (Markowitz, Management Sci. 3, 1957), the
+       lowest position on a tie.  A zero test reads a minor, or a nonzero
+       pivot times a minor, so it is exact (item 2).
+    4. Deferred scaling.  A row with no entry in column k only gets
        R^(k+1)_i = R^k_i p_k / p_(k-1), which keeps its support.  So a row
        stores S = R^a_i, where a - 1 is the step it was last updated at
-       (a = k0 if never), together with its divisor d = p_(a-1).  The
+       (a = 0 if never), together with its divisor d = p_(a-1).  The
        factors from steps a..k-1 telescope: R^k_i = S p_(k-1) / d.  When
        column k next reaches it, substituting into the step gives
 
@@ -342,15 +353,13 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
        one product and one division per entry with no factor for the
        skipped steps; the row then stores R^(k+1)_i and divisor p_k.  The
        pivot row itself is brought up to R^k_k = S p_(k-1) / d before its
-       entries are read, and at k = n - 1 that gives det C.
-    4. Exact quotients.  Every quotient taken is an entry R^(k+1)_ij or
-       R^k_kj, a minor of C, so it lies in Z[t, t^-1].  The divisor is a
-       nonzero pivot and Z[t, t^-1] has no zero divisors, so top-down long
-       division meets only leading coefficients that divide and leaves no
-       remainder: `exact_div` never raises here.
+       entries are read, and at k = m - 1 that gives det C'(2^B).  Every
+       quotient taken is the image of an entry R^(k+1)_ij or R^k_kj, a
+       minor of C', so it is an integer: a nonzero remainder raises
+       NonExactDivision, which marks a fault here, not a property of M.
 
     Only the rows with an entry in column k are touched at step k, and each
-    update costs the sizes of the two rows, not (n - k)^2.
+    update costs the sizes of the two rows, not (m - k)^2.
     """
     n = len(matrix)
     # position -> nonzero entries by column
@@ -380,11 +389,20 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
                 else:
                     del row[j]
         k += 1
-    # position -> (nonzero entries by column, divisor of the row's next update)
-    rows = [(row, _ONE) for row in grid]
-    previous = _ONE
-    for k in range(k, n):
-        candidates = [r for r in range(k, n) if k in rows[r][0]]
+    complement = grid[k:]
+    shifts = [min((entry.low for entry in row.values()), default=0) for row in complement]
+    h_squared = 1
+    for row in complement:
+        h_squared *= sum(sum(map(abs, entry.coeffs)) ** 2 for entry in row.values()) or 1
+    # ceil(log2 H) = ceil(ceil(log2 H^2) / 2), and ceil(log2 x) = (x - 1).bit_length() for x >= 1
+    bits = ((h_squared - 1).bit_length() + 1) // 2 + 2
+    # position in C' -> (packed entries by column of C', divisor of the row's next update)
+    rows = [
+        ({j - k: _pack(entry, bits, shift) for j, entry in row.items()}, 1) for row, shift in zip(complement, shifts)
+    ]
+    previous, m = 1, len(rows)
+    for k in range(m):
+        candidates = [r for r in range(k, m) if k in rows[r][0]]
         if not candidates:
             return _ZERO
         r = min(candidates, key=lambda c: len(rows[c][0]))  # the first of the fewest: lowest position
@@ -393,9 +411,9 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
             sign = -sign
         pivot_row, divisor = rows[k]
         if divisor != previous:
-            pivot_row = {j: (entry * previous).exact_div(divisor) for j, entry in pivot_row.items()}
+            pivot_row = {j: _exact_quotient(entry * previous, divisor) for j, entry in pivot_row.items()}
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, m):
             row, divisor = rows[i]
             factor = row.get(k)
             if factor is None:
@@ -403,14 +421,48 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
             updated = {j: entry * pivot for j, entry in row.items() if j != k}
             for j, entry in pivot_row.items():
                 if j != k:
-                    updated[j] = updated.get(j, _ZERO) - factor * entry
+                    updated[j] = updated.get(j, 0) - factor * entry
             updated = {j: entry for j, entry in updated.items() if entry}
-            if divisor != _ONE:
-                updated = {j: entry.exact_div(divisor) for j, entry in updated.items()}
+            if divisor != 1:
+                updated = {j: _exact_quotient(entry, divisor) for j, entry in updated.items()}
             rows[i] = (updated, pivot)
         previous = pivot
-    det = unit * previous
+    det = unit * _unpack(previous, bits, sum(shifts))
     return det if sign == 1 else -det
+
+
+def _pack(p: LaurentPolynomial, bits: int, shift: int) -> int:
+    """(t^-shift p)(2^bits), for a polynomial whose lowest exponent is at least `shift`."""
+    value = 0
+    for c in reversed(p.coeffs):
+        value = (value << bits) + c
+    return value << bits * (p.low - shift)
+
+
+def _unpack(value: int, bits: int, low: int) -> LaurentPolynomial:
+    """t^low q, for the q in Z[t] with q(2^bits) = value whose coefficients are below 2^(bits-1) in absolute value.
+
+    The coefficients are the signed base-2^bits digits of `value`, lowest
+    first, each in [-2^(bits-1), 2^(bits-1)); q is unique under the bound.
+    Needs bits >= 2: with bits = 1 the digits are -1 and 0, and the digits
+    of a positive value never end.
+    """
+    coeffs, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        value = (value - c) >> bits
+    return LaurentPolynomial(coeffs, low)
+
+
+def _exact_quotient(numerator: int, divisor: int) -> int:
+    """numerator / divisor, which Bareiss's identities make exact; raises NonExactDivision otherwise."""
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise NonExactDivision("remainder left by a packed Bareiss quotient")
+    return quotient
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ from .braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, permut
 from .constructions import expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import FiberVerificationFailed
 from .invariants import (
+    LaurentPolynomial,
     _band_crossings,
     _basis_cycles,
     alexander_from_braid,
     alexander_from_seifert,
     eq_up_to_units,
+    mat_det,
     seifert_matrix,
 )
 from .qpize import quasipositize, quasipositize_handle_subsurface
@@ -102,6 +104,92 @@ def check_pl_seifert(seed: int = 20610) -> CheckResult:
         "pl-seifert-agreement", not failures,
         "; ".join(failures[:3])
         or f"{len(reps)}/{len(reps)} agree ({disconnected} disconnected, {middle} with a middle slot)",
+    )
+
+
+def _leibniz_det(matrix) -> dict:
+    """The signed sum over permutations, on {exponent: coefficient} dicts; no zero coefficient is kept."""
+    total: dict[int, int] = {}
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = {0: -1 if inversions % 2 else 1}
+        for row, column in enumerate(perm):
+            product: dict[int, int] = {}
+            for e1, c1 in term.items():
+                for e2, c2 in matrix[row][column].items():
+                    product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+            term = product
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def _determinant_cases(rng: random.Random) -> list[tuple[str, list]]:
+    """Seeded (case, matrix of {exponent: coefficient} dicts) pairs that drive each phase of `mat_det`.
+
+    An entry made by `entry` is nonzero and no unit: its lowest term has a
+    coefficient of at least 2 in absolute value.
+    """
+
+    def entry(low, size):
+        terms = {low + rng.randint(1, 3): rng.randint(-size, size) for _ in range(rng.randint(0, 2))}
+        terms[low] = rng.choice((1, -1)) * rng.randint(2, size)
+        return {e: c for e, c in terms.items() if c}
+
+    def scaled(row, factor):
+        return [{e + j: c * x for e, x in terms.items() for j, c in factor.items()} for terms in row]
+
+    cases = []
+    for size in range(2, 6):
+        for _ in range(3):
+            # a -t^j pivot below row 0: the unit phase swaps it up; the rest is sparse and small
+            unit_swap = [[entry(rng.randint(-2, 2), 9) if rng.random() < 0.7 else {} for _ in range(size)]
+                         for _ in range(size)]
+            for row in unit_swap:
+                row[0] = entry(rng.randint(-2, 2), 9)
+            unit_swap[rng.randrange(1, size)][0] = {rng.randint(-3, 3): -1}
+            cases.append(("unit pivot after a swap", unit_swap))
+            # one -t^j pivot below row 0, then a packed complement of large entries on shifted rows
+            lows = [-rng.randint(1, 6) for _ in range(size)]
+            packed = [[entry(low, 10**6) for _ in range(size)] for low in lows]
+            packed[rng.randrange(1, size)][0] = {rng.randint(-3, 3): -1}
+            cases.append(("packed tail", packed))
+            # a row -t^j times one whose column-0 entry is a unit pivot, so the unit step clears it;
+            # a row 2 t^j times another, with no unit in column 0, so every step is packed
+            unit_pivot = {rng.randint(-2, 2): 1}
+            for name, factor, pivot in (("singular by a unit", -1, unit_pivot), ("singular, packed", 2, None)):
+                singular = [[entry(rng.randint(-2, 2), 9) for _ in range(size)] for _ in range(size)]
+                source, target = rng.sample(range(size), 2)
+                if pivot:
+                    singular[source][0] = pivot
+                singular[target] = scaled(singular[source], {rng.randint(-2, 2): factor})
+                cases.append((name, singular))
+    return cases
+
+
+def check_determinant(seed: int = 20611) -> CheckResult:
+    """Criterion 11: `mat_det` equals its own Leibniz sum, exactly, not up to units.
+
+    The seeded matrices take a -t^j unit pivot after a row swap, a packed
+    tail of large entries on rows with different negative lowest exponents,
+    and singular matrices in each phase.  Both Alexander routes compare
+    their polynomials up to units, so they would miss a lost unit, sign or
+    shift; this check would not.
+    """
+    cases = _determinant_cases(random.Random(seed))
+    failures = []
+    for index, (name, matrix) in enumerate(cases):
+        polys = tuple(
+            tuple(LaurentPolynomial([terms.get(e, 0) for e in range(min(terms), max(terms) + 1)], min(terms))
+                  if terms else LaurentPolynomial() for terms in row)
+            for row in matrix
+        )
+        det = mat_det(polys)
+        if {e: c for e, c in enumerate(det.coeffs, det.low) if c} != _leibniz_det(matrix):
+            failures.append(f"case {index} ({name}): {matrix}")
+    return CheckResult(
+        "determinant-leibniz", not failures,
+        "; ".join(failures[:3]) or f"{len(cases)}/{len(cases)} seeded matrices (unit, packed, singular)",
     )
 
 
@@ -345,4 +433,5 @@ def run_all(seed: int = 20600) -> list[CheckResult]:
         check_quasipositize(seed + 8),
         check_injectivity_detector(seed + 9),
         check_pl_seifert(seed + 10),
+        check_determinant(seed + 11),
     ]

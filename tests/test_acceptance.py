@@ -52,3 +52,7 @@ def test_criterion_9_fullness_detector():
 
 def test_criterion_10_pl_seifert_agreement():
     _report(selfcheck.check_pl_seifert())
+
+
+def test_criterion_11_determinant_leibniz():
+    _report(selfcheck.check_determinant())

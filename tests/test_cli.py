@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpfiber import cli
+from qpfiber.braidcore import beta, exponent_sum, permutation_cycles
 from qpfiber.cli import MAX_ARCS, MAX_LETTERS, MAX_STRANDS, run
 from qpfiber.constructions import MAX_N, q_rep
 from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph, neighborhood_summary
+from qpfiber.sampling import random_band_representation
 from qpfiber.surface import BraidedSurface
 
 
@@ -113,6 +116,19 @@ def test_invariants_verb(tmp_path, capsys):
     assert result["exponent_sum"] == 3
     assert result["alexander"] == [1, -1, 1]
     assert path in report["inputs"]
+
+
+def test_invariants_reads_boundary_and_exponent_sum_off_the_bands(tmp_path, capsys):
+    # the verb no longer reads them off the letters of beta(rep); they must not change
+    rng = random.Random(2504)
+    for trial in range(40):
+        rep = random_band_representation(rng, max_strands=7, max_bands=8)
+        path = write_json(tmp_path, f"rep{trial}.json", rep.to_json())
+        code, report = invoke(capsys, "invariants", "--input", path)
+        assert code == 0
+        word = beta(rep)
+        assert report["result"]["boundary"] == len(permutation_cycles(word)), rep
+        assert report["result"]["exponent_sum"] == exponent_sum(word), rep
 
 
 def test_quasipositize_bigon_exits_2(tmp_path, capsys):

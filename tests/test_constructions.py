@@ -6,9 +6,11 @@ from qpfiber.braidcore import (
     EmbeddedBand,
     beta,
     exponent_sum,
+    permutation_cycles,
     word_from_letters,
 )
 from qpfiber.constructions import (
+    MAX_N,
     CoarseDecomposition,
     expand_bands,
     nabla,
@@ -19,7 +21,7 @@ from qpfiber.constructions import (
 )
 from qpfiber.errors import InvalidParameter, NotPositive, NotQuasipositive
 from qpfiber.graphcalc import ArcEnd, Comb, is_full, neighborhood_summary
-from qpfiber.invariants import alexander_from_braid
+from qpfiber.invariants import alexander_from_braid, alexander_from_seifert, seifert_matrix
 from qpfiber.surface import BraidedSurface, euler_characteristic, summary
 
 
@@ -198,7 +200,9 @@ class TestVerifyFiber:
         for n in range(2, 7):
             report = verify_fiber(n)
             assert report.ok()
-            assert report.components_q == n
+            # read off the bands, they equal the counts read off the expanded words
+            assert report.components_q == len(permutation_cycles(beta(q_rep(n)))) == n
+            assert report.components_nabla == len(permutation_cycles(beta(nabla(n)))) == n
 
     @pytest.mark.parametrize("n", [1, 2.5, 3.0, "3", True])
     def test_rejects_an_n_that_is_not_an_int_at_least_2(self, n):
@@ -206,8 +210,11 @@ class TestVerifyFiber:
             verify_fiber(n)
 
     def test_fiber_model_alexander_is_closed_form(self):
-        for n in range(2, 8):
-            assert alexander_from_braid(beta(q_rep(n))).coefficient_list() == torus_link_alexander(n)
+        # both routes up to MAX_N: the largest packed complements of mat_det are the last steps at n = 11
+        for n in range(2, MAX_N + 1):
+            want = torus_link_alexander(n)
+            assert alexander_from_braid(beta(q_rep(n))).coefficient_list() == want, n
+            assert alexander_from_seifert(seifert_matrix(q_rep(n))).coefficient_list() == want, n
 
     def test_exponent_sums(self):
         for n in range(2, 7):

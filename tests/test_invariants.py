@@ -436,6 +436,21 @@ def any_entry(rng):
     return rng.choice((lambda rng: {}, unit, non_unit))(rng)
 
 
+def large_row(rng, size, low):
+    """A row of entries with up to three terms and coefficients up to +-10^6, whose lowest exponent is `low`.
+
+    Every entry is nonzero, and none is a unit: each has a coefficient of at least 2 in absolute value.
+    """
+    row = []
+    for _ in range(size):
+        entry = {low + rng.randint(0, 4): rng.choice((-1, 1)) * rng.randint(2, 10**6)}
+        for _ in range(rng.randint(0, 2)):
+            entry[low + rng.randint(0, 4)] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        row.append(entry)
+    row[rng.randrange(size)][low] = rng.choice((-1, 1)) * rng.randint(2, 10**6)
+    return row
+
+
 square_matrices = st.integers(2, 5).flatmap(
     lambda size: st.lists(st.lists(polys, min_size=size, max_size=size), min_size=size, max_size=size)
 )
@@ -547,6 +562,63 @@ class TestDeterminant:
                 matrix[target] = [ref_mul(entry, factor) for entry in matrix[source]]
                 assert mat_det(as_polys(matrix)) == L({}), matrix
 
+    def test_wholly_packed_with_large_coefficients_and_shifted_rows(self):
+        # column 0 holds no unit, so every step runs on packed integers; row i's lowest exponent is -s_i
+        rng = random.Random(2501)
+        for size in range(1, 6):
+            for _ in range(6):
+                matrix = [large_row(rng, size, -rng.randint(1, 6)) for _ in range(size)]
+                for row in matrix:
+                    row[0] = {e: 2 * c for e, c in row[0].items()}
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_packed_steps_after_a_unit_step(self):
+        # row 0 is +-t^j e_0, so step 0 is a unit step and leaves the other rows' columns 1.. as C;
+        # their entries are even, so C holds no unit and is packed whole
+        rng = random.Random(2502)
+        for size in range(2, 6):
+            for _ in range(6):
+                matrix = [[unit(rng)] + [{}] * (size - 1)]
+                for _ in range(size - 1):
+                    row = large_row(rng, size, -rng.randint(0, 6))
+                    matrix.append([row[0]] + [{e: 2 * c for e, c in entry.items()} for entry in row[1:]])
+                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                singular = [row[:] for row in matrix]
+                source, target = rng.sample(range(1, size), 2) if size > 2 else (1, 1)
+                if source != target:
+                    factor = {rng.randint(-2, 2): rng.choice((3, -5))}
+                    singular[target][1:] = [ref_mul(entry, factor) for entry in singular[source][1:]]
+                else:
+                    singular[1][1] = {}
+                assert leibniz_det(singular) == {}
+                assert mat_det(as_polys(singular)) == L({}), singular
+
+    def test_hadamard_bound_is_met(self):
+        # 2 H_4 meets the bound: det = 256 = H = 2^8, so B = 10; with B = 9, 256 = 2^(B-1) would be
+        # read back as the digits -256 and 1.  The variant's entries 2h(1 + t) t^(i-3) give H = 4096.
+        hadamard = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        doubled = [[{0: 2 * h} for h in row] for row in hadamard]
+        assert leibniz_det(doubled) == {0: 256}
+        assert as_dict(mat_det(as_polys(doubled))) == {0: 256}
+        shifted = [[{i - 3: 2 * h, i - 2: 2 * h} for h in row] for i, row in enumerate(hadamard)]
+        assert as_dict(mat_det(as_polys(shifted))) == leibniz_det(shifted)
+        assert as_dict(mat_det(as_polys(shifted))) == {-6 + k: 256 * c for k, c in enumerate((1, 4, 6, 4, 1))}
+
+    def test_pack_and_unpack_round_trip(self):
+        rng = random.Random(2503)
+        for bits in (2, 3, 8, 61, 200):
+            top = 2 ** (bits - 1) - 1
+            for _ in range(20):
+                coeffs = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(rng.randint(1, 6))]
+                coeffs[0], coeffs[-1] = rng.choice((top, -top)), rng.choice((top, -top))
+                low = rng.randint(-4, 4)
+                poly = LaurentPolynomial(coeffs, low)
+                shift = low - rng.randint(0, 3)
+                packed = invariants._pack(poly, bits, shift)
+                assert packed == sum(c * 2 ** (bits * (k + low - shift)) for k, c in enumerate(coeffs))
+                assert invariants._unpack(packed, bits, shift) == poly
+        assert invariants._unpack(0, 5, 3) == L({})
+
     @given(square_matrices, st.data())
     @settings(max_examples=30, deadline=None)
     def test_swapping_two_rows_negates(self, matrix, data):
@@ -602,8 +674,8 @@ class TestBurau:
         assert len(calls) == 210
 
     def test_the_fiber_word_costs_few_exact_divisions(self, monkeypatch):
-        # the unit phase clears most columns of rho(beta(q_rep(6))) - I with no division; the last
-        # of these is the division by 1 + t + ... + t^6
+        # the unit phase clears most columns of rho(beta(q_rep(6))) - I with no division, and the
+        # Bareiss steps divide packed integers: the one polynomial division is by 1 + t + ... + t^6
         calls = []
         divide = LaurentPolynomial.exact_div
 
@@ -613,7 +685,7 @@ class TestBurau:
 
         monkeypatch.setattr(LaurentPolynomial, "exact_div", counting)
         alexander_from_braid(beta(q_rep(6)))
-        assert len(calls) == 25
+        assert len(calls) == 1
 
     def test_empty_word_is_identity(self):
         assert reduced_burau(BraidWord(2, ())) == dense_identity(1)
