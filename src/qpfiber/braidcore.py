@@ -331,14 +331,3 @@ def cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def exponent_sum(word: BraidWord) -> int:
     return sum(s for _, s in word.letters)
-
-
-def word_from_letters(strands: int, letters: Iterable[int]) -> BraidWord:
-    """Build a word from signed integers (i > 0 for s_i, i < 0 for s_i^-1)."""
-    out: list[tuple[int, int]] = []
-    for v in letters:
-        if v == 0:
-            raise InvalidWord("letter 0 is not a generator")
-        out.append((abs(v), 1 if v > 0 else -1))
-    return BraidWord(strands, tuple(out))
-

@@ -20,14 +20,14 @@ import json
 import sys
 import time
 
-from .braidcore import BandRepresentation, BraidWord, band_permutation, beta, cycles
+from .braidcore import BandRepresentation, BraidWord, beta
 from .constructions import MAX_N, expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import InternalError, InvalidInput, PreconditionError, QpfiberError, SizeLimitExceeded
 from .graphcalc import CombedGraph, reduce_with_trace
 from .invariants import alexander_from_braid
 from .qpize import quasipositize, quasipositize_handle_subsurface
 from .selfcheck import run_all
-from .surface import BraidedSurface, euler_characteristic, summary
+from .surface import BraidedSurface, summary
 
 
 def _read_document(path: str, inputs: dict):
@@ -174,14 +174,13 @@ def _dispatch(args, inputs: dict) -> dict:
         return {"word": word.to_json(), "graph": graph.to_json()}
     if args.verb == "invariants":
         rep = _band_representation(_read_document(args.input, inputs))
-        surface = BraidedSurface(rep)
-        surface_summary = summary(surface)
-        # beta(rep) is expanded only for the Burau product: each band acts on the strands as the
-        # transposition of its ends, and its letters' exponents sum to its sign
+        surface_summary = summary(BraidedSurface(rep))
+        # beta(rep) is expanded only for the Burau product: the summary counts each boundary circle
+        # once, in its component, and each band's letters' exponents sum to its sign
         return {
-            "chi": euler_characteristic(surface),
+            "chi": surface_summary.total_chi,
             "components": len(surface_summary.components),
-            "boundary": len(cycles(band_permutation(rep))),
+            "boundary": sum(boundary for _, boundary in surface_summary.components),
             "exponent_sum": sum(band.sign for band in rep.bands),
             "alexander": alexander_from_braid(beta(rep)).coefficient_list(),
             "summary": surface_summary.to_json(),

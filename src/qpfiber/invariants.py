@@ -15,13 +15,12 @@ with B taken from Hadamard's bound, so that the determinant's
 coefficients are read back as the signed base-2^B digits of the last
 pivot.  On the fiber model q_rep(k), whose matrices on either route are
 (k-1)^2 square, all but the last k - 1 (Seifert) or k (Burau) steps are
-unit steps; on nabla(k) none is.  A `LaurentPolynomial` is stored as
-its lowest exponent and the tuple of coefficients from there up, with no
-zero at either end, so equal polynomials store equal pairs; sums align
-two lists and products convolve them.  Monomials cost what they are: a
-monomial factor c t^j is a shift and a scale, two monomials at one
-exponent add as two integers, and neither result goes back through the
-trimming constructor.
+unit steps; on nabla(k) none is.  The unit steps work on plain
+{exponent: coefficient} dicts, each matrix entry converted once, and the
+packing reads the same dicts.  A `LaurentPolynomial` is stored as its
+lowest exponent and the tuple of coefficients from there up, with no zero
+at either end, so equal polynomials store equal pairs; sums align two
+lists and products convolve them.
 
 The Seifert matrix is a sum of integer terms read off band positions,
 slots, traversal directions and band signs; no point is laid out.  The
@@ -103,7 +102,7 @@ entries is built once, after the last letter (see ``mat_mul`` and
 from __future__ import annotations
 
 from .braidcore import BandRepresentation, BraidWord, free_reduction, fundamental_cycles
-from .errors import InvalidParameter, NonExactDivision
+from .errors import InternalError, InvalidParameter, NonExactDivision
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +114,11 @@ class LaurentPolynomial:
 
     `coeffs[k]` is the coefficient of t^(low + k), and the tuple has no zero
     at either end; zero is `()` with `low = 0`.  So equal polynomials store
-    equal pairs.  The constructor trims both ends of the ints it is given;
-    results that are trimmed by construction skip it (`_trimmed`).
+    equal pairs.  Every result goes through the constructor, which trims
+    both ends of the ints it is given: sums align two lists and products
+    convolve them, whatever the operands' sizes.  No hot loop runs on this
+    type; `mat_det` works on {exponent: coefficient} dicts and builds one
+    polynomial product at the end.
     """
 
     __slots__ = ("low", "coeffs")
@@ -140,16 +142,7 @@ class LaurentPolynomial:
         return hash((self.low, self.coeffs))
 
     def __add__(self, other, sign=1):
-        b = other.coeffs
-        if not b:
-            return self
-        a = self.coeffs
-        if not a:
-            return other if sign == 1 else -other
-        if len(a) == 1 and len(b) == 1 and self.low == other.low:
-            # two monomials at one exponent: one integer sum
-            c = a[0] + sign * b[0]
-            return _trimmed((c,), self.low) if c else _ZERO
+        a, b = self.coeffs, other.coeffs
         low = min(self.low, other.low)
         out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
         for k, c in enumerate(a, self.low - low):
@@ -159,33 +152,18 @@ class LaurentPolynomial:
         return LaurentPolynomial(out, low)
 
     def __neg__(self):
-        return _trimmed(tuple([-c for c in self.coeffs]), self.low)
+        return LaurentPolynomial([-c for c in self.coeffs], self.low)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def __mul__(self, other):
-        # a nonzero scalar keeps both ends nonzero, and so does a product of nonzero ends
         a, b = self.coeffs, other.coeffs
-        low = self.low + other.low
-        if len(a) == 1 == len(b):
-            return _trimmed((a[0] * b[0],), low)
-        if not a or not b:
-            return _ZERO
-        poly = self
-        if len(a) == 1:
-            poly, a, b = other, b, a
-        if len(b) == 1:
-            # the monomial c t^j shifts and scales `poly`; the factor 1 returns it unchanged
-            c = b[0]
-            if c != 1:
-                return _trimmed(tuple([c * x for x in a]), low)
-            return poly if low == poly.low else _trimmed(a, low)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for k, y in enumerate(b, i):
                 out[k] += x * y
-        return _trimmed(tuple(out), low)
+        return LaurentPolynomial(out, self.low + other.low)
 
     def canonical(self) -> "LaurentPolynomial":
         """Unit-normalized form: lowest exponent 0, lowest coefficient > 0."""
@@ -228,13 +206,6 @@ class LaurentPolynomial:
                 term = f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
                 parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _trimmed(coeffs: tuple, low: int) -> LaurentPolynomial:
-    """The polynomial (low, coeffs) of a tuple already trimmed: no zero at either end, low = 0 if empty."""
-    p = object.__new__(LaurentPolynomial)
-    p.low, p.coeffs = low, coeffs
-    return p
 
 
 def eq_up_to_units(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
@@ -282,7 +253,9 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
 def mat_det(matrix: Matrix) -> LaurentPolynomial:
     """Determinant over Z[t, t^-1]: Gaussian steps on unit pivots, then fraction-free Bareiss on packed integers.
 
-    Each row is stored as a dict from column to its nonzero entries.  Step
+    Each row is stored as a dict from column to its nonzero entries, and
+    each entry as a dict {exponent: coefficient} that stores no zero,
+    converted once from the input; the input is not mutated.  Step
     k = 0..n-1 on the n x n matrix M picks a pivot row among the rows at
     positions >= k with an entry in column k, swaps it to position k, which
     flips the sign, and clears column k below it.  A row's update at step k
@@ -298,18 +271,20 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
     1. Unit phase.  While every pivot taken so far is a unit c t^j
        (c = +-1) of Z[t, t^-1], step k takes, among the rows whose column-k
        entry is a unit, one with the fewest entries, the lowest position
-       on a tie.  Its pivot p goes into a running unit u, and every row
-       i > k with an entry in column k is cleared by a plain Gaussian step,
+       on a tie.  Its pivot p = c t^j goes into the running unit
+       u = sign t^low, as sign *= c and low += j, and every row i > k with
+       an entry in column k is cleared by a plain Gaussian step,
 
            R_ij -= (R_ik p^-1) R_kj,    p^-1 = c t^-j,
 
-       one product and one difference per entry, with no division.  Once
+       one convolution of two term dicts per entry, with no division; a
+       term that cancels is deleted, and so is an entry left empty.  Once
        column k has no unit candidate the phase ends for good, at step k0:
        the later steps are Bareiss steps, whose rows carry scales that a
        Gaussian step would drop.  Eliminating by a unit of Z[t, t^-1] never
        leaves Z[t, t^-1], and the rows at positions >= k0 hold the Schur
        complement C of the unit pivots, m x m with m = n - k0, so
-       det M = sign u det C.
+       det M = u det C, the swaps' sign folded into u.
     2. Packing.  Row i of C is shifted by t^-s_i, s_i its lowest exponent
        (0 for a zero row), so C' = diag(t^-s_i) C has entries in Z[t] and
        det C = t^(s_0 + ... + s_(m-1)) det C'.  Each entry of C' is packed
@@ -362,11 +337,12 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
     update costs the sizes of the two rows, not (m - k)^2.
     """
     n = len(matrix)
-    # position -> nonzero entries by column
-    grid = [{j: entry for j, entry in enumerate(row) if entry} for row in matrix]
-    sign, unit, k = 1, _ONE, 0
+    # position -> nonzero entries by column, as {exponent: coefficient}
+    grid = [{j: {e: c for e, c in enumerate(entry.coeffs, entry.low) if c} for j, entry in enumerate(row) if entry}
+            for row in matrix]
+    sign, low, k = 1, 0, 0
     while k < n:
-        candidates = [r for r in range(k, n) if grid[r].get(k, _ZERO).coeffs in ((1,), (-1,))]  # +-t^j
+        candidates = [r for r in range(k, n) if tuple(grid[r].get(k, {}).values()) in ((1,), (-1,))]  # +-t^j
         if not candidates:
             break
         r = min(candidates, key=lambda c: len(grid[c]))  # the first of the fewest: lowest position
@@ -374,26 +350,30 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
             grid[k], grid[r] = grid[r], grid[k]
             sign = -sign
         pivot_entries = grid[k].copy()
-        pivot = pivot_entries.pop(k)
-        unit = unit * pivot
-        inverse = _trimmed(pivot.coeffs, -pivot.low)  # c t^-j, as c = +-1 is its own inverse
+        ((j0, c0),) = pivot_entries.pop(k).items()
+        sign *= c0
+        low += j0
         for row in grid[k + 1:]:
             factor = row.pop(k, None)
             if factor is None:
                 continue
-            factor = factor * inverse
+            factor = {e - j0: -c0 * c for e, c in factor.items()}  # -R_ik p^-1, as c0 = +-1 is its own inverse
             for j, entry in pivot_entries.items():
-                updated = row.get(j, _ZERO) - factor * entry
-                if updated:
-                    row[j] = updated
+                terms = row.setdefault(j, {})
+                for e1, c1 in factor.items():
+                    for e2, c2 in entry.items():
+                        terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+                terms = {e: c for e, c in terms.items() if c}
+                if terms:
+                    row[j] = terms
                 else:
                     del row[j]
         k += 1
     complement = grid[k:]
-    shifts = [min((entry.low for entry in row.values()), default=0) for row in complement]
+    shifts = [min((min(entry) for entry in row.values()), default=0) for row in complement]
     h_squared = 1
     for row in complement:
-        h_squared *= sum(sum(map(abs, entry.coeffs)) ** 2 for entry in row.values()) or 1
+        h_squared *= sum(sum(map(abs, entry.values())) ** 2 for entry in row.values()) or 1
     # ceil(log2 H) = ceil(ceil(log2 H^2) / 2), and ceil(log2 x) = (x - 1).bit_length() for x >= 1
     bits = ((h_squared - 1).bit_length() + 1) // 2 + 2
     # position in C' -> (packed entries by column of C', divisor of the row's next update)
@@ -427,16 +407,12 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
                 updated = {j: _exact_quotient(entry, divisor) for j, entry in updated.items()}
             rows[i] = (updated, pivot)
         previous = pivot
-    det = unit * _unpack(previous, bits, sum(shifts))
-    return det if sign == 1 else -det
+    return LaurentPolynomial((sign,), low) * _unpack(previous, bits, sum(shifts))
 
 
-def _pack(p: LaurentPolynomial, bits: int, shift: int) -> int:
-    """(t^-shift p)(2^bits), for a polynomial whose lowest exponent is at least `shift`."""
-    value = 0
-    for c in reversed(p.coeffs):
-        value = (value << bits) + c
-    return value << bits * (p.low - shift)
+def _pack(terms: dict[int, int], bits: int, shift: int) -> int:
+    """(t^-shift p)(2^bits), for p given as {exponent: coefficient} with no exponent below `shift`."""
+    return sum(c << bits * (e - shift) for e, c in terms.items())
 
 
 def _unpack(value: int, bits: int, low: int) -> LaurentPolynomial:
@@ -445,8 +421,10 @@ def _unpack(value: int, bits: int, low: int) -> LaurentPolynomial:
     The coefficients are the signed base-2^bits digits of `value`, lowest
     first, each in [-2^(bits-1), 2^(bits-1)); q is unique under the bound.
     Needs bits >= 2: with bits = 1 the digits are -1 and 0, and the digits
-    of a positive value never end.
+    of a positive value never end, so a smaller `bits` raises InternalError.
     """
+    if bits < 2:
+        raise InternalError(f"unpacking needs at least 2 bits per digit, got {bits}")
     coeffs, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
     while value:
         c = value & mask

@@ -164,6 +164,13 @@ def _determinant_cases(rng: random.Random) -> list[tuple[str, list]]:
                     singular[source][0] = pivot
                 singular[target] = scaled(singular[source], {rng.randint(-2, 2): factor})
                 cases.append((name, singular))
+    for size in range(2, 6):
+        for _ in range(3):
+            # mostly +-t^j on a narrow band of exponents: long unit phases, pivot rows that clear
+            # several rows, and fill-in that cancels
+            unit_heavy = [[{rng.randint(0, 1): rng.choice((1, -1))} if rng.random() < 0.8 else {}
+                           for _ in range(size)] for _ in range(size)]
+            cases.append(("unit-heavy", unit_heavy))
     return cases
 
 
@@ -172,9 +179,10 @@ def check_determinant(seed: int = 20611) -> CheckResult:
 
     The seeded matrices take a -t^j unit pivot after a row swap, a packed
     tail of large entries on rows with different negative lowest exponents,
-    and singular matrices in each phase.  Both Alexander routes compare
-    their polynomials up to units, so they would miss a lost unit, sign or
-    shift; this check would not.
+    mostly +-t^j entries that run long unit phases, and singular matrices
+    in each phase.  Both Alexander routes compare their polynomials up to
+    units, so they would miss a lost unit, sign or shift; this check would
+    not.
     """
     cases = _determinant_cases(random.Random(seed))
     failures = []
@@ -189,7 +197,7 @@ def check_determinant(seed: int = 20611) -> CheckResult:
             failures.append(f"case {index} ({name}): {matrix}")
     return CheckResult(
         "determinant-leibniz", not failures,
-        "; ".join(failures[:3]) or f"{len(cases)}/{len(cases)} seeded matrices (unit, packed, singular)",
+        "; ".join(failures[:3]) or f"{len(cases)}/{len(cases)} seeded matrices (unit, unit-heavy, packed, singular)",
     )
 
 

@@ -35,6 +35,11 @@ def braid_words(draw, max_strands=5, max_length=8, positive_only=False):
     return BraidWord(n, tuple(letters))
 
 
+def word_from_letters(strands, letters):
+    """The word of signed integers: i > 0 for s_i, i < 0 for s_i^-1."""
+    return BraidWord(strands, tuple((abs(v), 1 if v > 0 else -1) for v in letters))
+
+
 @pytest.fixture
 def rng():
     return random.Random(97531)

@@ -15,12 +15,11 @@ from qpfiber.braidcore import (
     is_quasipositive,
     permutation,
     permutation_cycles,
-    word_from_letters,
 )
 from qpfiber.constructions import nabla, q_rep
 from qpfiber.errors import InvalidBand, InvalidParameter, InvalidWord
 
-from conftest import band_representations, braid_words
+from conftest import band_representations, braid_words, word_from_letters
 
 
 def letters(word):
@@ -122,7 +121,7 @@ def test_word_validation():
     with pytest.raises(InvalidWord):
         BraidWord(2, ((2, 1),))
     with pytest.raises(InvalidWord):
-        word_from_letters(3, [0])
+        BraidWord(3, ((0, 1),))
     for letter in ((1.7, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
         with pytest.raises(InvalidWord):
             BraidWord(3, (letter,))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpfiber import cli
-from qpfiber.braidcore import beta, exponent_sum, permutation_cycles
+from qpfiber.braidcore import BandRepresentation, EmbeddedBand, beta, exponent_sum, permutation_cycles
 from qpfiber.cli import MAX_ARCS, MAX_LETTERS, MAX_STRANDS, run
 from qpfiber.constructions import MAX_N, q_rep
 from qpfiber.graphcalc import ArcEnd, Comb, CombedGraph, neighborhood_summary
@@ -119,14 +119,19 @@ def test_invariants_verb(tmp_path, capsys):
 
 
 def test_invariants_reads_boundary_and_exponent_sum_off_the_bands(tmp_path, capsys):
-    # the verb no longer reads them off the letters of beta(rep); they must not change
+    # the verb reads chi and boundary off the surface summary, and the exponent sum off the bands,
+    # not off the letters of beta(rep); they must not change
     rng = random.Random(2504)
-    for trial in range(40):
-        rep = random_band_representation(rng, max_strands=7, max_bands=8)
+    reps = [random_band_representation(rng, max_strands=7, max_bands=8) for _ in range(40)]
+    # strands that no band meets: each is a disk, bounded by one circle
+    reps += [BandRepresentation(rep.strands + rng.randint(1, 3), rep.bands) for rep in reps[:20]]
+    reps += [BandRepresentation(5, ()), BandRepresentation(6, (EmbeddedBand(2, 4, 1), EmbeddedBand(2, 4, -1)))]
+    for trial, rep in enumerate(reps):
         path = write_json(tmp_path, f"rep{trial}.json", rep.to_json())
         code, report = invoke(capsys, "invariants", "--input", path)
         assert code == 0
         word = beta(rep)
+        assert report["result"]["chi"] == rep.strands - len(rep.bands), rep
         assert report["result"]["boundary"] == len(permutation_cycles(word)), rep
         assert report["result"]["exponent_sum"] == exponent_sum(word), rep
 

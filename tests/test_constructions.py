@@ -7,7 +7,6 @@ from qpfiber.braidcore import (
     beta,
     exponent_sum,
     permutation_cycles,
-    word_from_letters,
 )
 from qpfiber.constructions import (
     MAX_N,
@@ -23,6 +22,8 @@ from qpfiber.errors import InvalidParameter, NotPositive, NotQuasipositive
 from qpfiber.graphcalc import ArcEnd, Comb, is_full, neighborhood_summary
 from qpfiber.invariants import alexander_from_braid, alexander_from_seifert, seifert_matrix
 from qpfiber.surface import BraidedSurface, euler_characteristic, summary
+
+from conftest import word_from_letters
 
 
 def bands_of(rep):

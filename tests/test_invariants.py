@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpfiber import invariants
 from qpfiber._linking import pl_seifert_matrix
-from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, free_reduction, word_from_letters
+from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, free_reduction
 from qpfiber.constructions import nabla, q_rep
-from qpfiber.errors import NonExactDivision
+from qpfiber.errors import InternalError, NonExactDivision
 from qpfiber.invariants import (
     LaurentPolynomial,
     alexander_from_braid,
@@ -24,7 +24,7 @@ from qpfiber.invariants import (
 )
 from qpfiber.surface import BraidedSurface, summary
 
-from conftest import band_representations, braid_words
+from conftest import band_representations, braid_words, word_from_letters
 
 
 def L(terms):
@@ -455,6 +455,15 @@ square_matrices = st.integers(2, 5).flatmap(
     lambda size: st.lists(st.lists(polys, min_size=size, max_size=size), min_size=size, max_size=size)
 )
 
+# mostly units +-t^j on a narrow band of exponents, so products of units meet and cancel
+unit_entries = st.builds(lambda j, c: {j: c}, st.integers(-1, 1), st.sampled_from((1, -1)))
+unit_heavy_matrices = st.integers(2, 5).flatmap(
+    lambda size: st.lists(
+        st.lists(st.one_of(unit_entries, unit_entries, unit_entries, st.just({}), polys), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+)
+
 
 class TestDeterminant:
     def test_matches_leibniz_on_seeded_sparse_matrices(self):
@@ -614,10 +623,38 @@ class TestDeterminant:
                 low = rng.randint(-4, 4)
                 poly = LaurentPolynomial(coeffs, low)
                 shift = low - rng.randint(0, 3)
-                packed = invariants._pack(poly, bits, shift)
+                packed = invariants._pack(as_dict(poly), bits, shift)
                 assert packed == sum(c * 2 ** (bits * (k + low - shift)) for k, c in enumerate(coeffs))
                 assert invariants._unpack(packed, bits, shift) == poly
         assert invariants._unpack(0, 5, 3) == L({})
+
+    def test_unpack_refuses_fewer_than_two_bits(self):
+        # with one bit the digits of a positive value never end
+        for bits in (1, 0):
+            with pytest.raises(InternalError):
+                invariants._unpack(1, bits, 0)
+
+    @given(unit_heavy_matrices)
+    @settings(max_examples=150, deadline=None)
+    # row 0 feeds rows 1 and 2, whose column-1 and column-2 entries cancel to zero; Bareiss ends the run
+    @example([[{0: 1}, {0: 1}, {0: 1}], [{0: 1}, {0: 1}, {1: 1}], [{0: 1}, {1: 1}, {0: 1}]])
+    # four unit steps: step 0 clears three rows and step 1 two, and three fill-in entries cancel
+    @example([[{0: -1}, {}, {0: 1}, {1: 1}], [{0: 1}, {0: 1}, {}, {0: 1}],
+              [{0: -1}, {1: 1}, {0: 1}, {1: 1}], [{1: 1}, {0: 1}, {1: -1}, {}]])
+    def test_unit_heavy_matrices_match_leibniz(self, matrix):
+        assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+
+    def test_seifert_determinant_makes_one_product_and_no_sum(self, monkeypatch):
+        # the unit phase runs on term dicts; the one polynomial product is the final unit times det C'
+        grid = seifert_grid(q_rep(6))
+        calls = {"__mul__": 0, "__add__": 0, "__neg__": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(LaurentPolynomial, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(LaurentPolynomial, name, counted)
+        mat_det(grid)
+        assert calls == {"__mul__": 1, "__add__": 0, "__neg__": 0}
 
     @given(square_matrices, st.data())
     @settings(max_examples=30, deadline=None)
