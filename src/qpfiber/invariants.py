@@ -15,12 +15,15 @@ with B taken from Hadamard's bound, so that the determinant's
 coefficients are read back as the signed base-2^B digits of the last
 pivot.  On the fiber model q_rep(k), whose matrices on either route are
 (k-1)^2 square, all but the last k - 1 (Seifert) or k (Burau) steps are
-unit steps; on nabla(k) none is.  The unit steps work on plain
-{exponent: coefficient} dicts, each matrix entry converted once, and the
-packing reads the same dicts.  A `LaurentPolynomial` is stored as its
-lowest exponent and the tuple of coefficients from there up, with no zero
-at either end, so equal polynomials store equal pairs; sums align two
-lists and products convolve them.
+unit steps; on nabla(k) none is.  Every matrix entry, from
+`reduced_burau` and `alexander_from_seifert` to `mat_det`, is a plain
+{exponent: coefficient} dict, {} for zero: the unit steps convolve those
+dicts and the packing reads them.  `LaurentPolynomial` is the type of
+results only: the determinant, the divisor 1 + t + ... + t^(n-1) and the
+Alexander polynomial.  It is stored as its lowest exponent and the tuple
+of coefficients from there up, with no zero at either end, so equal
+polynomials store equal pairs; sums align two lists and products convolve
+them.
 
 The Seifert matrix is a sum of integer terms read off band positions,
 slots, traversal directions and band signs; no point is laid out.  The
@@ -94,12 +97,14 @@ the running product: the new column is the slab of its at most three
 neighbouring columns times the generator's column.  The running product
 is kept by integer columns, each a map {(row, exponent): coefficient}
 that stores no zero, so a letter is one integer product and sum per term
-of the slab and builds no polynomial; the matrix of LaurentPolynomial
-entries is built once, after the last letter (see ``mat_mul`` and
-``reduced_burau``).
+of the slab and builds no polynomial; the matrix of {exponent:
+coefficient} entries is read off the columns once, after the last letter
+(see ``mat_mul`` and ``reduced_burau``).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .braidcore import BandRepresentation, BraidWord, free_reduction, fundamental_cycles
 from .errors import InternalError, InvalidParameter, NonExactDivision
@@ -116,9 +121,10 @@ class LaurentPolynomial:
     at either end; zero is `()` with `low = 0`.  So equal polynomials store
     equal pairs.  Every result goes through the constructor, which trims
     both ends of the ints it is given: sums align two lists and products
-    convolve them, whatever the operands' sizes.  No hot loop runs on this
-    type; `mat_det` works on {exponent: coefficient} dicts and builds one
-    polynomial product at the end.
+    convolve them, whatever the operands' sizes.  No matrix holds this
+    type and no hot loop runs on it: matrix entries are {exponent:
+    coefficient} dicts, and `mat_det` builds one polynomial product at the
+    end.
     """
 
     __slots__ = ("low", "coeffs")
@@ -216,8 +222,6 @@ def eq_up_to_units(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
 # ---------------------------------------------------------------------------
 # Matrices over Z[t, t^-1]
 
-Matrix = tuple[tuple[LaurentPolynomial, ...], ...]
-
 
 _ZERO = LaurentPolynomial()
 _ONE = LaurentPolynomial([1])
@@ -250,17 +254,21 @@ def mat_mul(a: Columns, b: Columns) -> Columns:
     return product
 
 
-def mat_det(matrix: Matrix) -> LaurentPolynomial:
+def mat_det(matrix: Sequence[Sequence[dict[int, int]]]) -> LaurentPolynomial:
     """Determinant over Z[t, t^-1]: Gaussian steps on unit pivots, then fraction-free Bareiss on packed integers.
 
-    Each row is stored as a dict from column to its nonzero entries, and
-    each entry as a dict {exponent: coefficient} that stores no zero,
-    converted once from the input; the input is not mutated.  Step
-    k = 0..n-1 on the n x n matrix M picks a pivot row among the rows at
-    positions >= k with an entry in column k, swaps it to position k, which
-    flips the sign, and clears column k below it.  A row's update at step k
-    reads only that row and the pivot row, so it depends on the row of M
-    and the pivot rows of the steps before, in order, not on where the
+    `matrix` is square, given as rows of entries {exponent: coefficient},
+    {} for zero.  Each row is stored as a dict from column to its nonzero
+    entries, and each entry as a copy of the input's dict with its zero
+    coefficients dropped, so a stored entry is never zero and never holds
+    a zero term; the input is not mutated.  (An entry kept with only zero
+    terms could be taken as a pivot and packed to 0.)
+
+    Step k = 0..n-1 on the n x n matrix M picks a pivot row among the rows
+    at positions >= k with an entry in column k, swaps it to position k,
+    which flips the sign, and clears column k below it.  A row's update at
+    step k reads only that row and the pivot row, so it depends on the row
+    of M and the pivot rows of the steps before, in order, not on where the
     other rows stand: the run is one without swaps on M with its rows put
     in pivot order, whose determinant is det M times the sign of that
     permutation, which the swaps count.  If no row has an entry in column
@@ -338,7 +346,7 @@ def mat_det(matrix: Matrix) -> LaurentPolynomial:
     """
     n = len(matrix)
     # position -> nonzero entries by column, as {exponent: coefficient}
-    grid = [{j: {e: c for e, c in enumerate(entry.coeffs, entry.low) if c} for j, entry in enumerate(row) if entry}
+    grid = [{j: terms for j, entry in enumerate(row) if (terms := {e: c for e, c in entry.items() if c})}
             for row in matrix]
     sign, low, k = 1, 0, 0
     while k < n:
@@ -456,14 +464,16 @@ _GENERATOR = {
 }
 
 
-def reduced_burau(word: BraidWord) -> Matrix:
-    """Image of the word under the reduced Burau representation.
+def reduced_burau(word: BraidWord) -> list[list[dict[int, int]]]:
+    """Image of the word under the reduced Burau representation, as rows of {exponent: coefficient} entries.
 
     Letters multiply left to right: rho(w1 w2) = rho(w1) rho(w2).  The
     running product is kept by integer columns (see `mat_mul`);
     sigma_i^+-1 replaces column r = i-1 by the slab of columns r-1, r, r+1
     times the generator's column, both truncated at the matrix edge, in one
-    `mat_mul` call.  The LaurentPolynomial matrix is built once, at the end.
+    `mat_mul` call.  The rows are read off the columns once, at the end:
+    each entry is a fresh dict that stores no zero, {} for zero, shared
+    with no other entry, so the caller may change it.
     """
     if word.strands < 2:
         raise InvalidParameter("reduced Burau needs at least 2 strands")
@@ -473,15 +483,12 @@ def reduced_burau(word: BraidWord) -> Matrix:
         r = i - 1
         lo, hi = max(r - 1, 0), min(r + 2, size)
         columns[r] = mat_mul(columns[lo:hi], _GENERATOR[sign, lo - r + 1, hi - r + 1])[0]
-    matrix = [[_ZERO] * size for _ in range(size)]
+    matrix: list[list[dict[int, int]]] = [[{} for _ in range(size)] for _ in range(size)]
     for j, column in enumerate(columns):
-        entries: dict[int, dict[int, int]] = {}
         for (i, e), c in column.items():
-            entries.setdefault(i, {})[e] = c
-        for i, terms in entries.items():
-            low = min(terms)
-            matrix[i][j] = LaurentPolynomial([terms.get(e, 0) for e in range(low, max(terms) + 1)], low)
-    return tuple(map(tuple, matrix))
+            matrix[i][j][e] = c
+    return matrix
+
 
 def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     """Alexander polynomial of the closure, canonical up to units.
@@ -491,14 +498,18 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     matrix is the same, and `reduced_burau` makes one `mat_mul` per letter
     left.  Consecutive bands of a fiber model cancel most of each other's
     conjugating letters: beta(q_rep(6)) has 1,250 letters and 210 left.
+    rho - I subtracts 1 from the constant term of each diagonal entry, in
+    place, and deletes that term if it cancels.
     """
     n = word.strands
     if n == 1:
         return _ONE
-    diff = tuple(
-        tuple(entry - _ONE if i == j else entry for j, entry in enumerate(row))
-        for i, row in enumerate(reduced_burau(BraidWord(n, free_reduction(word.letters))))
-    )
+    diff = reduced_burau(BraidWord(n, free_reduction(word.letters)))
+    for i, row in enumerate(diff):
+        entry = row[i]
+        entry[0] = entry.get(0, 0) - 1
+        if not entry[0]:
+            del entry[0]
     return mat_det(diff).exact_div(LaurentPolynomial([1] * n)).canonical()
 
 
@@ -578,11 +589,9 @@ def seifert_matrix(rep: BandRepresentation) -> tuple[tuple[int, ...], ...]:
 
 
 def alexander_from_seifert(v: tuple[tuple[int, ...], ...]) -> LaurentPolynomial:
-    """det(V - t V^T) of the integer rows of V, canonical up to units; the 0x0 matrix gives 1."""
-    size = len(v)
-    if size == 0:
-        return _ONE
-    grid = tuple(
-        tuple(LaurentPolynomial([v[i][j], -v[j][i]]) for j in range(size)) for i in range(size)
-    )
+    """det(V - t V^T) of the integer rows of V, canonical up to units; the 0x0 matrix gives 1.
+
+    Entry (i, j) is {0: v_ij, 1: -v_ji} without its zero coefficients.
+    """
+    grid = [[{e: c for e, c in ((0, x), (1, -y)) if c} for x, y in zip(row, column)] for row, column in zip(v, zip(*v))]
     return mat_det(grid).canonical()

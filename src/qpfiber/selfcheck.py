@@ -18,7 +18,6 @@ from .braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, permut
 from .constructions import expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import FiberVerificationFailed
 from .invariants import (
-    LaurentPolynomial,
     _band_crossings,
     _basis_cycles,
     alexander_from_braid,
@@ -187,12 +186,7 @@ def check_determinant(seed: int = 20611) -> CheckResult:
     cases = _determinant_cases(random.Random(seed))
     failures = []
     for index, (name, matrix) in enumerate(cases):
-        polys = tuple(
-            tuple(LaurentPolynomial([terms.get(e, 0) for e in range(min(terms), max(terms) + 1)], min(terms))
-                  if terms else LaurentPolynomial() for terms in row)
-            for row in matrix
-        )
-        det = mat_det(polys)
+        det = mat_det(matrix)
         if {e: c for e, c in enumerate(det.coeffs, det.low) if c} != _leibniz_det(matrix):
             failures.append(f"case {index} ({name}): {matrix}")
     return CheckResult(

@@ -30,8 +30,12 @@ from them (a quotient that is not exact reads "NonExactDivision").
 
 `PINNED_BURAU` was recorded while `reduced_burau` still multiplied by a
 whole generator matrix per letter, before it moved to one column update
-per letter: the `repr` of `reduced_burau` on beta(q_rep(k)) and
-beta(nabla(k)) for k = 2..6 and on 50 seeded signed words on 2-8 strands.
+per letter, and while it still returned a tuple of tuples of
+`LaurentPolynomial` entries: the `repr` of that matrix on beta(q_rep(k))
+and beta(nabla(k)) for k = 2..6 and on 50 seeded signed words on 2-8
+strands.  `reduced_burau` now returns rows of {exponent: coefficient}
+dicts, so `_burau_digest` reads each entry as a polynomial through `_poly`
+and takes the `repr` of the same tuples.
 
 `PINNED_NUMBERING` and `PINNED_GROWN_SPINES` were recorded before each
 combed graph got one arc-end numbering, shared by validation, face tracing
@@ -219,7 +223,8 @@ def _burau_cases():
 
 
 def _burau_digest(words) -> str:
-    return hashlib.sha256(repr([reduced_burau(word) for word in words]).encode()).hexdigest()
+    matrices = [tuple(tuple(_poly(entry) for entry in row) for row in reduced_burau(word)) for word in words]
+    return hashlib.sha256(repr(matrices).encode()).hexdigest()
 
 
 def _poly(terms: dict) -> LaurentPolynomial:

@@ -54,14 +54,6 @@ def as_dict(p):
     return {p.low + k: c for k, c in enumerate(p.coeffs) if c}
 
 
-def as_dicts(matrix):
-    return [[as_dict(p) for p in row] for row in matrix]
-
-
-def as_polys(matrix):
-    return tuple(tuple(L(p) for p in row) for row in matrix)
-
-
 def as_columns(matrix, cols):
     """The integer columns {(row, exponent): coefficient} of a matrix of dicts with `cols` columns."""
     return [{(i, e): c for i, row in enumerate(matrix) for e, c in row[j].items() if c} for j in range(cols)]
@@ -74,10 +66,6 @@ def from_columns(columns, rows):
 
 def dict_identity(size):
     return [[{0: 1} if r == c else {} for c in range(size)] for r in range(size)]
-
-
-def dense_identity(size):
-    return as_polys(dict_identity(size))
 
 
 def dict_generator(strands, i, sign):
@@ -404,6 +392,18 @@ def leibniz_det(matrix):
     return total
 
 
+def zero_padded(matrix):
+    """A copy of the matrix whose every entry, {} too, also stores a zero coefficient below its lowest exponent."""
+    return [[{min(entry, default=0) - 1: 0, **entry} for entry in row] for row in matrix]
+
+
+def assert_matches_leibniz(matrix):
+    """mat_det equals the Leibniz sum on the matrix and on its zero-padded copy, which must read the same."""
+    want = leibniz_det(matrix)
+    assert as_dict(mat_det(matrix)) == want, matrix
+    assert as_dict(mat_det(zero_padded(matrix))) == want, matrix
+
+
 def sparse_dict_matrix(rng, size):
     """A size x size matrix of dicts with about half the entries zero."""
     return [
@@ -416,7 +416,7 @@ def sparse_dict_matrix(rng, size):
 def seifert_grid(rep):
     """V - t V^T of the Seifert matrix of rep, as `alexander_from_seifert` builds it."""
     v = seifert_matrix(rep)
-    return tuple(tuple(L({0: v[i][j], 1: -v[j][i]}) for j in range(len(v))) for i in range(len(v)))
+    return [[{e: c for e, c in ((0, v[i][j]), (1, -v[j][i])) if c} for j in range(len(v))] for i in range(len(v))]
 
 
 def unit(rng):
@@ -471,21 +471,21 @@ class TestDeterminant:
         for size in range(1, 6):
             for _ in range(12):
                 matrix = sparse_dict_matrix(rng, size)
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
 
     def test_small_shapes(self):
         assert mat_det(()) == L({0: 1})
-        assert mat_det(((L({-2: 3, 1: -1}),),)) == L({-2: 3, 1: -1})
-        assert mat_det(((L({}),),)) == L({})
+        assert mat_det([[{-2: 3, 1: -1}]]) == L({-2: 3, 1: -1})
+        assert mat_det([[{}]]) == L({})
 
     def test_empty_leading_pivot_swaps_rows(self):
-        assert mat_det(as_polys([[{}, {0: 1}], [{1: 1}, {}]])) == L({1: -1})
+        assert mat_det([[{}, {0: 1}], [{1: 1}, {}]]) == L({1: -1})
         three = [[{}, {0: 2}, {1: 1}], [{}, {0: 1}, {}], [{0: 1, 1: 1}, {0: 1}, {0: 3}]]
-        assert as_dict(mat_det(as_polys(three))) == leibniz_det(three) == {1: -1, 2: -1}
+        assert as_dict(mat_det(three)) == leibniz_det(three) == {1: -1, 2: -1}
 
     def test_zero_column(self):
-        assert mat_det(as_polys([[{0: 1}, {}, {1: 2}], [{0: 3}, {}, {0: 1}], [{2: 1}, {}, {0: 1}]])) == L({})
-        assert mat_det(as_polys([[{0: 1}, {0: 2}], [{1: 1}, {1: 2}]])) == L({})
+        assert mat_det([[{0: 1}, {}, {1: 2}], [{0: 3}, {}, {0: 1}], [{2: 1}, {}, {0: 1}]]) == L({})
+        assert mat_det([[{0: 1}, {0: 2}], [{1: 1}, {1: 2}]]) == L({})
 
     def test_deferred_scaling_across_steps(self):
         # The last row is updated at step 0, skipped at steps 1 and 2, and next updated at step 3
@@ -498,7 +498,7 @@ class TestDeterminant:
             [{0: 2}, {}, {}, {0: 1}, {0: 2}],
         ]
         # column 0 holds no unit, so every step is a Bareiss step
-        assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix)
+        assert_matches_leibniz(matrix)
 
     def test_unit_phase_takes_a_negative_pivot_after_a_swap(self):
         # column 0 holds one unit, -t^j, below row 0: step 0 swaps it up and clears by -t^-j
@@ -511,7 +511,7 @@ class TestDeterminant:
                 pivot = rng.randrange(1, size)
                 matrix[pivot][0] = {rng.randint(-2, 2): -1}
                 matrix[pivot][rng.randrange(1, size)] = non_unit(rng)
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
 
     def test_bareiss_takes_over_part_way(self):
         # after the unit step on column 0 every column-1 entry is still even, so no unit: Bareiss from step 1
@@ -522,7 +522,7 @@ class TestDeterminant:
                 matrix[rng.randrange(size)][0] = unit(rng)
                 for row in matrix:
                     row[1] = {e: 2 * c for e, c in non_unit(rng).items()}
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
 
     def test_no_gaussian_step_after_a_bareiss_step(self):
         # column 0 holds no unit, so step 0 is a Bareiss step on row 0, with pivot 2.  It stores
@@ -536,7 +536,7 @@ class TestDeterminant:
                 matrix[1][:2] = [{0: 3}, {0: 2}]
                 for row in matrix[2:]:
                     row[:2] = [{}, non_unit(rng)]
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
 
     def test_no_unit_pivot(self):
         rng = random.Random(2404)
@@ -546,7 +546,11 @@ class TestDeterminant:
                 for row in matrix:
                     row[0] = non_unit(rng) if rng.random() < 0.7 else {}
                 matrix[0][0] = non_unit(rng)
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
+        # no unit anywhere; a stored zero in entry (0, 0), kept, would be read as a packed pivot of 0
+        stored_zero = [[{0: 0}, {0: 2}, {0: 2}], [{0: 3}, {0: 5}, {0: 7}], [{0: 11}, {0: 13}, {0: 4}]]
+        assert leibniz_det(stored_zero) == {0: 98}
+        assert_matches_leibniz(stored_zero)
 
     def test_singular_found_in_each_phase(self):
         # the unit step on row 0 clears row 1 = -t row 0, and column 1 is then empty
@@ -555,7 +559,7 @@ class TestDeterminant:
         bareiss = [[{0: 2}, {0: 1, 1: 1}, {0: 4}], [{0: 4}, {0: 2, 1: 2}, {0: 8}], [{0: 1, 1: 1}, {0: 3}, {1: 1}]]
         for matrix in (gaussian, bareiss):
             assert leibniz_det(matrix) == {}
-            assert mat_det(as_polys(matrix)) == L({})
+            assert mat_det(matrix) == L({})
         rng = random.Random(2405)
         for size in range(2, 6):
             for _ in range(8):
@@ -569,7 +573,7 @@ class TestDeterminant:
                 else:
                     factor = {rng.randint(-1, 1): 2}
                 matrix[target] = [ref_mul(entry, factor) for entry in matrix[source]]
-                assert mat_det(as_polys(matrix)) == L({}), matrix
+                assert mat_det(matrix) == L({}), matrix
 
     def test_wholly_packed_with_large_coefficients_and_shifted_rows(self):
         # column 0 holds no unit, so every step runs on packed integers; row i's lowest exponent is -s_i
@@ -579,7 +583,7 @@ class TestDeterminant:
                 matrix = [large_row(rng, size, -rng.randint(1, 6)) for _ in range(size)]
                 for row in matrix:
                     row[0] = {e: 2 * c for e, c in row[0].items()}
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
 
     def test_packed_steps_after_a_unit_step(self):
         # row 0 is +-t^j e_0, so step 0 is a unit step and leaves the other rows' columns 1.. as C;
@@ -591,7 +595,7 @@ class TestDeterminant:
                 for _ in range(size - 1):
                     row = large_row(rng, size, -rng.randint(0, 6))
                     matrix.append([row[0]] + [{e: 2 * c for e, c in entry.items()} for entry in row[1:]])
-                assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+                assert_matches_leibniz(matrix)
                 singular = [row[:] for row in matrix]
                 source, target = rng.sample(range(1, size), 2) if size > 2 else (1, 1)
                 if source != target:
@@ -600,7 +604,7 @@ class TestDeterminant:
                 else:
                     singular[1][1] = {}
                 assert leibniz_det(singular) == {}
-                assert mat_det(as_polys(singular)) == L({}), singular
+                assert mat_det(singular) == L({}), singular
 
     def test_hadamard_bound_is_met(self):
         # 2 H_4 meets the bound: det = 256 = H = 2^8, so B = 10; with B = 9, 256 = 2^(B-1) would be
@@ -608,10 +612,10 @@ class TestDeterminant:
         hadamard = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
         doubled = [[{0: 2 * h} for h in row] for row in hadamard]
         assert leibniz_det(doubled) == {0: 256}
-        assert as_dict(mat_det(as_polys(doubled))) == {0: 256}
+        assert as_dict(mat_det(doubled)) == {0: 256}
         shifted = [[{i - 3: 2 * h, i - 2: 2 * h} for h in row] for i, row in enumerate(hadamard)]
-        assert as_dict(mat_det(as_polys(shifted))) == leibniz_det(shifted)
-        assert as_dict(mat_det(as_polys(shifted))) == {-6 + k: 256 * c for k, c in enumerate((1, 4, 6, 4, 1))}
+        assert as_dict(mat_det(shifted)) == leibniz_det(shifted)
+        assert as_dict(mat_det(shifted)) == {-6 + k: 256 * c for k, c in enumerate((1, 4, 6, 4, 1))}
 
     def test_pack_and_unpack_round_trip(self):
         rng = random.Random(2503)
@@ -642,19 +646,38 @@ class TestDeterminant:
     @example([[{0: -1}, {}, {0: 1}, {1: 1}], [{0: 1}, {0: 1}, {}, {0: 1}],
               [{0: -1}, {1: 1}, {0: 1}, {1: 1}], [{1: 1}, {0: 1}, {1: -1}, {}]])
     def test_unit_heavy_matrices_match_leibniz(self, matrix):
-        assert as_dict(mat_det(as_polys(matrix))) == leibniz_det(matrix), matrix
+        assert_matches_leibniz(matrix)
 
     def test_seifert_determinant_makes_one_product_and_no_sum(self, monkeypatch):
         # the unit phase runs on term dicts; the one polynomial product is the final unit times det C'
-        grid = seifert_grid(q_rep(6))
-        calls = {"__mul__": 0, "__add__": 0, "__neg__": 0}
+        rep = q_rep(6)
+        grid = seifert_grid(rep)
+        calls = {"__init__": 0, "__mul__": 0, "__add__": 0, "__neg__": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(LaurentPolynomial, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(LaurentPolynomial, name, counted)
         mat_det(grid)
-        assert calls == {"__mul__": 1, "__add__": 0, "__neg__": 0}
+        # built: the unit sign t^low, det C' unpacked, and their product
+        assert calls == {"__init__": 3, "__mul__": 1, "__add__": 0, "__neg__": 0}
+        # no matrix entry on either route is a polynomial: the Seifert route adds the canonical
+        # form, the Burau route the divisor 1 + t + ... + t^6, the quotient and the canonical form
+        routes = ((alexander_from_seifert, seifert_matrix(rep), 4), (alexander_from_braid, beta(rep), 6))
+        for route, arg, built in routes:
+            calls["__init__"] = 0
+            route(arg)
+            assert calls["__init__"] == built, route
+
+    def test_input_is_not_mutated(self):
+        # a unit step on row 0 fills in rows 1 and 2; no unit in column 0, so every step is packed.
+        # Both hold a stored zero, which the copy drops.
+        unit_case = [[{0: 1}, {1: 1}, {0: 2}], [{1: 1}, {0: 1, 1: 1}, {-1: 0}], [{0: -1}, {2: 1}, {0: 5}]]
+        packed_case = [[{0: 2}, {0: 1, 1: 1}, {0: 4}], [{0: 3}, {1: 2, 2: 0}, {0: 8}], [{0: 1, 1: 1}, {0: 3}, {1: 1}]]
+        for matrix in (unit_case, packed_case):
+            before = copy.deepcopy(matrix)
+            assert_matches_leibniz(matrix)
+            assert matrix == before
 
     @given(square_matrices, st.data())
     @settings(max_examples=30, deadline=None)
@@ -662,7 +685,7 @@ class TestDeterminant:
         i, j = data.draw(st.lists(st.integers(0, len(matrix) - 1), min_size=2, max_size=2, unique=True))
         swapped = list(matrix)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert mat_det(as_polys(swapped)) == -mat_det(as_polys(matrix))
+        assert mat_det(swapped) == -mat_det(matrix)
 
     def test_seifert_determinants_are_pinned(self):
         # det(V - t V^T) as mat_det returns it, before canonical(); q_rep(6) and nabla(6) present one fiber
@@ -677,26 +700,26 @@ class TestBurau:
     @given(braid_words(max_strands=8, max_length=12))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_fold(self, word):
-        assert as_dicts(reduced_burau(word)) == naive_fold(word)
+        assert reduced_burau(word) == naive_fold(word)
 
     def test_edge_slabs_match_naive_fold(self):
         # a letter at either edge multiplies a slab of two columns, or of one on 2 strands
         for letters in ([1], [-1], [1, 1], [-1, -1, 1], [1, -1, -1, 1, 1]):
             word = word_from_letters(2, letters)
-            assert as_dicts(reduced_burau(word)) == naive_fold(word)
+            assert reduced_burau(word) == naive_fold(word)
         for n in range(3, 7):
             mixed = list(range(1, n)) + [-i for i in range(n - 1, 0, -1)] + [n - 1, -1]
             for edge in (1, -1, n - 1, 1 - n):
                 for letters in ([edge], [edge, edge], mixed + [edge], [edge] + mixed + [edge]):
                     word = word_from_letters(n, letters)
-                    assert as_dicts(reduced_burau(word)) == naive_fold(word), (n, letters)
+                    assert reduced_burau(word) == naive_fold(word), (n, letters)
 
     @given(cancelling_words())
     @settings(max_examples=60, deadline=None)
     def test_free_reduction_keeps_the_matrix(self, word):
         reduced = BraidWord(word.strands, free_reduction(word.letters))
         assert reduced_burau(reduced) == reduced_burau(word)
-        assert as_dicts(reduced_burau(word)) == naive_fold(word)
+        assert reduced_burau(word) == naive_fold(word)
 
     def test_the_fiber_word_costs_one_mat_mul_per_reduced_letter(self, monkeypatch):
         # beta(q_rep(6)) has 1,250 letters, 210 of them left after free reduction
@@ -724,12 +747,26 @@ class TestBurau:
         alexander_from_braid(beta(q_rep(6)))
         assert len(calls) == 1
 
+    def test_entries_are_unshared(self):
+        # changing one entry changes no other entry and no later result
+        for word in (BraidWord(4, ()), word_from_letters(4, [1, -2, 3, 1, 2, -3]), beta(q_rep(3))):
+            matrix = reduced_burau(word)
+            before = copy.deepcopy(matrix)
+            cells = [(i, j) for i in range(len(matrix)) for j in range(len(matrix))]
+            for i, j in cells:
+                matrix[i][j][99] = 7
+                assert [(r, c) for r, c in cells if matrix[r][c] != before[r][c]] == [(i, j)]
+                del matrix[i][j][99]
+            for i, j in cells:
+                matrix[i][j].clear()
+            assert reduced_burau(word) == before
+
     def test_empty_word_is_identity(self):
-        assert reduced_burau(BraidWord(2, ())) == dense_identity(1)
+        assert reduced_burau(BraidWord(2, ())) == dict_identity(1)
 
     def test_inverse_pair(self):
-        assert reduced_burau(word_from_letters(3, [1, -1])) == dense_identity(2)
-        assert reduced_burau(word_from_letters(4, [-2, 2])) == dense_identity(3)
+        assert reduced_burau(word_from_letters(3, [1, -1])) == dict_identity(2)
+        assert reduced_burau(word_from_letters(4, [-2, 2])) == dict_identity(3)
 
     def test_braid_relations(self):
         for n in (3, 4, 5):
@@ -746,8 +783,8 @@ class TestBurau:
     def test_homomorphism(self, w1, w2):
         n = max(w1.strands, w2.strands)
         w1, w2 = w1.retag(n), w2.retag(n)
-        want = naive_product(as_dicts(reduced_burau(w1)), as_dicts(reduced_burau(w2)))
-        assert as_dicts(reduced_burau(w1 * w2)) == want
+        want = naive_product(reduced_burau(w1), reduced_burau(w2))
+        assert reduced_burau(w1 * w2) == want
 
     @given(braid_words(max_strands=4, max_length=6))
     @settings(max_examples=40)
