@@ -169,17 +169,15 @@ class CombedGraph:
         already one node, that is, when no cycle dies (see the module docstring).
         """
         _require_valid(self)
-        stars: dict = {}  # node root -> {(band, +1 at the i end, -1 at the j end): a neighbor}
-        pending = []      # pairs of nodes that folding must merge
+        stars: list[dict] = [{} for _ in range(self._ends.node_count)]  # node root -> {band, negated at the j end: a neighbor}
+        pending = []  # pairs of nodes that folding must merge
         arcs = _graph_arcs(self)
         for band, tail, head in arcs:
-            for node, key, other in ((tail, (band, 1), head), (head, (band, -1), tail)):
-                star = stars.setdefault(node, {})
-                if key in star:
-                    pending.append((star[key], other))
-                else:
-                    star[key] = other
-        sets = UnionFind(stars)
+            if (seen := stars[tail].setdefault(band, head)) != head:
+                pending.append((seen, head))
+            if (seen := stars[head].setdefault(-band, tail)) != tail:
+                pending.append((seen, tail))
+        sets = UnionFind(range(len(stars)))
         merges = 0
         while pending:
             x, y = pending.pop()
@@ -191,12 +189,11 @@ class CombedGraph:
             sets.union(rx, ry)
             merges += 1
             into = stars[ry]
-            for key, other in stars.pop(rx).items():
-                if key in into:
-                    pending.append((into[key], other))
-                else:
-                    into[key] = other
-        folded_arcs = sum(len(star) for star in stars.values()) // 2
+            for key, other in stars[rx].items():
+                if (seen := into.setdefault(key, other)) != other:
+                    pending.append((seen, other))
+            stars[rx] = {}
+        folded_arcs = sum(map(len, stars)) // 2
         return len(arcs) - folded_arcs == merges
 
     def arc_count(self, band: int) -> int:
@@ -305,6 +302,7 @@ class _Ends:
         self.slot: list[int] = []
         self.disk: list[int] = []
         self.comb: list[int] = []
+        self.node: list[int] = []
         self.locs: list[Location] = []
         self.next: list[int] = []
         self.prev: list[int] = []
@@ -314,10 +312,11 @@ class _Ends:
         self.loose: list[bool] = []
         self.keys: dict[tuple[int, str], range] = {}
         self.problems: list[str] = []
+        self.node_count = 0
         host, k = graph.host, graph.host.band_count()
         for disk, (comps, row) in enumerate(zip_longest(graph.disks, host.incidence, fillvalue={}), start=1):
             combs, loose = [], False
-            found: dict[int, list] = {}  # band -> (slot, component, tooth) of each of its arc ends here
+            found: dict[int, list] = {band: [] for band in row}  # band -> (slot, component, tooth) of each arc end
             for ci, comp in enumerate(comps):
                 teeth = comp.teeth if isinstance(comp, Comb) else ()
                 combs.append([-1] * len(teeth))
@@ -326,36 +325,39 @@ class _Ends:
                 elif isinstance(comp, Comb) and not teeth:
                     self.problems.append(f"disk {disk} component {ci} is an empty comb")
                 for ti, tooth in enumerate(teeth):
-                    if isinstance(tooth, FreeEnd):
+                    if isinstance(tooth, ArcEnd) and 1 <= tooth.band <= k and tooth.band in row:
+                        found[tooth.band].append((tooth.slot, ci, ti))
+                    elif isinstance(tooth, FreeEnd):
                         loose = True
                     elif not isinstance(tooth, ArcEnd):
                         self.problems.append(f"disk {disk} component {ci} tooth {ti} has unknown type")
                     elif not 1 <= tooth.band <= k:
                         self.problems.append(f"tooth references 1-handle {tooth.band} outside 1..{k}")
-                    elif tooth.band not in row:
+                    else:
                         band = host.bands[tooth.band - 1]
                         self.problems.append(f"disk {disk} tooth enters 1-handle {tooth.band} "
                                              f"joining {band.i},{band.j}")
-                    else:
-                        found.setdefault(tooth.band, []).append((tooth.slot, ci, ti))
             first = len(self.band)
             for band, side in row.items():
-                if band in found:
-                    self.keys[(band, side)] = range(len(self.band), len(self.band) + len(found[band]))
-                for slot, ci, ti in sorted(found.get(band, ())):
-                    combs[ci][ti] = len(self.band)
-                    self.band.append(band)
-                    self.slot.append(slot)
-                    self.disk.append(disk)
-                    self.comb.append(ci)
-                    self.locs.append((disk, ci, ti))
+                if here := found[band]:
+                    self.keys[(band, side)] = range(len(self.band), len(self.band) + len(here))
+                    here.sort()
+                    for slot, ci, ti in here:
+                        combs[ci][ti] = len(self.band)
+                        self.band.append(band)
+                        self.slot.append(slot)
+                        self.comb.append(ci)
+                        self.locs.append((disk, ci, ti))
             last = len(self.band)
+            self.disk += [disk] * (last - first)
+            self.node += [self.node_count + ci for ci in self.comb[first:last]]
             self.next.extend([*range(first + 1, last), -1][: last - first])
             self.prev.extend([-1, *range(first, last - 1)][: last - first])
             self.head.append(first if last > first else -1)
             self.comps.append(combs)
             self.labels.append(list(range(len(combs))))
             self.loose.append(loose)
+            self.node_count += len(combs)
         self.mate = [-1] * len(self.band)
         for band in range(1, k + 1):
             i_side, j_side = self.keys.get((band, "i"), ()), self.keys.get((band, "j"), ())
@@ -363,17 +365,9 @@ class _Ends:
                 for x, y in zip(i_side, reversed(j_side)):
                     self.mate[x], self.mate[y] = y, x
 
-    def node(self, x: int) -> tuple[int, int]:
-        return self.disk[x], self.comb[x]
-
-    def steps(self, teeth, at=None) -> dict[int, int]:
-        """The face-tracing step at the arc ends of a comb at positions `at` (default: all of them).
-
-        It takes arc end x to the mate of the arc end before x in its comb,
-        cyclically.
-        """
-        at = [k for k, x in enumerate(teeth) if x >= 0] if at is None else at
-        return {teeth[k]: self.mate[_pred_at(teeth, k)] for k in at}
+    def step(self, teeth, k: int) -> int:
+        """The face-tracing step at teeth[k], an arc end of a comb: the mate of the arc end before it, cyclically."""
+        return self.mate[_pred_at(teeth, k)]
 
     def is_site(self, teeth, ti: int) -> bool:
         """Whether teeth ti and ti+1 of a comb are arc ends at adjacent slots of one attaching arc."""
@@ -532,11 +526,12 @@ def _require_valid(graph: CombedGraph):
 # Regular-neighborhood summaries (ribbon-graph face tracing)
 
 
-def _graph_arcs(graph: CombedGraph) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
-    """Every arc as (band, i-side node, j-side node); nodes are (disk, comp)."""
+def _graph_arcs(graph: CombedGraph) -> list[tuple[int, int, int]]:
+    """Every arc as (band, i-side node, j-side node), by band and slot; nodes are numbers (`_Ends.node`)."""
     ends = graph._ends
+    node, mate = ends.node, ends.mate
     return [
-        (band, ends.node(x), ends.node(ends.mate[x]))
+        (band, node[x], node[mate[x]])
         for band in range(1, graph.host.band_count() + 1)
         for x in ends.keys.get((band, "i"), ())
     ]
@@ -564,13 +559,11 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     orbits.)  No step leaves a component, so the count holds per component.
     """
     ends = graph._ends
-    step: dict[int, int] = {}
-    for combs in ends.comps:
-        for teeth in combs:
-            step.update(ends.steps(teeth))
-    orbits = [[ends.node(x) for x in walk] for walk in _routes(step)[1]]
-    nodes = [(disk, ci) for disk, comps in enumerate(graph.disks, start=1) for ci in range(len(comps))]
-    return SurfaceSummary.of_complex(nodes, [(tail, head) for _band, tail, head in _graph_arcs(graph)], orbits)
+    node = ends.node
+    step = {x: ends.step(teeth, k) for combs in ends.comps for teeth in combs for k, x in enumerate(teeth) if x >= 0}
+    orbits = [[node[x] for x in walk] for walk in _routes(step)[1]]
+    edges = [(tail, head) for _band, tail, head in _graph_arcs(graph)]
+    return SurfaceSummary.of_complex(range(ends.node_count), edges, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +755,12 @@ class _Working(_Ends):
         Every comb that holds a site is queued: a move makes new sites only in
         the two combs it changes (see `move`), and it queues both.
         """
+        is_site = self.is_site
         while self.queue:
             disk, label = self.queue[0]
             teeth = self.comps[disk - 1].get(label, ())
             for ti in range(len(teeth) - 1):
-                if self.is_site(teeth, ti):
+                if is_site(teeth, ti):
                     return disk, label, ti
             heapq.heappop(self.queue)
             self.queued.discard((disk, label))
@@ -827,7 +821,7 @@ class _Working(_Ends):
         step changes; (5) the kept arc still joins the merged comb; (6)
         drawing, and free-end reach in M's gaps and around M.
         """
-        mate, comb, nxt = self.mate, self.comb, self.next
+        mate, comb, nxt, step = self.mate, self.comb, self.next, self.step
         near = self.comps[disk - 1][label]
         t, u = near[ti], near[ti + 1]
         a, b = mate[t], mate[u]
@@ -854,12 +848,13 @@ class _Working(_Ends):
         # boundary order (number order).  The near comb loses u by
         # construction, and keeps its order: a subsequence of an ordered one.
         ends = [x for x in merged if x >= 0]
-        kept = sorted(x for x in a_comb + b_comb if x >= 0 and x != b)
-        if len(merged) != len(a_comb) + len(b_comb) - 1 or sorted(ends) != kept:
+        kept = [x for x in a_comb + b_comb if x >= 0 and x != b]
+        kept.sort()
+        if len(merged) != len(a_comb) + len(b_comb) - 1 or ends != kept and sorted(ends) != kept:
             raise InternalError("Whitehead move did not drop the arc count by one")
         if ends != kept:
             raise InternalError("Whitehead move made a comb that meets its arc ends out of boundary order")
-        # (4) The face-tracing step (`steps`) maps x to mate[pred(x)], pred
+        # (4) The face-tracing step (`step`) maps x to mate[pred(x)], pred
         # the arc end before x in its comb, cyclically.  The move drops u and
         # b, and changes pred only at w, the arc end after u in the near comb
         # (pred u, then t), at a (pred_A(a), then pred_B(b)) and at nb, the
@@ -868,15 +863,20 @@ class _Working(_Ends):
         # and {t, w, a, nb} less b after, alike: each entry to the same exit,
         # as many walks closed inside.  Before, w -> b -> W(b) and nb -> u ->
         # a -> W(a); after, w -> a -> W(b) and nb -> W(a), with W(x) =
-        # mate[pred(x)] before.  Read from the stored combs, a stale label fails.
-        w = _next_at(near, ti + 1)[0]
+        # mate[pred(x)] before.  Before the move it is read at the positions
+        # found here; after it, from the combs the labels name, so a stale
+        # label fails.
+        w, kw = _next_at(near, ti + 1)
         nb, kb = _next_at(b_comb, tb)
-        routes, closed = _routes(self._stored_steps((t, u, w, a, b, nb)))
+        routes, closed = _routes({
+            t: step(near, ti), u: step(near, ti + 1), w: step(near, kw),
+            a: step(a_comb, ta), b: step(b_comb, tb), nb: step(b_comb, kb),
+        })
         count = len(self.labels[far - 1])
         del near[ti + 1]
         self._unlink(u)
         self._unlink(b)
-        low, high = sorted((a_label, b_label))
+        low, high = min(a_label, b_label), max(a_label, b_label)
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")
@@ -912,16 +912,16 @@ class _Working(_Ends):
         self._enqueue(far, low)
 
     def _stored_steps(self, ends) -> dict[int, int]:
-        """The face-tracing step at each arc end of `ends`, read from the comb its label names."""
+        """The face-tracing step (`step`) at each arc end of `ends`, read from the comb its label names."""
         step = {}
         for x in ends:
-            teeth = self.comps[self.disk[x] - 1].get(self.comb[x], [])
+            teeth = self.comps[self.disk[x] - 1].get(self.comb[x], ())
             try:
                 k = teeth.index(x)
             except ValueError:
                 raise InternalError("Whitehead move changed the neighborhood summary: "
                                     "an arc end is not in the comb its label names") from None
-            step |= self.steps(teeth, (k,))
+            step[x] = self.step(teeth, k)
         return step
 
     def drop_leaves(self, disks) -> bool:
