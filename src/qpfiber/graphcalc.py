@@ -8,18 +8,21 @@ of where an arc end sits, and the order in which a disk lists its
 components means nothing.
 
 Each graph numbers its arc ends once (`_Ends`): every disk takes one block
-of consecutive numbers, in boundary order (band height, slot).  The table
-holds each end's band, slot and node, each comb as a list of numbers (-1
-for a free end), each end's neighbours on the boundary, and the pairing:
-arcs through a band pair slot p on the i side with slot r-1-p on the j
-side, since the half-twist reverses the transverse order.  Each rule is
-stated once over these numbers, and read both by the graph and by the
-working copy of the Whitehead moves: the pairing, the face-tracing step
-(`_Ends.steps`), the site test (`_Ends.is_site`) and the gap walk of
-free-end reach (`_Ends.unreached`).  `CombedGraph.arcs` lists the pairing
-by slot.  The face-tracing conventions below are validated against the
-independent permutation-cycle boundary count by the self-calibration suite,
-not assumed.
+of consecutive numbers, in boundary order (band height, slot).  It numbers
+its nodes too: disk s's components take the numbers from the count of
+components on the disks before s on, in listing order, so a node is one
+integer (`_Ends.node`), points and combs with no arc end included.  The
+table holds each end's band, slot and node, each comb as a list of numbers
+(-1 for a free end), each end's neighbours on the boundary, and the
+pairing: arcs through a band pair slot p on the i side with slot r-1-p on
+the j side, since the half-twist reverses the transverse order.  Each rule
+is stated once over these numbers, and read both by the graph and by the
+working copy of the Whitehead moves: the pairing, the face-tracing step at
+one arc end (`_Ends.step`), the site test (`_Ends.is_site`) and the gap
+walk of free-end reach (`_Ends.unreached`).  `CombedGraph.arcs` lists the
+pairing by slot.  The face-tracing conventions below are validated against
+the independent permutation-cycle boundary count by the self-calibration
+suite, not assumed.
 
 `validate` accepts only graphs that can be drawn in the disks.  It walks
 the tooth objects once, in the walk that numbers the arc ends: that walk
@@ -40,8 +43,8 @@ nested in, so validation charges it to that gap and walks each gap once.
 
 A graph is *full* when its inclusion is pi_1-injective on each component.
 The host retracts onto its handle graph H (a vertex per disk, an edge i to
-j per band), and the graph Gamma maps onto H: a node (disk, comp) to its
-disk, an arc to its band.  Stallings folding decides injectivity (Stallings
+j per band), and the graph Gamma maps onto H: a node to its disk, an arc
+to its band.  Stallings folding decides injectivity (Stallings
 1983, "Topology of finite graphs"; Kapovich and Myasnikov 2002, "Stallings
 foldings and subgroups of free groups"): repeatedly identify two arcs
 through one band that leave one node class on the same side.  A fold whose
@@ -59,7 +62,7 @@ this step are the boundary circles of components containing at least one
 arc; arc-free components are disks.  One walker follows the step
 (`_routes`): over the whole graph every walk closes, and
 `SurfaceSummary.of_complex`, the one per-component count, reads the closed
-walks as the circles of the complex of nodes and arcs.  The face-routing
+walks as the circles of the complex of node numbers and arcs.  The face-routing
 check of a Whitehead move is the same walker over the arc ends whose step
 the move changes: where each entry leaves, and how many walks close inside.
 
@@ -167,6 +170,8 @@ class CombedGraph:
         leave it on the same side, and so merges their other ends.  It keeps
         E - V exactly when no fold identifies two arcs whose other ends were
         already one node, that is, when no cycle dies (see the module docstring).
+        Nodes are the numbers of `_Ends.node`, so each node's star, keyed by
+        band (negated at an arc's j end), is an entry of a list.
         """
         _require_valid(self)
         stars: list[dict] = [{} for _ in range(self._ends.node_count)]  # node root -> {band, negated at the j end: a neighbor}
@@ -278,8 +283,9 @@ class _Ends:
     refuses, keep listing order, and teeth into a 1-handle that does not
     meet their disk take none.  Per arc end x:
     - `band[x]`, `slot[x]`, the slot its tooth states (`validate` checks
-      it against x's rank), and its node: `disk[x]` and `comb[x]`, its
-      comb's label;
+      it against x's rank), `disk[x]`, `comb[x]`, its comb's label, and
+      `node[x]`, its comb's node number: the disk's offset, the count of
+      components on the disks before it, plus the label;
     - `next[x]` and `prev[x]`, its neighbours on the disk's boundary, or -1;
     - `mate[x]`, the other end of its arc: of the r arc ends through a band,
       slot p on the i side pairs with slot r-1-p on the j side (-1 where
@@ -289,12 +295,14 @@ class _Ends:
     by label, and a point as []; `labels`, the labels in listing order
     (here the component indices); `head`, its first arc end or -1; and
     `loose`, whether it holds a free end.  `keys` maps (band, side) to the
-    range of its numbers, by slot.  `problems` lists, disk by disk, each
-    component that is neither a comb nor a point, each empty comb, and each
-    tooth that is neither a free end nor an arc end into a 1-handle meeting
-    its disk: validation's one walk over the tooth objects.  Disks past the
+    range of its numbers, by slot; the nodes, one per component, are
+    range(`node_count`).  `problems` lists, disk by disk, each component
+    that is neither a comb nor a point, each empty comb, and each tooth
+    that is neither a free end nor an arc end into a 1-handle meeting its
+    disk: validation's one walk over the tooth objects.  Disks past the
     host's strand count get no numbers; `validate` refuses their graph
-    first.  `_Working` is a mutable copy.
+    first.  `_Working` is a mutable copy, without node numbers: a move
+    merges combs, and only a graph's summary and folding read nodes.
     """
 
     def __init__(self, graph: CombedGraph):
@@ -457,14 +465,14 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     of the combs met but not finished.
     """
     ends = graph._ends
-    comps = ends.comps[disk - 1]
+    comps, locs = ends.comps[disk - 1], ends.locs
     stack: list[int] = []  # combs met but not finished
     gaps: dict[int, list] = {}  # comb -> [tooth after its last arc end met, its last arc end's number]
     for key in graph.host.incidence[disk - 1].items():
         band, side = key
         where = (band, 0 if side == "i" else 1)
         for slot, x in enumerate(ends.keys.get(key, ())):
-            _disk, ci, ti = ends.locs[x]
+            _disk, ci, ti = locs[x]
             teeth = comps[ci]
             if ends.slot[x] != slot:
                 slots = [ends.slot[y] for y in ends.keys[key]]
@@ -552,11 +560,15 @@ def _trace_summary(graph: CombedGraph) -> SurfaceSummary:
     cyclically.  The orbits of this map are the boundary circles.  They
     alternate A and B, so each holds a B token, and its B tokens make up
     one orbit of the return map B(y) -> B(mate[pred(y)]), which is the
-    step (`_Ends.steps`).  Distinct orbits hold disjoint B tokens, so the
-    boundary circles and the orbits of the step correspond one to one.
-    (The A tokens' return map pred . mate equals mate . step . mate,
-    conjugate to the step by the involution mate, so it has as many
-    orbits.)  No step leaves a component, so the count holds per component.
+    step (`_Ends.step`, read at each arc end of each comb).  Distinct
+    orbits hold disjoint B tokens, so the boundary circles and the orbits
+    of the step correspond one to one.  (The A tokens' return map
+    pred . mate equals mate . step . mate, conjugate to the step by the
+    involution mate, so it has as many orbits.)  No step leaves a
+    component, so the count holds per component: `SurfaceSummary.of_complex`
+    counts on the node numbers (`_Ends.node`), each orbit as the nodes of
+    its arc ends, and each point or comb with no arc end is a node with no
+    edge, a disk.
     """
     ends = graph._ends
     node = ends.node
@@ -880,7 +892,7 @@ class _Working(_Ends):
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")
-        after, closed_after = _routes(self._stored_steps(x for x in (t, w, a, nb) if x != b))
+        after, closed_after = _routes(self._stored_steps((t, w, a) if nb == b else (t, w, a, nb)))
         if after != routes or len(closed_after) != len(closed):
             raise InternalError("Whitehead move changed the neighborhood summary")
         # (5) The region was one piece; it stays one if the kept arc joins the
@@ -913,16 +925,16 @@ class _Working(_Ends):
 
     def _stored_steps(self, ends) -> dict[int, int]:
         """The face-tracing step (`step`) at each arc end of `ends`, read from the comb its label names."""
-        step = {}
+        comps, disk, comb, found = self.comps, self.disk, self.comb, {}
         for x in ends:
-            teeth = self.comps[self.disk[x] - 1].get(self.comb[x], ())
+            teeth = comps[disk[x] - 1].get(comb[x], ())
             try:
                 k = teeth.index(x)
             except ValueError:
                 raise InternalError("Whitehead move changed the neighborhood summary: "
                                     "an arc end is not in the comb its label names") from None
-            step[x] = self.step(teeth, k)
-        return step
+            found[x] = self.step(teeth, k)
+        return found
 
     def drop_leaves(self, disks) -> bool:
         """Drop each one-tooth comb on `disks`, with its arc and the tooth at its far end.
@@ -1027,9 +1039,11 @@ def _reduced(graph: CombedGraph, leaves) -> tuple[CombedGraph, list[Site]]:
 
     Moves and drops alternate until neither a site nor such a comb is left.
     All of them are made on one working copy, frozen once; the steps are
-    checked locally, and a fresh copy of the result is validated,
-    summarised and folded again.  So a reduction that changes the graph
-    folds twice whatever its length: its input and that copy.
+    checked locally, with the face-tracing step (`_Ends.step`) read at the
+    few arc ends each move changes, and a fresh copy of the result is
+    validated, summarised and folded again.  So a reduction that changes
+    the graph numbers, traces and folds twice whatever its length: its
+    input and that copy, and the result takes the copy's numbering.
     """
     if not is_full(graph):
         raise NotFull("reduce requires a full graph")

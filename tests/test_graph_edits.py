@@ -591,6 +591,22 @@ def test_a_reduction_folds_its_input_and_a_fresh_copy_of_its_result(seed, monkey
     assert folded[0] is graph and folded[1] == result and folded[1] is not result
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_a_quasipositization_numbers_and_traces_its_input_and_a_fresh_copy_of_its_result(seed, monkeypatch):
+    # the working copy of the moves is not a numbering built from a graph, so it is not counted
+    rng = random.Random(seed)
+    grown = grown_spine(rng, 4, rng.randint(4, 16))
+    graph = CombedGraph(grown.host, grown.disks)  # nothing cached
+    ends, trace = graphcalc._Ends, graphcalc._trace_summary
+    numbered, traced = [], []
+    monkeypatch.setattr(graphcalc, "_Ends", lambda g: numbered.append(g) or ends(g))
+    monkeypatch.setattr(graphcalc, "_trace_summary", lambda g: traced.append(g) or trace(g))
+    result = quasipositize(4, graph)
+    assert result.steps and len(numbered) == len(traced) == 2
+    assert numbered[0] is traced[0] is graph
+    assert numbered[1] is traced[1] and numbered[1] != graph
+
+
 def test_a_whitehead_child_is_full_without_folding(monkeypatch):
     graph = grown_spine(random.Random(5), 4, 8)
     site = eligible_sites(graph)[0]

@@ -35,7 +35,7 @@ from qpfiber.sampling import (
     random_graph_mixed_fullness,
 )
 from qpfiber.selfcheck import _bruteforce_is_full
-from qpfiber.surface import BraidedSurface, handle_spine, summary
+from qpfiber.surface import BraidedSurface, SurfaceSummary, handle_spine, summary
 
 from conftest import relisted
 
@@ -285,6 +285,69 @@ class TestIsFull:
 
         monkeypatch.setattr(graphcalc, "_Ends", unusable)
         assert [_bruteforce_is_full(CombedGraph(g.host, g.disks)) for g in graphs] == verdicts
+
+
+class TestNodeNumbering:
+    """Node numbers (a disk's offset plus the component's index) where disks hold little.
+
+    The summaries are counted by hand.  A point, or a comb with no arc end,
+    is a disk: (1, 1).  A tree of combs and arcs is a disk too.  Two arcs
+    through two bands of one sign between the same two combs bound an
+    annulus with two boundary circles: (0, 2).  Each graph is compared on a
+    fresh copy, with fullness also decided by the brute-force oracle.
+    """
+
+    def check(self, graph, components, full=True):
+        fresh = CombedGraph(graph.host, graph.disks)
+        assert validate(fresh) == []
+        assert fresh._ends.node_count == sum(map(len, graph.disks))
+        assert neighborhood_summary(fresh) == SurfaceSummary(sum(chi for chi, _ in components), components)
+        assert is_full(fresh) == _bruteforce_is_full(CombedGraph(graph.host, graph.disks)) == full
+
+    def test_isolated_points(self):
+        self.check(CombedGraph(HOPF_HOST, ((IsolatedPoint(), IsolatedPoint()), (IsolatedPoint(),))), [(1, 1)] * 3)
+
+    def test_isolated_points_around_an_arc(self):
+        # nodes 0 and 2 are points, the arc joins node 1 to node 3
+        graph = CombedGraph(HOPF_HOST, (
+            (IsolatedPoint(), Comb((ArcEnd(1, 0),)), IsolatedPoint()),
+            (Comb((ArcEnd(1, 0),)),),
+        ))
+        self.check(graph, [(1, 1)] * 3)
+
+    def test_combs_whose_teeth_are_all_free_ends(self):
+        graph = CombedGraph(HOPF_HOST, (
+            (Comb((FreeEnd(),)), Comb((ArcEnd(1, 0), ArcEnd(2, 0)))),
+            (Comb((FreeEnd(), FreeEnd())), Comb((ArcEnd(1, 0), ArcEnd(2, 0)))),
+        ))
+        self.check(graph, [(1, 1), (1, 1), (0, 2)])
+        bigon_and_free = CombedGraph(HOPF_HOST, (
+            (Comb((ArcEnd(1, 0), ArcEnd(1, 1))), Comb((FreeEnd(),))),
+            (Comb((FreeEnd(),)), Comb((ArcEnd(1, 0), ArcEnd(1, 1)))),
+        ))
+        self.check(bigon_and_free, [(1, 1), (1, 1), (0, 2)], full=False)
+
+    def test_disks_with_no_component(self):
+        host = BraidedSurface(BandRepresentation(3, (EmbeddedBand(1, 2, 1), EmbeddedBand(2, 3, 1))))
+        self.check(CombedGraph(host, ((), (), ())), [])
+        graph = CombedGraph(host, ((), (Comb((ArcEnd(2, 0),)), IsolatedPoint()), (Comb((ArcEnd(2, 0),)),)))
+        self.check(graph, [(1, 1), (1, 1)])
+        graph = CombedGraph(host, ((Comb((ArcEnd(1, 0),)),), (Comb((ArcEnd(1, 0),)),), ()))
+        self.check(graph, [(1, 1)])
+
+    def test_stray_points_on_middle_disks(self):
+        # 1-handles 1 and 5 of q_rep(3) both join disks 1 and 5 positively; disks 2, 3 and 4 hold points
+        from qpfiber.constructions import q_rep
+        from qpfiber.qpize import quasipositize
+
+        graph = spine(q_rep(3), [1, 5])
+        disks = list(graph.disks)
+        disks[1] += (IsolatedPoint(),)
+        disks[4] += (IsolatedPoint(),)
+        graph = CombedGraph(graph.host, tuple(disks))
+        components = [(0, 2)] + [(1, 1)] * 5
+        self.check(graph, components)
+        assert quasipositize(3, graph).output_summary == SurfaceSummary(5, components)
 
 
 class TestWhiteheadStep:
