@@ -170,17 +170,19 @@ class CombedGraph:
         leave it on the same side, and so merges their other ends.  It keeps
         E - V exactly when no fold identifies two arcs whose other ends were
         already one node, that is, when no cycle dies (see the module docstring).
-        Nodes are the numbers of `_Ends.node`, so each node's star, keyed by
-        band (negated at an arc's j end), is an entry of a list.
+        Nodes are the numbers of `_Ends.node`, so each node's star is an
+        entry of a list.  A star is keyed by band alone: a node class lies on
+        one disk, as each fold merges far ends on one disk, and a disk meets
+        each band on one side.
         """
         _require_valid(self)
-        stars: list[dict] = [{} for _ in range(self._ends.node_count)]  # node root -> {band, negated at the j end: a neighbor}
+        stars: list[dict] = [{} for _ in range(self._ends.node_count)]  # node root -> {band: a neighbor}
         pending = []  # pairs of nodes that folding must merge
         arcs = _graph_arcs(self)
         for band, tail, head in arcs:
             if (seen := stars[tail].setdefault(band, head)) != head:
                 pending.append((seen, head))
-            if (seen := stars[head].setdefault(-band, tail)) != tail:
+            if (seen := stars[head].setdefault(band, tail)) != tail:
                 pending.append((seen, tail))
         sets = UnionFind(range(len(stars)))
         merges = 0
@@ -262,7 +264,7 @@ class CombedGraph:
                         row.append(Comb(tuple(teeth)))
                 disks.append(tuple(row))
             graph = CombedGraph(host, tuple(disks))
-            stated = sorted(tuple(json_int(x) for x in arc) for arc in doc["arcs"]) if "arcs" in doc else None
+            stated = sorted(tuple(map(json_int, arc)) for arc in doc["arcs"]) if "arcs" in doc else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidGraph(f"malformed combed graph document: {exc}") from exc
         _require_valid(graph)
@@ -767,12 +769,11 @@ class _Working(_Ends):
         Every comb that holds a site is queued: a move makes new sites only in
         the two combs it changes (see `move`), and it queues both.
         """
-        is_site = self.is_site
         while self.queue:
             disk, label = self.queue[0]
             teeth = self.comps[disk - 1].get(label, ())
             for ti in range(len(teeth) - 1):
-                if is_site(teeth, ti):
+                if self.is_site(teeth, ti):
                     return disk, label, ti
             heapq.heappop(self.queue)
             self.queued.discard((disk, label))
@@ -860,8 +861,7 @@ class _Working(_Ends):
         # boundary order (number order).  The near comb loses u by
         # construction, and keeps its order: a subsequence of an ordered one.
         ends = [x for x in merged if x >= 0]
-        kept = [x for x in a_comb + b_comb if x >= 0 and x != b]
-        kept.sort()
+        kept = sorted([x for x in a_comb + b_comb if x >= 0 and x != b])
         if len(merged) != len(a_comb) + len(b_comb) - 1 or ends != kept and sorted(ends) != kept:
             raise InternalError("Whitehead move did not drop the arc count by one")
         if ends != kept:
@@ -880,10 +880,8 @@ class _Working(_Ends):
         # label fails.
         w, kw = _next_at(near, ti + 1)
         nb, kb = _next_at(b_comb, tb)
-        routes, closed = _routes({
-            t: step(near, ti), u: step(near, ti + 1), w: step(near, kw),
-            a: step(a_comb, ta), b: step(b_comb, tb), nb: step(b_comb, kb),
-        })
+        routes, closed = _routes({t: step(near, ti), u: step(near, ti + 1), w: step(near, kw),
+                                  a: step(a_comb, ta), b: step(b_comb, tb), nb: step(b_comb, kb)})
         count = len(self.labels[far - 1])
         del near[ti + 1]
         self._unlink(u)
