@@ -9,19 +9,19 @@ components means nothing.
 
 Each graph numbers its arc ends once (`_Ends`): every disk takes one block
 of consecutive numbers, in boundary order (band height, slot).  It numbers
-its nodes too: disk s's components take the numbers from the count of
-components on the disks before s on, in listing order, so a node is one
-integer (`_Ends.node`), points and combs with no arc end included.  The
-table holds each end's band, slot and node, each comb as a list of numbers
-(-1 for a free end), each end's neighbours on the boundary, and the
-pairing: arcs through a band pair slot p on the i side with slot r-1-p on
-the j side, since the half-twist reverses the transverse order.  Each rule
-is stated once over these numbers, and read both by the graph and by the
-working copy of the Whitehead moves: the pairing, the face-tracing step at
-one arc end (`_Ends.step`), the site test (`_Ends.is_site`) and the gap
-walk of free-end reach (`_Ends.unreached`).  `CombedGraph.arcs` lists the
-pairing by slot.  The face-tracing conventions below are validated against
-the independent permutation-cycle boundary count by the self-calibration
+the nodes too: disk s's components, in listing order, from the count of
+components on the disks before s, so a node is one integer (`_Ends.node`),
+points and combs with no arc end included.  The table holds each end's
+band, slot and node, each comb as a list of numbers (-1 for a free end),
+each end's neighbours on the boundary, and the pairing: arcs through a
+band pair slot p on the i side with slot r-1-p on the j side, since the
+half-twist reverses the transverse order.  Each rule is stated once over
+these numbers, and read both by the graph and by the working copy of the
+Whitehead moves: the pairing, the face-tracing step at one arc end
+(`_Ends.step`), the site test (`_Ends.is_site`) and the gap walk of
+free-end reach (`_Ends.unreached`).  `CombedGraph.arcs` lists the pairing
+by slot.  The face-tracing conventions below are validated against the
+independent permutation-cycle boundary count by the self-calibration
 suite, not assumed.
 
 `validate` accepts only graphs that can be drawn in the disks.  It walks
@@ -62,9 +62,10 @@ this step are the boundary circles of components containing at least one
 arc; arc-free components are disks.  One walker follows the step
 (`_routes`): over the whole graph every walk closes, and
 `SurfaceSummary.of_complex`, the one per-component count, reads the closed
-walks as the circles of the complex of node numbers and arcs.  The face-routing
-check of a Whitehead move is the same walker over the arc ends whose step
-the move changes: where each entry leaves, and how many walks close inside.
+walks as the circles of the complex of node numbers and arcs.  The
+face-routing check of a Whitehead move is the same walker over the arc
+ends whose step the move changes: where each entry leaves, and how many
+walks close inside.
 
 A `CombedGraph` is immutable: its fields are tuples of frozen objects, and
 every edit builds a new graph.  So what a graph determines is worked out
