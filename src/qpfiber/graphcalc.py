@@ -468,14 +468,14 @@ def _drawing_problem(graph: CombedGraph, disk: int) -> tuple | None:
     of the combs met but not finished.
     """
     ends = graph._ends
-    comps, locs = ends.comps[disk - 1], ends.locs
+    comps = ends.comps[disk - 1]
     stack: list[int] = []  # combs met but not finished
     gaps: dict[int, list] = {}  # comb -> [tooth after its last arc end met, its last arc end's number]
     for key in graph.host.incidence[disk - 1].items():
         band, side = key
         where = (band, 0 if side == "i" else 1)
         for slot, x in enumerate(ends.keys.get(key, ())):
-            _disk, ci, ti = locs[x]
+            _disk, ci, ti = ends.locs[x]
             teeth = comps[ci]
             if ends.slot[x] != slot:
                 slots = [ends.slot[y] for y in ends.keys[key]]
@@ -887,7 +887,7 @@ class _Working(_Ends):
         del near[ti + 1]
         self._unlink(u)
         self._unlink(b)
-        low, high = min(a_label, b_label), max(a_label, b_label)
+        low, high = sorted((a_label, b_label))
         self.replace(far, {low: merged, high: None})
         if len(self.labels[far - 1]) != count - 1:
             raise InternalError("Whitehead move did not drop the component count by one")

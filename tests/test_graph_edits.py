@@ -593,7 +593,7 @@ def test_a_reduction_folds_its_input_and_a_fresh_copy_of_its_result(seed, monkey
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_quasipositization_numbers_and_traces_its_input_and_a_fresh_copy_of_its_result(seed, monkeypatch):
-    # the working copy of the moves is not a numbering built from a graph, so it is not counted
+    # `_Working`, the copy the moves are made on, copies the input's numbering and builds none
     rng = random.Random(seed)
     grown = grown_spine(rng, 4, rng.randint(4, 16))
     graph = CombedGraph(grown.host, grown.disks)  # nothing cached
