@@ -76,12 +76,9 @@ MAX_ARCS = 2000
 Reduction makes its moves on a working copy of the graph, and a move costs
 about as much as the combs it changes, so reduction time grows about
 linearly in arcs.  On a 2-core x86-64 machine (Python 3.11, medians of 5)
-``quasipositize`` on grown spines of S(q_6), made by
-``perfbench/inputs.grown_graph(Random(1), 6, 6, 13, arcs)`` and given as a
-fresh copy of the parsed graph, so that its checks count, took 0.0048,
-0.0089, 0.018, 0.035 and 0.045 s at 200, 400, 800, 1,600 and 2,000 arcs,
-and ``reduce`` on a star of 2,000 parallel arcs from one comb of S(q_2),
-1,999 moves, took 0.034 s.
+``quasipositize`` on ``perfbench/inputs.grown_graph(Random(1), 6, 6, 13, arcs)``
+took 0.0048, 0.0089, 0.018, 0.035 and 0.045 s at 200, 400, 800, 1,600 and
+2,000 arcs, and ``reduce`` on a 2,000-arc star of S(q_2) took 0.034 s.
 """
 
 
