@@ -39,7 +39,6 @@ from .invariants import (
     LaurentPolynomial,
     alexander_from_braid,
     alexander_from_seifert,
-    eq_up_to_units,
     reduced_burau,
     seifert_matrix,
 )

@@ -37,7 +37,7 @@ from .errors import (
     NotQuasipositive,
 )
 from .graphcalc import CombedGraph
-from .invariants import alexander_from_braid, eq_up_to_units
+from .invariants import alexander_from_braid
 from .surface import BraidedSurface, euler_characteristic, handle_spine
 
 MAX_N = 11
@@ -207,9 +207,8 @@ def expand_bands(rep: BandRepresentation) -> tuple[BraidWord, CombedGraph]:
     disks = []
     for s in range(1, n + 1):
         comps: list[tuple[int, object]] = []
-        if node_teeth[s]:
-            teeth = tuple(tooth for _, tooth in sorted(node_teeth[s], key=lambda x: x[0]))
-            comps.append((sorted(node_teeth[s])[0][0], graphcalc.Comb(teeth)))
+        if node_teeth[s]:  # appended in strictly increasing handle order
+            comps.append((node_teeth[s][0][0], graphcalc.Comb(tuple(tooth for _, tooth in node_teeth[s]))))
         else:
             comps.append((0, graphcalc.IsolatedPoint()))
         comps.extend(pass_combs[s])
@@ -252,8 +251,10 @@ def verify_fiber(n: int) -> FiberReport:
     """Check that S(q_n) and S(nabla_n) present the same fiber surface.
 
     Compares Euler characteristics, closure component counts, and Alexander
-    polynomials (up to units) of the two boundary links.  Any mismatch is an
-    implementation bug, not a modelling ambiguity.
+    polynomials of the two boundary links; `alexander_from_braid` returns
+    the canonical form, so the polynomials agree up to units exactly when
+    they are equal.  Any mismatch is an implementation bug, not a modelling
+    ambiguity.
     """
     q = q_rep(n)
     nab = nabla(n)
@@ -263,7 +264,7 @@ def verify_fiber(n: int) -> FiberReport:
         chi_nabla=euler_characteristic(BraidedSurface(nab)),
         components_q=len(cycles(band_permutation(q))),
         components_nabla=len(cycles(band_permutation(nab))),
-        alexander_agree=eq_up_to_units(alexander_from_braid(beta(q)), alexander_from_braid(beta(nab))),
+        alexander_agree=alexander_from_braid(beta(q)) == alexander_from_braid(beta(nab)),
     )
     if not report.ok():
         raise FiberVerificationFailed(f"fiber models disagree: {report.to_json()}")

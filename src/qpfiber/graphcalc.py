@@ -91,9 +91,9 @@ only its gaps are walked.  With one arc and one comb gone, each component
 keeps its chi, and a move keeps fullness too.  `whitehead_step`
 is one move on a fresh copy, frozen, and its child takes the parent's
 summary and fullness.  `reduce` makes all its moves on one copy, freezes it
-once, and still validates, summarises and checks fullness of a fresh copy
-of its result against its input, so a local check that missed a fault
-would show there.
+once with nothing cached, and still validates, summarises and checks
+fullness of its result against its input, so a local check that missed a
+fault would show there.
 """
 
 from __future__ import annotations
@@ -627,11 +627,6 @@ def is_full(graph: CombedGraph) -> bool:
 # Whitehead moves
 
 
-def _inherit(graph: CombedGraph, **cached) -> None:
-    """Store values of a new graph's cached properties, as their first use would."""
-    graph.__dict__.update(cached)
-
-
 @dataclass(frozen=True)
 class Site:
     """A move site: teeth (tooth, tooth+1) of one comb, entering one band."""
@@ -984,7 +979,7 @@ class _Working(_Ends):
                 for teeth in map(comps.__getitem__, self.labels[disk - 1])
             )
         result = CombedGraph(self.graph.host, tuple(disks))
-        _inherit(result, **cached)
+        result.__dict__.update(cached)  # the cached properties' values, as their first use would store them
         return result
 
 
@@ -1039,10 +1034,10 @@ def _reduced(graph: CombedGraph, leaves) -> tuple[CombedGraph, list[Site]]:
     Moves and drops alternate until neither a site nor such a comb is left.
     All of them are made on one working copy, frozen once; the steps are
     checked locally, with the face-tracing step (`_Ends.step`) read at the
-    few arc ends each move changes, and a fresh copy of the result is
-    validated, summarised and folded again.  So a reduction that changes
-    the graph numbers, traces and folds twice whatever its length: its
-    input and that copy, and the result takes the copy's numbering.
+    few arc ends each move changes, and the result, frozen with nothing
+    cached, is validated, summarised and folded afresh.  So a reduction
+    that changes the graph numbers, traces and folds twice whatever its
+    length: its input and its result.
     """
     if not is_full(graph):
         raise NotFull("reduce requires a full graph")
@@ -1054,9 +1049,6 @@ def _reduced(graph: CombedGraph, leaves) -> tuple[CombedGraph, list[Site]]:
     if not work.touched:
         return graph, trace
     result = work.freeze()
-    fresh = CombedGraph(result.host, result.disks)
-    if validate(fresh) or neighborhood_summary(fresh) != summary or not is_full(fresh):
+    if validate(result) or neighborhood_summary(result) != summary or not is_full(result):
         raise InternalError("Whitehead reduction lost validity, the neighborhood summary or fullness")
-    # the fresh copy holds the same host and disks, so its arc-end numbering is the result's
-    _inherit(result, _ends=fresh._ends, _problems=(), _summary=summary, _full=True)
     return result, trace

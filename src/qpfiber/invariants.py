@@ -17,13 +17,14 @@ pivot.  On the fiber model q_rep(k), whose matrices on either route are
 (k-1)^2 square, all but the last k - 1 (Seifert) or k (Burau) steps are
 unit steps; on nabla(k) none is.  Every matrix entry, from
 `reduced_burau` and `alexander_from_seifert` to `mat_det`, is a plain
-{exponent: coefficient} dict, {} for zero: the unit steps convolve those
-dicts and the packing reads them.  `LaurentPolynomial` is the type of
-results only: the determinant, the divisor 1 + t + ... + t^(n-1) and the
-Alexander polynomial.  It is stored as its lowest exponent and the tuple
-of coefficients from there up, with no zero at either end, so equal
-polynomials store equal pairs; sums align two lists and products convolve
-them.
+{exponent: coefficient} dict, whose zero coefficients `mat_det` alone
+drops: the unit steps convolve those dicts and the packing reads them.
+`LaurentPolynomial` is the type of results only: the determinant, the
+divisor 1 + t + ... + t^(n-1) and the Alexander polynomial.  It is stored
+as its lowest exponent and the tuple of coefficients from there up, with
+no zero at either end, so equal polynomials store equal pairs; a product
+convolves the two tuples.  Both routes return the canonical form, so two
+results agree up to units exactly when they are equal.
 
 The Seifert matrix is a sum of integer terms read off band positions,
 slots, traversal directions and band signs; no point is laid out.  The
@@ -120,11 +121,10 @@ class LaurentPolynomial:
     `coeffs[k]` is the coefficient of t^(low + k), and the tuple has no zero
     at either end; zero is `()` with `low = 0`.  So equal polynomials store
     equal pairs.  Every result goes through the constructor, which trims
-    both ends of the ints it is given: sums align two lists and products
-    convolve them, whatever the operands' sizes.  No matrix holds this
-    type and no hot loop runs on it: matrix entries are {exponent:
-    coefficient} dicts, and `mat_det` builds one polynomial product at the
-    end.
+    both ends of the ints it is given: a product convolves the two tuples,
+    whatever the operands' sizes.  No matrix holds this type and no hot
+    loop runs on it: matrix entries are {exponent: coefficient} dicts, and
+    `mat_det` builds one polynomial product at the end.
     """
 
     __slots__ = ("low", "coeffs")
@@ -146,22 +146,6 @@ class LaurentPolynomial:
 
     def __hash__(self):
         return hash((self.low, self.coeffs))
-
-    def __add__(self, other, sign=1):
-        a, b = self.coeffs, other.coeffs
-        low = min(self.low, other.low)
-        out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
-        for k, c in enumerate(a, self.low - low):
-            out[k] = c
-        for k, c in enumerate(b, other.low - low):
-            out[k] += sign * c
-        return LaurentPolynomial(out, low)
-
-    def __neg__(self):
-        return LaurentPolynomial([-c for c in self.coeffs], self.low)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -212,11 +196,6 @@ class LaurentPolynomial:
                 term = f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
                 parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def eq_up_to_units(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
-    """True iff p = +-t^j q."""
-    return p.canonical() == q.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +478,14 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     left.  Consecutive bands of a fiber model cancel most of each other's
     conjugating letters: beta(q_rep(6)) has 1,250 letters and 210 left.
     rho - I subtracts 1 from the constant term of each diagonal entry, in
-    place, and deletes that term if it cancels.
+    place; a term that cancels is left as 0, which `mat_det` drops.
     """
     n = word.strands
     if n == 1:
         return _ONE
     diff = reduced_burau(BraidWord(n, free_reduction(word.letters)))
     for i, row in enumerate(diff):
-        entry = row[i]
-        entry[0] = entry.get(0, 0) - 1
-        if not entry[0]:
-            del entry[0]
+        row[i][0] = row[i].get(0, 0) - 1
     return mat_det(diff).exact_div(LaurentPolynomial([1] * n)).canonical()
 
 
@@ -591,7 +567,7 @@ def seifert_matrix(rep: BandRepresentation) -> tuple[tuple[int, ...], ...]:
 def alexander_from_seifert(v: tuple[tuple[int, ...], ...]) -> LaurentPolynomial:
     """det(V - t V^T) of the integer rows of V, canonical up to units; the 0x0 matrix gives 1.
 
-    Entry (i, j) is {0: v_ij, 1: -v_ji} without its zero coefficients.
+    Entry (i, j) is {0: v_ij, 1: -v_ji}; `mat_det` drops its zero coefficients.
     """
-    grid = [[{e: c for e, c in ((0, x), (1, -y)) if c} for x, y in zip(row, column)] for row, column in zip(v, zip(*v))]
+    grid = [[{0: x, 1: -y} for x, y in zip(row, column)] for row, column in zip(v, zip(*v))]
     return mat_det(grid).canonical()

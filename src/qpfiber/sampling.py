@@ -63,14 +63,15 @@ def _double_arc(graph: CombedGraph, band: int, slot: int, near_disk: int, split:
 
     With `split` the far comb is cut between the copy and the old end.  A
     band outside 1..k, a near disk that is not one of the band's two disks
-    or a slot outside 0..r-1 is refused (InvalidParameter) before any edit.
+    or a slot outside 0..r-1, or any of them not an int, is refused
+    (InvalidParameter) before any edit.
     A result that fails `validate` is a bug here, so it raises InternalError.
     """
     host = graph.host
     if type(band) is not int or not 1 <= band <= host.band_count():  # not isinstance: True is an int
         raise InvalidParameter(f"1-handle {band!r} is not an integer in 1..{host.band_count()}")
     hostband = host.bands[band - 1]
-    if near_disk not in (hostband.i, hostband.j):
+    if type(near_disk) is not int or near_disk not in (hostband.i, hostband.j):
         raise InvalidParameter(f"disk {near_disk!r} is not an end of 1-handle {band} ({hostband.i}, {hostband.j})")
     _require_valid(graph)
     ends = graph._ends

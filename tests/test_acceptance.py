@@ -1,6 +1,6 @@
 """Acceptance criteria, one test each.
 
-Every check is exact (integer identities, polynomial equality up to units,
+Every check is exact (integer identities, equality of canonical polynomials,
 multiset equality of summaries) and prints its own pass/fail line; run with
 `pytest -s tests/test_acceptance.py` to see them.  The same checks back the
 CLI verb `qpfiber selftest`.
