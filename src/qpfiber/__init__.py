@@ -11,6 +11,7 @@ from .braidcore import (
     is_quasipositive,
     permutation,
     permutation_cycles,
+    reduced_beta,
 )
 from .constructions import (
     CoarseDecomposition,

@@ -6,13 +6,14 @@ Conventions fixed here and relied on everywhere else:
   ``1 <= i <= n-1``;
 * letters compose left to right: the first letter acts first, both for
   permutations and for the Burau matrices built on top of these words;
-* words are stored fully expanded: `beta` and every word the package
-  builds keep each letter of each band.  Free reduction (`free_reduction`)
-  is applied only where a word is read as a group element: before its
-  reduced Burau product in `invariants.alexander_from_braid`, and to the
-  cycle words of `graphcalc.cycle_words`.  There it is exact, since a
-  letter next to its inverse is the identity in the group, and its Burau
-  matrices are inverse exactly, rho(s_i) rho(s_i^-1) = I;
+* a word is freely reduced only where it is read as a group element.
+  `beta` keeps each letter of each band.  The Burau route reads the same
+  word freely reduced, built band by band by `reduced_beta`, and
+  `invariants.alexander_from_braid` still reduces any word it is given
+  (`free_reduction`); `graphcalc.cycle_words` reduces its cycle words.
+  There it is exact, since a letter next to its inverse is the identity in
+  the group, and its Burau matrices are inverse exactly,
+  rho(s_i) rho(s_i^-1) = I;
 * the strand count is explicit on every value.  Re-tagging a word or
   representation into a larger braid group is a deliberate operation
   (`retag`), never an implicit coercion.
@@ -37,6 +38,12 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _require_int(what: str, strands) -> None:
+    """Refuse a strand count that is not an integer, before it is compared."""
+    if type(strands) is not int:  # not isinstance: True is an int
+        raise InvalidParameter(f"{what} needs an integer strand count, got {strands!r}")
 
 
 class UnionFind:
@@ -147,6 +154,7 @@ class BraidWord:
 
     def retag(self, strands: int) -> "BraidWord":
         """The same word viewed in a larger braid group."""
+        _require_int("retag", strands)
         if strands < self.strands:
             raise InvalidParameter("retag cannot shrink the strand count")
         return BraidWord(strands, self.letters)
@@ -206,6 +214,7 @@ class BandRepresentation:
         return len(self.bands)
 
     def retag(self, strands: int) -> "BandRepresentation":
+        _require_int("retag", strands)
         if strands < self.strands:
             raise InvalidParameter("retag cannot shrink the strand count")
         return BandRepresentation(strands, self.bands)
@@ -230,6 +239,7 @@ def expand_band(band: EmbeddedBand, n: int) -> BraidWord:
     The word is (s_i, ..., s_{j-2}, s_{j-1}^sign, s_{j-2}^-1, ..., s_i^-1),
     of length 2(j-i)-1 and exponent sum equal to the band sign.
     """
+    _require_int("expand_band", n)
     if band.j > n:
         raise InvalidBand(f"band ({band.i},{band.j}) does not fit in B_{n}")
     return BraidWord(n, tuple(_band_letters(band)))
@@ -270,6 +280,40 @@ def beta(rep: BandRepresentation) -> BraidWord:
     for band in rep.bands:
         letters.extend(_band_letters(band))
     return BraidWord(rep.strands, tuple(letters))
+
+
+def reduced_beta(rep: BandRepresentation) -> BraidWord:
+    """`free_reduction(beta(rep).letters)` as a word, built band by band.
+
+    A band (i, j, sign) is the prefix s_i ... s_{j-2}, the middle letter
+    s_{j-1}^sign and the suffix s_{j-2}^-1 ... s_i^-1.  Over the letters
+    kept so far, the prefix cancels tops (c, -1) for c = i, i+1, ...; once
+    a prefix letter is kept, nothing else of the band can cancel.  If the
+    whole prefix cancels, the middle letter may cancel the top, and then
+    the suffix cancels tops (c, +1) for c = j-2, j-3, ..., which may reach
+    into earlier bands.  The result is letter for letter that of
+    `free_reduction`'s stack pass over the expanded word, but a letter that
+    would cancel on arrival is never made.
+    """
+    stack: list[tuple[int, int]] = []
+    for band in rep.bands:
+        i, j, sign = band.i, band.j, band.sign
+        c = i
+        while c < j - 1 and stack and stack[-1] == (c, -1):
+            stack.pop()
+            c += 1
+        if c < j - 1 or not stack or stack[-1] != (j - 1, -sign):
+            stack.extend((d, 1) for d in range(c, j - 1))
+            stack.append((j - 1, sign))
+            c = j - 2
+        else:
+            stack.pop()
+            c = j - 2
+            while c >= i and stack and stack[-1] == (c, 1):
+                stack.pop()
+                c -= 1
+        stack.extend((d, -1) for d in range(c, i - 1, -1))
+    return BraidWord(rep.strands, tuple(stack))
 
 
 def is_quasipositive(rep: BandRepresentation) -> bool:

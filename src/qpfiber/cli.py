@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .braidcore import BandRepresentation, BraidWord, beta
+from .braidcore import BandRepresentation, BraidWord, reduced_beta
 from .constructions import MAX_N, expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import InternalError, InvalidInput, PreconditionError, QpfiberError, SizeLimitExceeded
 from .graphcalc import CombedGraph, reduce_with_trace
@@ -56,9 +56,10 @@ def _read_document(path: str, inputs: dict):
 def _word_length(rep: BandRepresentation) -> int:
     """Letters of beta(rep), counted from the bands without expanding them.
 
-    The limit counts the expanded letters, not those left after the free
-    reduction that `alexander_from_braid` applies: `invariants` still
-    builds `beta(rep)` in full before reducing it.
+    The limit counts the expanded letters, as documented, though
+    `invariants` builds only the freely reduced word (`reduced_beta`):
+    how many letters cancel depends on the order of the bands, and the
+    expanded count is known before any work.
     """
     return sum(2 * (band.j - band.i) - 1 for band in rep.bands)
 
@@ -175,14 +176,14 @@ def _dispatch(args, inputs: dict) -> dict:
     if args.verb == "invariants":
         rep = _band_representation(_read_document(args.input, inputs))
         surface_summary = summary(BraidedSurface(rep))
-        # beta(rep) is expanded only for the Burau product: the summary counts each boundary circle
-        # once, in its component, and each band's letters' exponents sum to its sign
+        # the summary counts each boundary circle once, in its component, and each band's letters'
+        # exponents sum to its sign; only the Burau product reads letters, of the freely reduced word
         return {
             "chi": surface_summary.total_chi,
             "components": len(surface_summary.components),
             "boundary": sum(boundary for _, boundary in surface_summary.components),
             "exponent_sum": sum(band.sign for band in rep.bands),
-            "alexander": alexander_from_braid(beta(rep)).coefficient_list(),
+            "alexander": alexander_from_braid(reduced_beta(rep)).coefficient_list(),
             "summary": surface_summary.to_json(),
         }
     if args.verb == "verify-fiber":

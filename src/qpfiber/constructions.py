@@ -25,9 +25,9 @@ from .braidcore import (
     BraidWord,
     EmbeddedBand,
     band_permutation,
-    beta,
     cycles,
     is_quasipositive,
+    reduced_beta,
 )
 from .errors import (
     FiberVerificationFailed,
@@ -45,16 +45,17 @@ MAX_N = 11
 
 On a 2-core x86-64 machine shared with other jobs (Python 3.11, medians
 of five fresh-process runs of ``verify_fiber(n)``, over three such runs)
-n = 9..12 took 0.015-0.025, 0.022-0.033, 0.032-0.034 and 0.048-0.080 s,
-against 0.026-0.038, 0.042-0.065, 0.065-0.069 and 0.099-0.104 s in the
-same runs when the Bareiss steps of ``mat_det`` divided Laurent
-polynomials instead of packed integers.  At n = 11 the Burau products,
-on freely reduced words (1,820 of the 20,000 letters of
-beta(q_rep(11))), now lead: 0.012-0.021 s against 0.007-0.012 s for the
-determinants (both words, medians in one process); the unit phase of
-``mat_det`` leaves 11 of the 100 steps of q_rep(11) to Bareiss.  Raising
-the limit would also raise ``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``,
-which are taken from ``q_rep(MAX_N)``.
+n = 9..12 took 0.011-0.012, 0.017-0.019, 0.024-0.027 and 0.034-0.036 s,
+against 0.014-0.015, 0.020-0.023, 0.032-0.041 and 0.050-0.052 s in the
+same runs when the Burau route expanded every band of beta before the
+free reduction; ``reduced_beta`` builds only the 1,820 letters of
+beta(q_rep(11)) that the reduction keeps of its 20,000.  At n = 11 the
+Burau products lead: 0.010-0.017 s against 0.009-0.010 s for the
+determinants and 0.0025-0.0043 s for building both models and their
+words (medians in one process); the unit phase of ``mat_det`` leaves 11
+of the 100 steps of q_rep(11) to Bareiss.  Raising the limit would also
+raise ``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``, which are taken from
+``q_rep(MAX_N)``.
 """
 
 
@@ -264,7 +265,7 @@ def verify_fiber(n: int) -> FiberReport:
         chi_nabla=euler_characteristic(BraidedSurface(nab)),
         components_q=len(cycles(band_permutation(q))),
         components_nabla=len(cycles(band_permutation(nab))),
-        alexander_agree=alexander_from_braid(beta(q)) == alexander_from_braid(beta(nab)),
+        alexander_agree=alexander_from_braid(reduced_beta(q)) == alexander_from_braid(reduced_beta(nab)),
     )
     if not report.ok():
         raise FiberVerificationFailed(f"fiber models disagree: {report.to_json()}")

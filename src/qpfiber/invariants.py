@@ -477,6 +477,9 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     matrix is the same, and `reduced_burau` makes one `mat_mul` per letter
     left.  Consecutive bands of a fiber model cancel most of each other's
     conjugating letters: beta(q_rep(6)) has 1,250 letters and 210 left.
+    `verify_fiber` and the `invariants` verb pass `braidcore.reduced_beta(rep)`,
+    which builds those 210 without expanding the bands; the reduction here
+    then cancels nothing, and any other word takes the same route.
     rho - I subtracts 1 from the constant term of each diagonal entry, in
     place; a term that cancels is left as 0, which `mat_det` drops.
     """

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 from . import graphcalc
 from ._linking import pl_seifert_matrix
-from .braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, permutation_cycles
-from .constructions import expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
+from .braidcore import (
+    BandRepresentation,
+    BraidWord,
+    EmbeddedBand,
+    beta,
+    free_reduction,
+    permutation_cycles,
+    reduced_beta,
+)
+from .constructions import MAX_N, expand_bands, nabla, pad_into_nabla, q_rep, verify_fiber
 from .errors import FiberVerificationFailed
 from .invariants import (
     _band_crossings,
@@ -191,6 +199,54 @@ def check_determinant(seed: int = 20611) -> CheckResult:
     return CheckResult(
         "determinant-leibniz", not failures,
         "; ".join(failures[:3]) or f"{len(cases)}/{len(cases)} seeded matrices (unit, unit-heavy, packed, singular)",
+    )
+
+
+def _nested_representation(rng: random.Random) -> BandRepresentation:
+    """Bands on 2-7 strands, low ends mostly 1 or 2, in nested inverse pairs.
+
+    Each step opens a band, closes the last open one with its inverse, or
+    adds a band alone; so the inverse of a band follows it after whole
+    pairs, and its letters cancel across band boundaries, into the bands
+    before it.
+    """
+    n = rng.randint(2, 7)
+    bands: list[EmbeddedBand] = []
+    open_bands: list[EmbeddedBand] = []
+    for _ in range(rng.randint(0, 12)):
+        if open_bands and rng.random() < 0.4:
+            band = open_bands.pop()
+            bands.append(EmbeddedBand(band.i, band.j, -band.sign))
+            continue
+        i = rng.randint(1, min(2, n - 1))
+        band = EmbeddedBand(i, rng.randint(i + 1, n), rng.choice((1, -1)))
+        bands.append(band)
+        if rng.random() < 0.6:
+            open_bands.append(band)
+    return BandRepresentation(n, tuple(bands))
+
+
+def check_reduced_beta(seed: int = 20612) -> CheckResult:
+    """Criterion 12: `reduced_beta` is `free_reduction` of the expanded beta, letter for letter.
+
+    On 2,000 seeded representations of nested inverse band pairs, whose
+    cancellation reaches back into earlier bands, and on q_rep(n) and
+    nabla(n) for n = 2..MAX_N.  The reference expands every band with
+    `beta` and reduces in one stack pass, sharing no step with the
+    band-by-band build.
+    """
+    rng = random.Random(seed)
+    reps = [_nested_representation(rng) for _ in range(2000)]
+    fibers = [model(n) for n in range(2, MAX_N + 1) for model in (q_rep, nabla)]
+    failures = [
+        str(rep.to_json()) for rep in reps + fibers
+        if reduced_beta(rep).letters != tuple(free_reduction(beta(rep).letters))
+    ]
+    cancelled = sum(len(reduced_beta(rep)) < len(beta(rep)) for rep in reps)
+    return CheckResult(
+        "reduced-beta", not failures,
+        "; ".join(failures[:3])
+        or f"{len(reps)}/{len(reps)} seeded ({cancelled} cancel across bands) and q_rep, nabla n=2..{MAX_N}",
     )
 
 
@@ -432,4 +488,5 @@ def run_all(seed: int = 20600) -> list[CheckResult]:
         check_injectivity_detector(seed + 9),
         check_pl_seifert(seed + 10),
         check_determinant(seed + 11),
+        check_reduced_beta(seed + 12),
     ]

@@ -56,3 +56,7 @@ def test_criterion_10_pl_seifert_agreement():
 
 def test_criterion_11_determinant_leibniz():
     _report(selfcheck.check_determinant())
+
+
+def test_criterion_12_reduced_beta():
+    _report(selfcheck.check_reduced_beta())

@@ -15,8 +15,9 @@ from qpfiber.braidcore import (
     is_quasipositive,
     permutation,
     permutation_cycles,
+    reduced_beta,
 )
-from qpfiber.constructions import nabla, q_rep
+from qpfiber.constructions import MAX_N, nabla, q_rep
 from qpfiber.errors import InvalidBand, InvalidParameter, InvalidWord
 
 from conftest import band_representations, braid_words, word_from_letters
@@ -93,6 +94,72 @@ def test_beta_checks_its_letters_once(monkeypatch):
     rep = BandRepresentation(5, (EmbeddedBand(1, 4, 1), EmbeddedBand(2, 5, -1), EmbeddedBand(1, 2, 1)))
     assert len(beta(rep)) == 11
     assert checked == [11]
+
+
+@st.composite
+def nested_band_representations(draw, max_strands=6, max_steps=12):
+    """Bands with low ends 1 or 2, some closed later by their inverses in nested order.
+
+    A band and its inverse with only whole pairs between them cancel
+    letter by letter, so the cancellation reaches back into earlier bands.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_strands))
+    bands, open_bands = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_steps))):
+        if open_bands and draw(st.booleans()):
+            band = open_bands.pop()
+            bands.append(EmbeddedBand(band.i, band.j, -band.sign))
+            continue
+        i = draw(st.integers(min_value=1, max_value=min(2, n - 1)))
+        band = EmbeddedBand(i, draw(st.integers(min_value=i + 1, max_value=n)), draw(st.sampled_from((1, -1))))
+        bands.append(band)
+        if draw(st.booleans()):
+            open_bands.append(band)
+    return BandRepresentation(n, tuple(bands))
+
+
+@given(st.one_of(nested_band_representations(), band_representations(max_bands=8)))
+@settings(max_examples=300)
+def test_reduced_beta_is_the_free_reduction_of_beta(rep):
+    assert reduced_beta(rep).letters == tuple(free_reduction(beta(rep).letters))
+
+
+@pytest.mark.parametrize("model", [q_rep, nabla])
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_reduced_beta_of_the_fiber_models(model, n):
+    rep = model(n)
+    assert reduced_beta(rep).letters == tuple(free_reduction(beta(rep).letters))
+
+
+def test_reduced_beta_examples():
+    assert letters(reduced_beta(BandRepresentation(3, ()))) == []
+    # the second band cancels the first whole, middle letter included; the last two cancel nothing
+    cascade = BandRepresentation(4, ((1, 4, 1), (1, 4, -1), (1, 3, -1), (2, 4, 1)))
+    assert letters(reduced_beta(cascade)) == [(1, 1), (2, -1), (1, -1), (2, 1), (3, 1), (2, -1)]
+    # a product of bands followed by its inverse cancels back to the empty word, band by band
+    bands = (EmbeddedBand(1, 3, 1), EmbeddedBand(2, 5, -1), EmbeddedBand(1, 4, 1))
+    inverse = tuple(EmbeddedBand(b.i, b.j, -b.sign) for b in reversed(bands))
+    assert letters(reduced_beta(BandRepresentation(5, bands + inverse))) == []
+    # the middle letter of (1, 3, 1) cancels a letter of (1, 4, 1), and its inverse puts it back
+    rep = BandRepresentation(4, ((1, 4, 1), (1, 3, 1), (1, 3, -1)))
+    assert letters(reduced_beta(rep)) == [(1, 1), (2, 1), (3, 1), (2, -1), (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BraidWord(3, ()).retag("3"),
+        lambda: BraidWord(1, ()).retag(True),
+        lambda: BandRepresentation(3, ()).retag(None),
+        lambda: BandRepresentation(3, ()).retag(3.0),
+        lambda: expand_band(EmbeddedBand(1, 2, 1), "3"),
+        lambda: expand_band(EmbeddedBand(1, 2, 1), True),
+    ],
+    ids=["word-retag-str", "word-retag-bool", "rep-retag-none", "rep-retag-float", "expand-str", "expand-bool"],
+)
+def test_strand_counts_that_are_not_integers_are_refused(call):
+    with pytest.raises(InvalidParameter):
+        call()
 
 
 def test_is_quasipositive():

@@ -438,7 +438,7 @@ def test_input_above_the_limits_exits_2_before_any_work(monkeypatch, verb, doc):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started above the size limit")
 
-    for name in ("BraidedSurface", "beta", "summary", "expand_bands", "pad_into_nabla", "reduce_with_trace", "quasipositize"):
+    for name in ("BraidedSurface", "reduced_beta", "summary", "expand_bands", "pad_into_nabla", "reduce_with_trace", "quasipositize"):
         monkeypatch.setattr(cli, name, no_work)
     code, out = run_on_stdin(verb.split(), json.dumps(doc))
     assert code == 2

@@ -1,16 +1,18 @@
 import copy
 import itertools
+import json
 import random
+import sys
 from operator import mul
 
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from qpfiber import invariants
+from qpfiber import cli, invariants
 from qpfiber._linking import pl_seifert_matrix
 from qpfiber.braidcore import BandRepresentation, BraidWord, EmbeddedBand, beta, free_reduction
-from qpfiber.constructions import nabla, q_rep
+from qpfiber.constructions import MAX_N, nabla, q_rep, verify_fiber
 from qpfiber.errors import InternalError, NonExactDivision
 from qpfiber.invariants import (
     LaurentPolynomial,
@@ -711,6 +713,37 @@ class TestBurau:
         monkeypatch.setattr(invariants, "mat_mul", counting)
         alexander_from_braid(beta(q_rep(6)))
         assert len(calls) == 210
+
+    @pytest.mark.parametrize("n", [2, 6, MAX_N])
+    def test_the_fiber_paths_expand_no_band(self, n, monkeypatch, tmp_path, capsys):
+        # verify_fiber and the invariants verb build the reduced word from the bands: no beta,
+        # and one mat_mul per letter left after free reduction
+        reduced = {model: len(free_reduction(beta(model(n)).letters)) for model in (q_rep, nabla)}
+        expanded, calls = [], []
+
+        def counting_beta(rep):
+            expanded.append(rep)
+            return beta(rep)
+
+        def counting(a, b):
+            calls.append(None)
+            return mat_mul(a, b)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("qpfiber") and getattr(module, "beta", None) is beta:
+                monkeypatch.setattr(module, "beta", counting_beta)
+        monkeypatch.setattr(invariants, "mat_mul", counting)
+        verify_fiber(n)
+        assert expanded == []
+        assert len(calls) == reduced[q_rep] + reduced[nabla]
+        for model in (q_rep, nabla):
+            calls.clear()
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(model(n).to_json()))
+            assert cli.run(["invariants", "--input", str(path)]) == 0
+            capsys.readouterr()
+            assert expanded == []
+            assert len(calls) == reduced[model]
 
     def test_the_fiber_word_costs_few_exact_divisions(self, monkeypatch):
         # the unit phase clears most columns of rho(beta(q_rep(6))) - I with no division, and the
