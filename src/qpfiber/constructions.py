@@ -44,18 +44,18 @@ MAX_N = 11
 """Largest n the CLI verbs taking ``--n`` accept; above it they exit 2.
 
 On a 2-core x86-64 machine shared with other jobs (Python 3.11, medians
-of five fresh-process runs of ``verify_fiber(n)``, over three such runs)
-n = 9..12 took 0.011-0.012, 0.017-0.019, 0.024-0.027 and 0.034-0.036 s,
-against 0.014-0.015, 0.020-0.023, 0.032-0.041 and 0.050-0.052 s in the
-same runs when the Burau route expanded every band of beta before the
-free reduction; ``reduced_beta`` builds only the 1,820 letters of
+of five fresh-process runs of ``verify_fiber(n)``, over six such runs)
+n = 9..12 took 0.009-0.017, 0.014-0.025, 0.021-0.038 and 0.032-0.055 s
+(0.015, 0.016, 0.024 and 0.043 s at the median), against 0.012-0.019,
+0.019-0.028, 0.026-0.047 and 0.037-0.064 s (0.014, 0.023, 0.034 and
+0.055 s) when each Burau letter multiplied a slab of columns keyed by
+(row, exponent) tuples; ``reduced_beta`` builds only the 1,820 letters of
 beta(q_rep(11)) that the reduction keeps of its 20,000.  At n = 11 the
-Burau products lead: 0.010-0.017 s against 0.009-0.010 s for the
-determinants and 0.0025-0.0043 s for building both models and their
-words (medians in one process); the unit phase of ``mat_det`` leaves 11
-of the 100 steps of q_rep(11) to Bareiss.  Raising the limit would also
-raise ``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``, which are taken from
-``q_rep(MAX_N)``.
+determinants lead: 8.2-9.2 ms against 7.5-7.8 ms for the Burau products
+and 2.4-2.6 ms for building both models and their words (medians of 15
+in one process); the unit phase of ``mat_det`` leaves 11 of the 100
+steps of q_rep(11) to Bareiss.  Raising the limit would also raise
+``cli.MAX_STRANDS`` and ``cli.MAX_LETTERS``, taken from ``q_rep(MAX_N)``.
 """
 
 

@@ -94,13 +94,16 @@ sigma_i mapping to the identity apart from column i, which reads
 (t, -t, 1) on rows i-1, i, i+1 (1-based, truncated at the edges), and
 sigma_i^-1 apart from its column (1, -t^-1, t^-1), so det(rho(sigma_i)) =
 -t.  Right multiplication by a generator therefore changes one column of
-the running product: the new column is the slab of its at most three
-neighbouring columns times the generator's column.  The running product
-is kept by integer columns, each a map {(row, exponent): coefficient}
-that stores no zero, so a letter is one integer product and sum per term
-of the slab and builds no polynomial; the matrix of {exponent:
-coefficient} entries is read off the columns once, after the last letter
-(see ``mat_mul`` and ``reduced_burau``).
+the running product: the new column is t c[i-2] - t c[i-1] + c[i], or
+c[i-2] - t^-1 c[i-1] + t^-1 c[i], in the old columns c (0-based, those
+past the edge left out).  The running product is kept by integer columns,
+each a map {exponent * size + row: coefficient} that stores no zero, size
+the matrix size, so multiplying a term by t^+-1 adds +-size to its key and
+a letter is one integer sum and dict update per term of the three columns;
+it builds no polynomial and no tuple.  The matrix of {exponent:
+coefficient} entries is read off the columns once, after the last letter,
+a key's exponent and row being divmod(key, size) (see ``mat_mul`` and
+``reduced_burau``).
 """
 
 from __future__ import annotations
@@ -156,10 +159,10 @@ class LaurentPolynomial:
         return LaurentPolynomial(out, self.low + other.low)
 
     def canonical(self) -> "LaurentPolynomial":
-        """Unit-normalized form: lowest exponent 0, lowest coefficient > 0."""
+        """Unit-normalized form: lowest exponent 0, lowest coefficient > 0; `self` if it is that already."""
         if self.coeffs and self.coeffs[0] < 0:
             return LaurentPolynomial([-c for c in self.coeffs])
-        return LaurentPolynomial(self.coeffs)
+        return LaurentPolynomial(self.coeffs) if self.low else self
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division in Z[t, t^-1] by top-down long division; raises NonExactDivision otherwise."""
@@ -190,11 +193,8 @@ class LaurentPolynomial:
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs, self.low):
-            if c:
-                term = f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
-                parts.append(term)
+        parts = [f"{c}" if e == 0 else (f"{c}*t^{e}" if e != 1 else f"{c}*t")
+                 for e, c in enumerate(self.coeffs, self.low) if c]
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -206,31 +206,39 @@ _ZERO = LaurentPolynomial()
 _ONE = LaurentPolynomial([1])
 
 
-# A matrix by integer columns: column j as {(row, exponent): coefficient}, storing no zero.
-Columns = list[dict[tuple[int, int], int]]
+# A square matrix by integer columns: column j as {exponent * size + row: coefficient}, storing no zero.
+Columns = list[dict[int, int]]
 
 
-def mat_mul(a: Columns, b: Columns) -> Columns:
-    """The product a b of two matrices given by integer columns.
+def mat_mul(columns: Columns, r: int, sign: int) -> dict[int, int]:
+    """Column r of the right product of `columns` by sigma_(r+1)^sign, the generator of column r.
 
-    Column j of a b is the sum, over the terms c t^e at row k of column j
-    of b, of c t^e times column k of a: each term of column k moves up by
-    e in exponent, with its coefficient times c.  A term that cancels to 0
-    is deleted, so the product stores no zero either.  `reduced_burau`
-    multiplies the slab of at most three neighbouring columns by one
-    generator column per letter, whose three terms are t, -t, 1 or 1,
-    -t^-1, t^-1: a letter costs one integer product and sum per term of
-    the slab, and makes no polynomial.  The inputs are not mutated.
+    Every other column of the product is that of `columns`.  Column r is
+    t c[r-1] - t c[r] + c[r+1] for sigma_i and c[r-1] - t^-1 c[r] +
+    t^-1 c[r+1] for sigma_i^-1, with c[-1] and c[size] left out at the
+    matrix edge.  A term c t^e at row k is keyed e * size + k, so times
+    t^+-1 it is keyed +-size further on: each term costs one integer sum
+    and one dict update, with no polynomial and no tuple.  A term that
+    cancels to 0 is dropped, so the result stores no zero either; it is a
+    fresh dict, and `columns` is not mutated.
     """
-    product = []
-    for b_column in b:
-        column: dict[tuple[int, int], int] = {}
-        for (k, shift), c in b_column.items():
-            for (row, e), x in a[k].items():
-                key = row, e + shift
-                column[key] = column.get(key, 0) + c * x
-        product.append({key: x for key, x in column.items() if x})
-    return product
+    size = len(columns)
+    before, at, after = (size, size, 0) if sign == 1 else (0, -size, -size)  # key shifts of c[r-1], c[r], c[r+1]
+    column = {key + before: x for key, x in columns[r - 1].items()} if r else {}
+    get = column.get
+    for key, x in columns[r].items():
+        key += at
+        if y := get(key, 0) - x:
+            column[key] = y
+        else:
+            del column[key]
+    for key, x in columns[r + 1].items() if r + 1 < size else ():
+        key += after
+        if y := get(key, 0) + x:
+            column[key] = y
+        else:
+            del column[key]
+    return column
 
 
 def mat_det(matrix: Sequence[Sequence[dict[int, int]]]) -> LaurentPolynomial:
@@ -434,37 +442,26 @@ def _exact_quotient(numerator: int, divisor: int) -> int:
 # Reduced Burau and the braid route to Alexander
 
 
-# column r = i-1 of sigma_i and of sigma_i^-1 on rows r-1, r, r+1, as (row, exponent, coefficient)
-_GENERATOR_TERMS = {1: ((0, 1, 1), (1, 1, -1), (2, 0, 1)), -1: ((0, 0, 1), (1, -1, -1), (2, -1, 1))}
-# (sign, start, stop) -> that column on rows start..stop-1 of the three, renumbered from 0, as one integer column
-_GENERATOR = {
-    (sign, start, stop): [{(row - start, e): c for row, e, c in terms if start <= row < stop}]
-    for sign, terms in _GENERATOR_TERMS.items() for start in (0, 1) for stop in (2, 3)
-}
-
-
 def reduced_burau(word: BraidWord) -> list[list[dict[int, int]]]:
     """Image of the word under the reduced Burau representation, as rows of {exponent: coefficient} entries.
 
     Letters multiply left to right: rho(w1 w2) = rho(w1) rho(w2).  The
-    running product is kept by integer columns (see `mat_mul`);
-    sigma_i^+-1 replaces column r = i-1 by the slab of columns r-1, r, r+1
-    times the generator's column, both truncated at the matrix edge, in one
-    `mat_mul` call.  The rows are read off the columns once, at the end:
-    each entry is a fresh dict that stores no zero, {} for zero, shared
-    with no other entry, so the caller may change it.
+    running product is kept by integer columns (see `mat_mul`), and
+    sigma_i^+-1 replaces column i-1 by one `mat_mul` call.  The rows are
+    read off the columns once, at the end, a key's row and exponent by
+    `divmod`: each entry is a fresh dict that stores no zero, {} for zero,
+    shared with no other entry, so the caller may change it.
     """
     if word.strands < 2:
         raise InvalidParameter("reduced Burau needs at least 2 strands")
     size = word.strands - 1
-    columns = [{(d, 0): 1} for d in range(size)]
+    columns = [{d: 1} for d in range(size)]
     for i, sign in word.letters:
-        r = i - 1
-        lo, hi = max(r - 1, 0), min(r + 2, size)
-        columns[r] = mat_mul(columns[lo:hi], _GENERATOR[sign, lo - r + 1, hi - r + 1])[0]
+        columns[i - 1] = mat_mul(columns, i - 1, sign)
     matrix: list[list[dict[int, int]]] = [[{} for _ in range(size)] for _ in range(size)]
     for j, column in enumerate(columns):
-        for (i, e), c in column.items():
+        for key, c in column.items():
+            e, i = divmod(key, size)
             matrix[i][j][e] = c
     return matrix
 
@@ -479,14 +476,16 @@ def alexander_from_braid(word: BraidWord) -> LaurentPolynomial:
     conjugating letters: beta(q_rep(6)) has 1,250 letters and 210 left.
     `verify_fiber` and the `invariants` verb pass `braidcore.reduced_beta(rep)`,
     which builds those 210 without expanding the bands; the reduction here
-    then cancels nothing, and any other word takes the same route.
-    rho - I subtracts 1 from the constant term of each diagonal entry, in
-    place; a term that cancels is left as 0, which `mat_det` drops.
+    then cancels nothing, and the word itself goes on, with no new
+    `BraidWord` built and checked.  rho - I subtracts 1 from the constant
+    term of each diagonal entry, in place; a term that cancels is left as
+    0, which `mat_det` drops.
     """
     n = word.strands
     if n == 1:
         return _ONE
-    diff = reduced_burau(BraidWord(n, free_reduction(word.letters)))
+    letters = free_reduction(word.letters)
+    diff = reduced_burau(word if len(letters) == len(word.letters) else BraidWord(n, letters))
     for i, row in enumerate(diff):
         row[i][0] = row[i].get(0, 0) - 1
     return mat_det(diff).exact_div(LaurentPolynomial([1] * n)).canonical()

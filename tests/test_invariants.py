@@ -43,8 +43,8 @@ def naive_product(a, b):
         for j in range(cols):
             acc = {}
             for k in range(inner):
-                for e1, c1 in a[i][k].items():
-                    for e2, c2 in b[k][j].items():
+                for e2, c2 in b[k][j].items():
+                    for e1, c1 in a[i][k].items():
                         acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
             row.append({e: c for e, c in acc.items() if c})
         out.append(row)
@@ -55,14 +55,26 @@ def as_dict(p):
     return {p.low + k: c for k, c in enumerate(p.coeffs) if c}
 
 
-def as_columns(matrix, cols):
-    """The integer columns {(row, exponent): coefficient} of a matrix of dicts with `cols` columns."""
-    return [{(i, e): c for i, row in enumerate(matrix) for e, c in row[j].items() if c} for j in range(cols)]
+def as_columns(matrix):
+    """The integer columns {exponent * size + row: coefficient} of a square matrix of dicts."""
+    size = len(matrix)
+    return [{e * size + i: c for i, row in enumerate(matrix) for e, c in row[j].items() if c} for j in range(size)]
 
 
-def from_columns(columns, rows):
-    """The matrix of dicts, with `rows` rows, of integer columns."""
-    return [[{e: c for (i, e), c in column.items() if i == r} for column in columns] for r in range(rows)]
+def from_columns(columns):
+    """The square matrix of dicts of integer columns."""
+    size = len(columns)
+    matrix = [[{} for _ in range(size)] for _ in range(size)]
+    for j, column in enumerate(columns):
+        for key, c in column.items():
+            e, i = divmod(key, size)
+            matrix[i][j][e] = c
+    return matrix
+
+
+def right_multiply(columns, i, sign):
+    """The integer columns of the product by sigma_i^sign: column i-1 from `mat_mul`, the others the same objects."""
+    return columns[:i - 1] + [mat_mul(columns, i - 1, sign)] + columns[i:]
 
 
 def dict_identity(size):
@@ -99,16 +111,21 @@ polys = st.one_of(
 
 
 @st.composite
-def matrix_pairs(draw):
-    """(a, b, (rows, inner, cols)): a is rows x inner, b inner x cols, dense or mostly zero/one.
-
-    inner >= 1, so the shape of b survives as rows of dicts; `test_edge_shapes` covers inner = 0.
-    """
-    rows, inner, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+def square_matrices(draw):
+    """(matrix, strands, i, sign): a square matrix on 2-8 strands, dense or mostly zero/one, and a letter."""
+    strands = draw(st.integers(2, 8))
     entries = draw(st.sampled_from([polys, st.sampled_from([{}, {}, {}, {0: 1}, {1: -1}])]))
-    a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
-    b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
-    return a, b, (rows, inner, cols)
+    matrix = [[draw(entries) for _ in range(strands - 1)] for _ in range(strands - 1)]
+    return matrix, strands, draw(st.integers(1, strands - 1)), draw(st.sampled_from((1, -1)))
+
+
+@st.composite
+def long_words(draw):
+    """A word of 0-80 letters on 2-8 strands: mixed, all positive or all negative."""
+    strands = draw(st.integers(2, 8))
+    signs = draw(st.sampled_from(((1, -1), (1,), (-1,))))
+    letters = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.sampled_from(signs)), max_size=80))
+    return BraidWord(strands, tuple(letters))
 
 
 @st.composite
@@ -132,6 +149,13 @@ class TestLaurent:
     def test_canonical_form(self):
         assert L({-3: -2, -1: 2}).canonical() == L({0: 2, 2: -2})
         assert L({}).canonical() == L({})
+
+    def test_canonical_form_is_kept_as_is(self):
+        for p in (L({}), L({0: 1}), L({0: 2, 2: -2}), L({0: 3, 1: -1})):
+            assert p.canonical() is p
+        for p in (L({-1: 1}), L({0: -1}), L({2: -3, 4: 1})):
+            q = p.canonical()
+            assert q is not p and q.canonical() is q
 
     def test_exact_division(self):
         p = L({0: 1, 1: 1}) * L({0: 1, 1: -1, 2: 1})
@@ -308,51 +332,59 @@ def assert_no_stored_zero(columns):
 
 
 class TestMatMul:
-    @given(matrix_pairs())
+    @given(square_matrices())
     @settings(max_examples=100)
-    def test_matches_naive_product(self, pair):
-        a, b, (rows, inner, cols) = pair
-        ca, cb = as_columns(a, inner), as_columns(b, cols)
-        before = copy.deepcopy((ca, cb))
-        product = mat_mul(ca, cb)
-        assert from_columns(product, rows) == naive_product(a, b)
+    def test_matches_naive_product(self, drawn):
+        matrix, strands, i, sign = drawn
+        columns = as_columns(matrix)
+        before = copy.deepcopy(columns)
+        product = right_multiply(columns, i, sign)
+        assert from_columns(product) == naive_product(matrix, dict_generator(strands, i, sign))
         assert_no_stored_zero(product)
-        # inputs are never mutated
-        assert (ca, cb) == before
+        # the input is never mutated, and the new column is a fresh dict
+        assert columns == before
+        assert all(product[i - 1] is not column for column in columns)
 
     def test_edge_shapes(self):
-        assert mat_mul([], []) == []
-        assert mat_mul([{}, {}], []) == []
-        assert mat_mul([], [{}, {}]) == [{}, {}]  # inner size 0: zero columns
-        assert mat_mul([{(0, 1): 2}], [{(0, -1): 3}]) == [{(0, 0): 6}]
-        row = [{(0, 0): 1}, {(0, 1): 1}]  # (1  t)
-        column = [{(0, 0): 2, (1, 0): 3}]  # (2  3)^T
-        assert mat_mul(row, column) == [{(0, 0): 2, (0, 1): 3}]
-        assert mat_mul(column, row) == [{(0, 0): 2, (1, 0): 3}, {(0, 1): 2, (1, 1): 3}]
+        # sigma_1 and sigma_(n-1) read one neighbour, and on 2 strands none; keys are e * size + row
+        assert mat_mul([{0: 1}], 0, 1) == {1: -1}  # -t
+        assert mat_mul([{0: 1}], 0, -1) == {-1: -1}  # -t^-1: a negative key
+        assert mat_mul([{0: 1}, {1: 1}], 0, 1) == {2: -1, 1: 1}  # -t at row 0, 1 at row 1
+        assert mat_mul([{0: 1}, {1: 1}], 1, 1) == {2: 1, 3: -1}  # t at row 0, -t at row 1
+        assert mat_mul([{0: 1}, {1: 1}], 1, -1) == {0: 1, -1: -1}  # 1 at row 0, -t^-1 at row 1
+        for strands in range(2, 9):
+            size = strands - 1
+            matrix = [[{e: (r + 2 * c + e) % 5 - 2 for e in range(-1, 2)} for c in range(size)] for r in range(size)]
+            for i in {1, strands - 1}:
+                for sign in (1, -1):
+                    want = naive_product(matrix, dict_generator(strands, i, sign))
+                    assert from_columns(right_multiply(as_columns(matrix), i, sign)) == want, (strands, i, sign)
 
     def test_fresh_zero_objects_in_both_operands(self):
-        # zero columns and absent rows on both sides, and a sum that cancels to an empty column
-        a = [{}, {(0, -1): 2, (1, 0): 1, (1, 2): -1}]
-        b = [{(0, 1): -1}, {(1, 0): 1}, {}]
-        product = mat_mul(a, b)
-        assert from_columns(product, 2) == naive_product(from_columns(a, 2), from_columns(b, 2))
-        assert product == [{}, {(0, -1): 2, (1, 0): 1, (1, 2): -1}, {}]
-        assert mat_mul([{(0, 0): 1}, {(0, 0): 1}], [{(0, 0): 1, (1, 0): -1}]) == [{}]
+        # zero columns, absent rows, and sums that cancel to an empty column, which is a fresh dict
+        zeros = [{}, {}, {}]
+        for r in range(3):
+            for sign in (1, -1):
+                column = mat_mul(zeros, r, sign)
+                assert column == {} and all(column is not z for z in zeros)
+        assert zeros == [{}, {}, {}]
+        assert mat_mul([{4: 2}, {4: 2}, {}], 1, 1) == {}  # t c0 - t c1
+        assert mat_mul([{}, {4: 2}, {4: 2}], 1, -1) == {}  # -t^-1 c1 + t^-1 c2
+        assert mat_mul([{0: 2, 5: -1}, {3: 2, 2: 2}], 0, 1) == {7: 1, 3: 2}  # -t c0 + c1: the t term of row 0 cancels
 
     def test_cancelling_terms_leave_no_stored_zero(self):
-        # sigma_i sigma_i^-1 at either edge: the terms of sigma_i's column cancel against its
-        # neighbours, and the product is the identity column for column, with no zero stored
+        # sigma_i sigma_i^-1 and sigma_i^-1 sigma_i at either edge are the identity column for
+        # column, with no zero stored
         for strands in (2, 3, 5, 7):
             size = strands - 1
-            identity = as_columns(dict_identity(size), size)
+            identity = as_columns(dict_identity(size))
             for i in {1, strands - 1}:
-                sigma, inverse = (as_columns(dict_generator(strands, i, sign), size) for sign in (1, -1))
-                twisted = mat_mul(identity, sigma)
-                product = mat_mul(twisted, inverse)
-                assert product == identity, (strands, i)
-                assert_no_stored_zero(twisted)
-                assert_no_stored_zero(product)
-                assert mat_mul(mat_mul(identity, inverse), sigma) == identity
+                for sign in (1, -1):
+                    twisted = right_multiply(identity, i, sign)
+                    product = right_multiply(twisted, i, -sign)
+                    assert product == identity, (strands, i, sign)
+                    assert_no_stored_zero(twisted)
+                    assert_no_stored_zero(product)
 
     def test_hand_written_generators_are_inverse(self):
         for strands in (2, 3, 5):
@@ -683,6 +715,14 @@ class TestBurau:
     def test_matches_naive_fold(self, word):
         assert reduced_burau(word) == naive_fold(word)
 
+    @given(long_words())
+    @example(BraidWord(8, ((7, 1),) * 40 + ((1, 1),) * 40))
+    @example(BraidWord(8, ((1, -1),) * 40 + ((7, -1),) * 40))
+    @settings(max_examples=30, deadline=None)
+    def test_long_words_match_naive_fold(self, word):
+        # one-signed words reach the extreme exponents, and the negative ones give negative keys
+        assert reduced_burau(word) == naive_fold(word)
+
     def test_edge_slabs_match_naive_fold(self):
         # a letter at either edge multiplies a slab of two columns, or of one on 2 strands
         for letters in ([1], [-1], [1, 1], [-1, -1, 1], [1, -1, -1, 1, 1]):
@@ -706,9 +746,9 @@ class TestBurau:
         # beta(q_rep(6)) has 1,250 letters, 210 of them left after free reduction
         calls = []
 
-        def counting(a, b):
+        def counting(columns, r, sign):
             calls.append(None)
-            return mat_mul(a, b)
+            return mat_mul(columns, r, sign)
 
         monkeypatch.setattr(invariants, "mat_mul", counting)
         alexander_from_braid(beta(q_rep(6)))
@@ -725,9 +765,9 @@ class TestBurau:
             expanded.append(rep)
             return beta(rep)
 
-        def counting(a, b):
+        def counting(columns, r, sign):
             calls.append(None)
-            return mat_mul(a, b)
+            return mat_mul(columns, r, sign)
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("qpfiber") and getattr(module, "beta", None) is beta:
@@ -884,6 +924,22 @@ def alexander_agrees_mod_p(word, delta):
         if burau_det_mod_p(word, t0) not in unit_multiples(value, t0, reach):
             return False
     return True
+
+
+def dense_word(strands, length):
+    """A seeded random word with no structure: the letters of Random(7)."""
+    rng = random.Random(7)
+    return BraidWord(strands, tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length)))
+
+
+class TestModularBurau:
+    @pytest.mark.parametrize("strands, length", [(3, 2000), (6, 1000)])
+    def test_long_dense_words_match_entry_by_entry(self, strands, length):
+        word = dense_word(strands, length)
+        matrix = reduced_burau(word)
+        for t0 in (2, 3):
+            values = [[sum(c * pow(t0, e, P) for e, c in entry.items()) % P for entry in row] for row in matrix]
+            assert values == modular_burau(word, t0), t0
 
 
 class TestModularDeterminant:
